@@ -40,9 +40,7 @@ pub use merge::{merge, Merged};
 pub use naive::{naive_view_dtd, NaiveMode};
 pub use pipeline::{infer_view_dtd, InferredView};
 pub use refine::{refine, refine1};
-pub use sat::{
-    check_sat, check_sat_memo, check_sat_normalized, SatCache, SatVerdict, SAT_CACHE_CAPACITY,
-};
+pub use sat::{check_sat, check_sat_normalized, SatCache, SatVerdict, SAT_CACHE_CAPACITY};
 pub use tighten::{classify_query, tighten, Tightened, Verdict};
 pub use union::{
     compose_union_views, infer_union_view_dtd, infer_union_view_dtd_cached, InferredUnionView,

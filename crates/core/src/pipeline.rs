@@ -7,7 +7,7 @@ use crate::tighten::{tighten, Verdict};
 use mix_dtd::{ContentModel, Dtd, SDtd};
 use mix_relang::ast::Regex;
 use mix_relang::symbol::{Name, Sym};
-use mix_relang::{boxed_baseline, equivalent, equivalent_id, intern, map_syms_cached, simplify};
+use mix_relang::{equivalent_id, intern, map_syms_cached, simplify};
 use mix_xmas::{normalize, NormalizeError, Query};
 use std::collections::HashMap;
 
@@ -140,13 +140,8 @@ pub(crate) fn collapse_equivalent_with(sdtd: SDtd, extras: &mut [Regex]) -> SDtd
                 let equal = match (current.types.get(a), current.types.get(b)) {
                     (Some(ContentModel::Pcdata), Some(ContentModel::Pcdata)) => true,
                     (Some(ContentModel::Elements(ra)), Some(ContentModel::Elements(rb))) => {
-                        if boxed_baseline() {
-                            ra == rb || equivalent(ra, rb)
-                        } else {
-                            // id equality is the structural fast path
-                            let (ia, ib) = (intern(ra), intern(rb));
-                            ia == ib || equivalent_id(ia, ib)
-                        }
+                        // id equality is equivalent_id's structural fast path
+                        equivalent_id(intern(ra), intern(rb))
                     }
                     _ => false,
                 };
@@ -234,8 +229,8 @@ fn renumber_with(sdtd: SDtd, extras: &mut [Regex]) -> SDtd {
 mod tests {
     use super::*;
     use mix_dtd::paper::d1_department;
-    use mix_relang::parse_regex;
     use mix_relang::symbol::name;
+    use mix_relang::{equivalent, parse_regex};
     use mix_xmas::parse_query;
 
     fn q2_src() -> Query {

@@ -8,9 +8,10 @@
 //!
 //! The paper's special operators `⊗` and `∥` extend concatenation and
 //! union with a `fail` value; in this codebase `fail` is [`Regex::Empty`]
-//! and the smart constructors [`Regex::concat`] / [`Regex::alt`] implement
-//! exactly the `⊗` / `∥` propagation rules, so the algorithm reads off the
-//! paper nearly verbatim.
+//! (`ReId::EMPTY` in the pool) and the smart constructors
+//! [`Regex::concat`] / [`Regex::alt`], mirrored by the pool's
+//! `concat_ids` / `alt_ids`, implement exactly the `⊗` / `∥` propagation
+//! rules, so the algorithm reads off the paper nearly verbatim.
 
 use mix_relang::ast::Regex;
 use mix_relang::pool::{self, ReId, ReNode};
@@ -37,26 +38,27 @@ use mix_relang::symbol::{Name, Tag};
 /// assert!(equivalent(&refined, &parse_regex("n, (j | c)*, j, (j | c)*").unwrap()));
 /// ```
 pub fn refine(r: &Regex, names: &[Name], tag: Tag) -> Regex {
-    if pool::boxed_baseline() {
-        return refine_boxed(r, names, tag);
-    }
     pool::to_regex(refine_id(pool::intern(r), names, tag))
 }
 
-/// [`refine`] over pool ids — the hot path. The `Concat` case of the
-/// boxed algorithm clones every sibling once per branch (O(n²) child
-/// copies); here siblings are `Copy` ids and shared subterms are
-/// rewritten once per distinct node.
+/// [`refine`] over pool ids. The `Concat` case builds one branch per
+/// sibling; siblings are `Copy` ids, so no subterm is cloned, and shared
+/// subterms are rewritten once per distinct node.
 pub fn refine_id(r: ReId, names: &[Name], tag: Tag) -> ReId {
     match pool::node(r) {
         ReNode::Empty | ReNode::Epsilon => ReId::EMPTY,
         ReNode::Sym(s) => {
+            // Base cases: an untagged occurrence of a requested name is the
+            // witness; everything else fails (Definition 4.2's tagged base
+            // case — occurrences claimed by an earlier condition, i.e.
+            // already tagged, cannot be re-used).
             if s.tag == 0 && names.contains(&s.name) {
                 pool::sym_id(s.name.tagged(tag))
             } else {
                 ReId::EMPTY
             }
         }
+        // (refine(r1), r2, …) ∥ (r1, refine(r2), …) ∥ …
         ReNode::Concat(v) => pool::alt_ids(
             (0..v.len())
                 .map(|i| {
@@ -74,62 +76,13 @@ pub fn refine_id(r: ReId, names: &[Name], tag: Tag) -> ReId {
                 .map(|&x| refine_id(x, names, tag))
                 .collect::<Vec<_>>(),
         ),
+        // g* ⊗ refine(g) ⊗ g*; for g+ = g, g* the witness iteration
+        // makes the "+" implicit
         ReNode::Star(g) | ReNode::Plus(g) => {
             pool::concat_ids([pool::star_id(g), refine_id(g, names, tag), pool::star_id(g)])
         }
+        // refine(g) ∥ fail = refine(g): the option must be taken
         ReNode::Opt(g) => refine_id(g, names, tag),
-    }
-}
-
-/// The seed boxed implementation, kept verbatim as the benchmark
-/// baseline (see [`mix_relang::set_boxed_baseline`]).
-fn refine_boxed(r: &Regex, names: &[Name], tag: Tag) -> Regex {
-    match r {
-        Regex::Empty | Regex::Epsilon => Regex::Empty,
-        Regex::Sym(s) => {
-            // Base cases: an untagged occurrence of a requested name is the
-            // witness; everything else fails (Definition 4.2's tagged base
-            // case — occurrences claimed by an earlier condition, i.e.
-            // already tagged, cannot be re-used).
-            if s.tag == 0 && names.contains(&s.name) {
-                Regex::Sym(s.name.tagged(tag))
-            } else {
-                Regex::Empty
-            }
-        }
-        Regex::Concat(v) => {
-            // (refine(r1), r2, …) ∥ (r1, refine(r2), …) ∥ …
-            Regex::alt((0..v.len()).map(|i| {
-                Regex::concat(v.iter().enumerate().map(|(j, x)| {
-                    if i == j {
-                        refine(x, names, tag)
-                    } else {
-                        x.clone()
-                    }
-                }))
-            }))
-        }
-        Regex::Alt(v) => Regex::alt(v.iter().map(|x| refine(x, names, tag))),
-        Regex::Star(g) => {
-            // g* ⊗ refine(g) ⊗ g*
-            Regex::concat([
-                Regex::star((**g).clone()),
-                refine(g, names, tag),
-                Regex::star((**g).clone()),
-            ])
-        }
-        Regex::Plus(g) => {
-            // r+ = r, r*; the witness iteration makes the "+" implicit.
-            Regex::concat([
-                Regex::star((**g).clone()),
-                refine(g, names, tag),
-                Regex::star((**g).clone()),
-            ])
-        }
-        Regex::Opt(g) => {
-            // refine(g) ∥ fail = refine(g): the option must be taken.
-            refine(g, names, tag)
-        }
     }
 }
 

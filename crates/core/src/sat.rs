@@ -38,9 +38,9 @@
 //!
 //! [`SatCache`] memoizes verdicts under the same process-independent
 //! `(query fingerprint, DTD fingerprint)` key as the [`InferenceCache`](crate::InferenceCache),
-//! with optional persistence through the [`WarmStore`] seam, and
-//! [`check_sat_memo`] is the process-global entry point the wrapper
-//! layers (streaming, remote) share.
+//! with optional persistence through the [`WarmStore`] seam. The
+//! mediator owns one and consults it before every fetch; it is the only
+//! verdict cache.
 
 use crate::cache::{fingerprint_dtd, fingerprint_query, Fingerprint, WarmStore};
 use mix_dtd::{content_class, productive, restrict, ContentClass, ContentModel, Dtd};
@@ -51,7 +51,7 @@ use mix_xmas::{normalize, Body, Condition, NameTest, NormalizeError, Query};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Joint-sibling assignments enumerated before the check degrades to
 /// `Unknown` (each child step with a k-name disjunctive test multiplies
@@ -516,15 +516,6 @@ impl fmt::Debug for SatCache {
             .field("entries", &self.len())
             .finish()
     }
-}
-
-/// The process-global memoized check the wrapper layers share (counters
-/// land in [`mix_obs::global`], next to the other wrapper instruments).
-pub fn check_sat_memo(q: &Query, dtd: &Dtd) -> SatVerdict {
-    static GLOBAL: OnceLock<SatCache> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| SatCache::with_registry(mix_obs::global().clone()))
-        .verdict(q, dtd)
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 //! highlights at the end of Section 4.2, which the mediator's query
 //! simplifier exploits).
 
-use crate::refine::{refine, refine_id};
+use crate::refine::refine_id;
 use mix_dtd::{ContentModel, Dtd, TypeMap};
 use mix_relang::ast::Regex;
 use mix_relang::pool::{self, ReId};
 use mix_relang::symbol::{Name, Sym, Tag};
-use mix_relang::{equivalent, is_subset, is_subset_id};
+use mix_relang::{equivalent, is_subset_id};
 use mix_xmas::{Body, Condition, Query};
 use std::collections::HashMap;
 
@@ -179,21 +179,9 @@ fn apply_condition(t: &Regex, c: &Condition, dtd: &Dtd, out: &mut Tightened) -> 
     //    (image) language — "if the refinement included an elimination of a
     //    disjunct or a refinement of a star expression, indicate that the
     //    condition is not satisfied by all instances" (Figure 2).
-    if pool::boxed_baseline() {
-        let t2 = refine(t, &viable, c.tag);
-        if t2.is_empty_lang() {
-            return (Regex::Empty, Verdict::Unsatisfiable);
-        }
-        let refine_v = if is_subset(&t.image(), &t2.image()) {
-            Verdict::Valid
-        } else {
-            Verdict::Satisfiable
-        };
-        return (t2, refine_v.and(child_v));
-    }
-    // Interned arm: the conditions loop in `tighten_body` refines the same
-    // parent type repeatedly, so its image and the subset result are
-    // pool/memo lookups after the first pass.
+    // The conditions loop in `tighten_body` refines the same parent type
+    // repeatedly, so its image and the subset result are pool/memo
+    // lookups after the first pass.
     let ti = pool::intern(t);
     let t2i = refine_id(ti, &viable, c.tag);
     if t2i == ReId::EMPTY {

@@ -27,6 +27,10 @@ use std::sync::{Arc, Mutex};
 pub struct View {
     /// The source the view is defined over.
     pub source: String,
+    /// The definition as registered. A schema change re-infers from it,
+    /// because the normalized query in `inferred` has its wildcards
+    /// expanded against the DTD it was inferred under.
+    pub definition: Query,
     /// Everything the inference pipeline produced (normalized query,
     /// s-DTD, merged DTD, verdict) — shared with the mediator's
     /// [`InferenceCache`], so re-registration and batch serving reuse it.
@@ -39,6 +43,9 @@ pub struct View {
 pub struct UnionView {
     /// The sources, in union order.
     pub sources: Vec<String>,
+    /// The per-source definitions as registered, in union order (see
+    /// [`View::definition`]).
+    pub definitions: Vec<Query>,
     /// The union inference result (s-DTD, merged DTD, verdict).
     pub inferred: InferredUnionView,
 }
@@ -345,6 +352,7 @@ impl Mediator {
             q.view_name,
             AnyView::Single(View {
                 source: source.to_owned(),
+                definition: q.clone(),
                 inferred,
             }),
         );
@@ -382,6 +390,7 @@ impl Mediator {
             view_name,
             AnyView::Union(UnionView {
                 sources: parts.iter().map(|(s, _)| (*s).to_owned()).collect(),
+                definitions: parts.iter().map(|(_, q)| q.clone()).collect(),
                 inferred,
             }),
         );
@@ -457,9 +466,10 @@ impl Mediator {
             let new_view = match &self.views[&vname] {
                 AnyView::Single(v) => {
                     let w = &self.sources[&v.source];
-                    let inferred = self.cache.infer(&v.inferred.query, w.dtd())?;
+                    let inferred = self.cache.infer(&v.definition, w.dtd())?;
                     AnyView::Single(View {
                         source: v.source.clone(),
+                        definition: v.definition.clone(),
                         inferred,
                     })
                 }
@@ -467,12 +477,13 @@ impl Mediator {
                     let pairs: Vec<(&Query, &mix_dtd::Dtd)> = v
                         .sources
                         .iter()
-                        .zip(&v.inferred.queries)
+                        .zip(&v.definitions)
                         .map(|(s, q)| (q, self.sources[s].dtd()))
                         .collect();
                     let inferred = infer_union_view_dtd_cached(vname, &pairs, &self.cache)?;
                     AnyView::Union(UnionView {
                         sources: v.sources.clone(),
+                        definitions: v.definitions.clone(),
                         inferred,
                     })
                 }
@@ -609,61 +620,6 @@ impl Mediator {
             AnyView::Union(view) => self.union_members(view),
             AnyView::Single(_) => Err(MediatorError::UnknownView(name)),
         }
-    }
-
-    /// When sat pruning is enabled and **every** member of the registered
-    /// union view `name` is provably `Unsat`, synthesizes the whole
-    /// member vector — empty contributions with clean outcomes, in union
-    /// order — without contacting a single source. Returns `None` (and
-    /// counts nothing) when any member might contribute: a mixed shard
-    /// is served by the normal path, which skips and counts its `Unsat`
-    /// members one by one, so no member is ever counted twice. The
-    /// federation tier (see [`crate::topology::Federation`]) uses this to
-    /// skip whole shards before spawning their worker threads.
-    pub fn prune_union_members(
-        &self,
-        name: Name,
-    ) -> Option<Vec<(Option<Document>, SourceOutcome)>> {
-        if !self.config.use_sat_pruning {
-            return None;
-        }
-        let view = match self.views.get(&name)? {
-            AnyView::Union(v) => v,
-            AnyView::Single(_) => return None,
-        };
-        // verdicts first, side effects after: only an all-Unsat shard
-        // counts (and synthesizes) anything here
-        for (source, q) in view.sources.iter().zip(&view.inferred.queries) {
-            let wrapper = self.sources.get(source)?;
-            if !self.sat.verdict(q, wrapper.dtd()).is_unsat() {
-                return None;
-            }
-        }
-        let members: Vec<(Option<Document>, SourceOutcome)> = view
-            .sources
-            .iter()
-            .zip(&view.inferred.queries)
-            .map(|(source, q)| {
-                self.instruments.sat_pruned.inc();
-                let breaker = self.health[source]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .state();
-                (
-                    Some(empty_answer(q.view_name)),
-                    SourceOutcome {
-                        source: source.clone(),
-                        status: FetchStatus::Fresh,
-                        retries: 0,
-                        backoff_ms: 0,
-                        error: None,
-                        breaker,
-                        short_circuited: false,
-                    },
-                )
-            })
-            .collect();
-        (!members.is_empty()).then_some(members)
     }
 
     /// One resilient call per member of a union view, in parallel, in

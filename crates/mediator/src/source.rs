@@ -19,7 +19,7 @@ use crate::wire::net_to_source_error;
 use mix_dtd::{validate_document, Dtd, ValidationError};
 use mix_net::{ClientConfig, Msg, Pool};
 use mix_xmas::{evaluate, normalize, Query};
-use mix_xml::{Content, Document, ElemId, Element};
+use mix_xml::Document;
 
 /// Anything that exports XML data typed by a DTD and answers pick-element
 /// queries about it.
@@ -183,7 +183,6 @@ pub struct RemoteWrapper {
     memo_hits: mix_obs::Counter,
     memo_misses: mix_obs::Counter,
     memo_evictions: mix_obs::Counter,
-    sat_pruned: mix_obs::Counter,
 }
 
 impl std::fmt::Debug for RemoteWrapper {
@@ -289,7 +288,6 @@ impl RemoteWrapper {
             memo_hits: mix_obs::global().counter("wire_parse_memo_hits_total"),
             memo_misses: mix_obs::global().counter("wire_parse_memo_misses_total"),
             memo_evictions: mix_obs::global().counter("wire_parse_memo_evictions_total"),
-            sat_pruned: mix_obs::global().counter("sat_pruned_total"),
         })
     }
 
@@ -363,12 +361,6 @@ impl Wrapper for RemoteWrapper {
         // normalize locally: Query faults stay structured and local, and
         // the remote side only ever sees well-formed normalized queries
         let nq = normalize(q, &self.dtd)?;
-        // a provably-Unsat query never reaches the wire: the empty
-        // answer the daemon would compute is synthesized locally
-        if mix_infer::check_sat_memo(q, &self.dtd).is_unsat() {
-            self.sat_pruned.inc();
-            return Ok(empty_remote_answer(nq.view_name));
-        }
         self.exchange(nq.to_string())
     }
 
@@ -376,9 +368,7 @@ impl Wrapper for RemoteWrapper {
     /// frames — replies are matched back by frame id, so the server may
     /// finish them in any order while this returns them in input order,
     /// with no thread spawned per query. Queries that fail normalization
-    /// are rejected locally and never reach the wire, and queries the
-    /// satisfiability analyzer proves `Unsat` are answered locally with
-    /// the empty document the daemon would have computed.
+    /// are rejected locally and never reach the wire.
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
         let millis = self.pool.config().io_timeout.as_millis() as u64;
         let mut results: Vec<Option<Result<Document, SourceError>>> =
@@ -386,10 +376,6 @@ impl Wrapper for RemoteWrapper {
         let mut wire: Vec<(usize, Msg)> = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
             match normalize(q, &self.dtd) {
-                Ok(nq) if mix_infer::check_sat_memo(q, &self.dtd).is_unsat() => {
-                    self.sat_pruned.inc();
-                    results[i] = Some(Ok(empty_remote_answer(nq.view_name)));
-                }
                 Ok(nq) => wire.push((i, Msg::Query(nq.to_string()))),
                 Err(e) => results[i] = Some(Err(e.into())),
             }
@@ -413,17 +399,6 @@ impl Wrapper for RemoteWrapper {
             .map(|r| r.expect("every query answered or rejected"))
             .collect()
     }
-}
-
-/// The empty answer a source computes for a query with no matches —
-/// synthesized locally when the satisfiability analyzer proves a query
-/// `Unsat` before any frame is issued.
-fn empty_remote_answer(name: mix_relang::symbol::Name) -> Document {
-    Document::new(Element {
-        name,
-        id: ElemId::fresh(),
-        content: Content::Elements(vec![]),
-    })
 }
 
 #[cfg(test)]
@@ -547,42 +522,6 @@ mod tests {
             }
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn unsat_remote_queries_never_reach_the_wire() {
-        let (server, addr) = serve_local();
-        let remote = RemoteWrapper::connect(&addr).unwrap();
-        let local = XmlSource::new(d1_department(), doc()).unwrap();
-        // D1's professor model has no course child: provably Unsat
-        let unsat = parse_query(
-            "none = SELECT C WHERE <department> <professor> C:<course/> </> </department>",
-        )
-        .unwrap();
-        let sat = parse_query("profs = SELECT P WHERE <department> P:<professor/> </department>")
-            .unwrap();
-        let xml = |d: &Document| mix_xml::write_document(d, mix_xml::WriteConfig::default());
-        assert_eq!(
-            xml(&remote.answer(&unsat).unwrap()),
-            xml(&local.answer(&unsat).unwrap())
-        );
-        // batch: the pruned item is answered in place, the rest still wire
-        let batch = remote.answer_batch(std::slice::from_ref(&sat));
-        assert_eq!(
-            xml(batch[0].as_ref().unwrap()),
-            xml(&local.answer(&sat).unwrap())
-        );
-        let batch = remote.answer_batch(&[sat.clone(), unsat.clone()]);
-        assert_eq!(
-            xml(batch[1].as_ref().unwrap()),
-            xml(&local.answer(&unsat).unwrap())
-        );
-        // the proof holds with the daemon gone: Unsat queries still answer
-        server.shutdown();
-        assert_eq!(
-            xml(&remote.answer(&unsat).unwrap()),
-            xml(&local.answer(&unsat).unwrap())
-        );
     }
 
     #[test]

@@ -12,19 +12,15 @@
 //! in-memory join. The wrapper *falls back* transparently: unsupported
 //! queries materialize the document through [`Wrapper::fetch`] and run
 //! the ordinary evaluator, producing byte-identical answers either way.
-//! Queries the satisfiability analyzer ([`mix_infer::check_sat_memo`])
-//! proves `Unsat` against the source DTD skip both paths: the empty
-//! answer is synthesized without opening the stream at all. All three
-//! paths are observable: `stream_queries_streamed_total`,
-//! `stream_queries_fallback_total`, and the process-wide
-//! `sat_pruned_total` count which path served each query.
+//! Both paths are observable: `stream_queries_streamed_total` and
+//! `stream_queries_fallback_total` count which path served each query.
 
 use crate::error::SourceError;
 use crate::source::Wrapper;
 use mix_dtd::Dtd;
 use mix_stream::{stream_answer, CompiledQuery, StreamError, StreamStats};
 use mix_xmas::{evaluate, normalize, Query};
-use mix_xml::{Content, Document, ElemId, Element};
+use mix_xml::Document;
 use std::io::Read;
 use std::path::PathBuf;
 
@@ -40,7 +36,6 @@ pub struct StreamingWrapper {
     open: StreamFactory,
     streamed: mix_obs::Counter,
     fallbacks: mix_obs::Counter,
-    pruned: mix_obs::Counter,
 }
 
 impl std::fmt::Debug for StreamingWrapper {
@@ -58,10 +53,6 @@ pub enum ServedBy {
     /// Materialize-and-evaluate fallback; the payload says why the query
     /// was not streamable.
     Fallback(mix_stream::Unsupported),
-    /// The satisfiability analyzer proved the query `Unsat` against the
-    /// source DTD: the empty answer was synthesized without reading a
-    /// byte. The payload is the `Unsat` witness.
-    Pruned(String),
 }
 
 impl StreamingWrapper {
@@ -76,7 +67,6 @@ impl StreamingWrapper {
             open,
             streamed: mix_obs::global().counter("stream_queries_streamed_total"),
             fallbacks: mix_obs::global().counter("stream_queries_fallback_total"),
-            pruned: mix_obs::global().counter("sat_pruned_total"),
         }
     }
 
@@ -96,15 +86,6 @@ impl StreamingWrapper {
     /// byte-identical between the two paths.
     pub fn answer_traced(&self, q: &Query) -> Result<(Document, ServedBy), SourceError> {
         let nq = normalize(q, &self.dtd)?;
-        if let mix_infer::SatVerdict::Unsat(witness) = mix_infer::check_sat_memo(q, &self.dtd) {
-            self.pruned.inc();
-            let empty = Document::new(Element {
-                name: nq.view_name,
-                id: ElemId::fresh(),
-                content: Content::Elements(vec![]),
-            });
-            return Ok((empty, ServedBy::Pruned(witness)));
-        }
         match CompiledQuery::compile(&nq, Some(&self.dtd)) {
             Ok(cq) => {
                 let src = (self.open)()?;
@@ -216,36 +197,6 @@ mod tests {
             .counter("stream_queries_fallback_total")
             .get();
         assert!(after > before, "fallback must be counted");
-    }
-
-    #[test]
-    fn unsat_queries_skip_the_stream_entirely() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let opens = Arc::new(AtomicUsize::new(0));
-        let o = Arc::clone(&opens);
-        let w = StreamingWrapper::new(
-            d1_department(),
-            Box::new(move || {
-                o.fetch_add(1, Ordering::SeqCst);
-                Ok(Box::new(DOC.as_bytes()) as Box<dyn Read + Send>)
-            }),
-        );
-        // D1's professor model has no course child: provably Unsat
-        let q = parse_query(
-            "none = SELECT C WHERE <department> <professor> C:<course/> </> </department>",
-        )
-        .unwrap();
-        let (doc, served) = w.answer_traced(&q).unwrap();
-        assert!(matches!(served, ServedBy::Pruned(_)), "got {served:?}");
-        assert_eq!(
-            opens.load(Ordering::SeqCst),
-            0,
-            "a pruned query must not open the stream"
-        );
-        // the synthesized document matches what evaluation would produce
-        let reference = evaluate(&normalize(&q, w.dtd()).unwrap(), &w.fetch().unwrap());
-        assert_eq!(xml(&doc), xml(&reference));
     }
 
     #[test]

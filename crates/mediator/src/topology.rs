@@ -722,29 +722,15 @@ impl Federation {
         let _span = self.registry.span("federate");
         let trace = mix_obs::current_trace();
         type ShardMembers = Vec<(Option<Document>, SourceOutcome)>;
-        // shard-skip: a shard whose every member is provably `Unsat` is
-        // answered here — synthesized empty contributions in shard-local
-        // order — without spawning its worker thread at all
-        let mut per_shard: Vec<Option<Result<ShardMembers, MediatorError>>> = self
-            .shards
-            .iter()
-            .map(|m| m.prune_union_members(self.view).map(Ok))
-            .collect();
-        let live: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let answered: Vec<(usize, Result<ShardMembers, MediatorError>)> = if live.len() > 1 {
+        let per_shard: Vec<Result<ShardMembers, MediatorError>> = if self.shards.len() > 1 {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = live
+                let handles: Vec<_> = self
+                    .shards
                     .iter()
-                    .map(|&i| {
-                        let m = &self.shards[i];
+                    .map(|m| {
                         scope.spawn(move || {
                             let _t = mix_obs::set_current_trace(trace);
-                            (i, m.materialize_union_members(self.view))
+                            m.materialize_union_members(self.view)
                         })
                     })
                     .collect();
@@ -754,17 +740,15 @@ impl Federation {
                     .collect()
             })
         } else {
-            live.iter()
-                .map(|&i| (i, self.shards[i].materialize_union_members(self.view)))
+            self.shards
+                .iter()
+                .map(|m| m.materialize_union_members(self.view))
                 .collect()
         };
-        for (i, result) in answered {
-            per_shard[i] = Some(result);
-        }
         let mut slots: Vec<Option<(Option<Document>, SourceOutcome)>> =
             (0..self.total).map(|_| None).collect();
         for (gps, members) in self.positions.iter().zip(per_shard) {
-            let members = members.expect("every shard was pruned or materialized")?;
+            let members = members?;
             debug_assert_eq!(gps.len(), members.len());
             for (local, member) in members.into_iter().enumerate() {
                 slots[gps[local]] = Some(member);
@@ -1117,8 +1101,7 @@ mod tests {
     }
 
     /// Shard-level satisfiability pruning: members with provably-Unsat
-    /// queries are skipped before any fetch — a shard where *every*
-    /// member is Unsat never even spawns — and the federated answer
+    /// queries are skipped before any fetch, and the federated answer
     /// stays byte-identical to an unpruned single-node run.
     #[test]
     fn unsat_members_and_shards_are_skipped_before_any_fetch() {

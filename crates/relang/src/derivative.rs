@@ -83,20 +83,9 @@ pub fn derivative_id(r: ReId, s: Sym) -> ReId {
     }
 }
 
-/// Word membership via iterated derivatives (interned: emptiness and
-/// nullability checks are cached id lookups; boxed-baseline mode keeps
-/// the seed clone-per-step loop).
+/// Word membership via iterated derivatives over pool ids: emptiness
+/// and nullability checks are cached id lookups.
 pub fn matches_by_derivative(r: &Regex, word: &[Sym]) -> bool {
-    if pool::boxed_baseline() {
-        let mut cur = r.clone();
-        for &s in word {
-            if cur.is_empty_lang() {
-                return false;
-            }
-            cur = derivative(&cur, s);
-        }
-        return cur.nullable();
-    }
     let mut cur = pool::intern(r);
     for &s in word {
         if cur == ReId::EMPTY {

@@ -3,11 +3,10 @@
 //! tightness metrics.
 //!
 //! [`Dfa::minimize`] is Hopcroft's O(n·|Σ|·log n) partition refinement
-//! with the smaller-half rule; the seed implementation's Moore refinement
-//! survives as [`Dfa::minimize_moore`] and serves both as the
-//! boxed-baseline path in [`crate::memo`] and as a cross-check oracle in
-//! the property tests (both produce *the* minimal DFA, so state counts
-//! must agree exactly).
+//! with the smaller-half rule, and the one minimizer. The seed
+//! implementation's Moore refinement survives in test builds only, as
+//! the cross-check oracle of the unit tests (both produce *the* minimal
+//! DFA, so state counts must agree exactly).
 
 use crate::ast::Regex;
 use crate::nfa::Nfa;
@@ -497,10 +496,10 @@ impl Dfa {
     }
 
     /// The seed implementation's Moore partition-refinement minimization
-    /// (also prunes unreachable states). Kept as the boxed-baseline path
-    /// for [`crate::memo`] and as a cross-check oracle against
+    /// (also prunes unreachable states), kept as the test oracle for
     /// [`Dfa::minimize`] — both yield the unique minimal DFA.
-    pub fn minimize_moore(&self) -> Dfa {
+    #[cfg(test)]
+    fn minimize_moore(&self) -> Dfa {
         let asz = self.alphabet.len();
         // 1. restrict to reachable states
         let mut reach: Vec<Option<u32>> = vec![None; self.len()];
@@ -649,6 +648,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_regex;
     use crate::symbol::sym;
+    use proptest::prelude::*;
 
     fn dfa(s: &str) -> Dfa {
         Dfa::from_regex(&parse_regex(s).unwrap())
@@ -831,5 +831,65 @@ mod tests {
         assert_eq!(words.len(), 2);
         assert!(words.contains(&vec![sym("c")]));
         assert!(words.contains(&vec![sym("a"), sym("b")]));
+    }
+
+    /// Random content-model regexes over {a, b, c}, built through the
+    /// smart constructors.
+    fn arb_regex() -> impl Strategy<Value = Regex> {
+        let leaf = prop_oneof![
+            4 => prop::sample::select(vec!["a", "b", "c"]).prop_map(|s| Regex::Sym(sym(s))),
+            1 => Just(Regex::Epsilon),
+        ];
+        leaf.prop_recursive(4, 24, 3, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::concat),
+                prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::alt),
+                inner.clone().prop_map(Regex::star),
+                inner.clone().prop_map(Regex::plus),
+                inner.prop_map(Regex::opt),
+            ]
+        })
+    }
+
+    fn abc() -> Vec<Sym> {
+        vec![sym("a"), sym("b"), sym("c")]
+    }
+
+    /// All words over {a, b, c} of length ≤ 4.
+    fn all_words() -> Vec<Vec<Sym>> {
+        let mut out: Vec<Vec<Sym>> = vec![vec![]];
+        let mut layer: Vec<Vec<Sym>> = vec![vec![]];
+        for _ in 0..4 {
+            let mut next = Vec::new();
+            for w in &layer {
+                for s in abc() {
+                    let mut w2 = w.clone();
+                    w2.push(s);
+                    next.push(w2);
+                }
+            }
+            out.extend(next.iter().cloned());
+            layer = next;
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Hopcroft and the seed Moore pass both compute *the* minimal
+        /// DFA: identical state counts, identical language.
+        #[test]
+        fn hopcroft_matches_moore(r in arb_regex()) {
+            let raw = Dfa::from_nfa(&Nfa::from_regex(&r), &abc());
+            let hopcroft = raw.minimize();
+            let moore = raw.minimize_moore();
+            prop_assert_eq!(hopcroft.len(), moore.len(), "minimal sizes differ for {}", r);
+            prop_assert!(hopcroft.len() <= raw.len());
+            for w in all_words() {
+                prop_assert_eq!(raw.accepts(&w), hopcroft.accepts(&w), "{:?} of {}", w, r);
+                prop_assert_eq!(raw.accepts(&w), moore.accepts(&w), "{:?} of {}", w, r);
+            }
+        }
     }
 }

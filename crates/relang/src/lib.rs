@@ -39,10 +39,7 @@ pub use ast::Regex;
 pub use derivative::{derivative, derivative_id, matches_by_derivative};
 pub use determinism::{ambiguity, is_deterministic, Ambiguity};
 pub use dfa::Dfa;
-pub use memo::{
-    clear_memo, export_inclusions, import_inclusions, memo_footprint, memo_stats, MemoFootprint,
-    MemoStats,
-};
+pub use memo::{clear_memo, export_inclusions, import_inclusions, memo_stats, MemoStats};
 pub use nfa::Nfa;
 pub use ops::{
     count_words_by_len, count_words_upto, enumerate_words, equivalent, equivalent_id,
@@ -51,8 +48,8 @@ pub use ops::{
 };
 pub use parser::{parse_regex, ParseError};
 pub use pool::{
-    boxed_baseline, export_arena, import_arena, intern, pool_stats, set_boxed_baseline, to_regex,
-    ImportedArena, PoolStats, PortableEntry, PortableNode, ReId, ReNode,
+    export_arena, import_arena, intern, pool_stats, to_regex, ImportedArena, PoolStats,
+    PortableEntry, PortableNode, ReId, ReNode,
 };
 pub use sample::{sample_word, SampleConfig};
 pub use simplify::{simplify, simplify_id};

@@ -18,11 +18,6 @@
 //!   same pairs constantly (every pipeline run re-derives the same
 //!   specializations).
 //!
-//! When [`crate::pool::boxed_baseline`] is on, lookups route to separate
-//! legacy tables keyed on `(Regex, Vec<Sym>)` / `(Regex, Regex)` with the
-//! pre-intern Moore minimizer — the X18 benchmark's "before" measurement,
-//! kept so the baseline pays exactly the seed implementation's costs.
-//!
 //! Both id tables are bounded: when a table reaches its capacity it is
 //! flushed wholesale (counted as an eviction) rather than growing without
 //! limit — the working set of a mediator is small and re-warming is
@@ -33,9 +28,7 @@
 //! Hit/miss/eviction accounting lives in the process-wide
 //! [`mix_obs::global()`] registry (the memo is itself process-wide, so
 //! the global registry is its natural home); [`memo_stats`] remains as a
-//! typed view over those counters for the serving layer and benches, and
-//! [`memo_footprint`] reports resident entry/state/byte counts for the
-//! X18 memory study.
+//! typed view over those counters for the serving layer and benches.
 
 use crate::ast::Regex;
 use crate::dfa::Dfa;
@@ -55,17 +48,9 @@ const INCLUSION_CAPACITY: usize = 1 << 15;
 /// alphabet it was built over.
 type DfaKey = (ReId, u32);
 
-/// Deep-hashed DFA key for the boxed-baseline tables: the regex plus
-/// the literal alphabet it was built over.
-type BoxedDfaKey = (Regex, Vec<Sym>);
-
 struct Memo {
     dfas: RwLock<HashMap<DfaKey, Arc<Dfa>>>,
     inclusions: RwLock<HashMap<(ReId, ReId), bool>>,
-    // The pre-intern tables: deep-hashed keys, used only in
-    // boxed-baseline benchmark mode.
-    dfas_boxed: RwLock<HashMap<BoxedDfaKey, Arc<Dfa>>>,
-    inclusions_boxed: RwLock<HashMap<(Regex, Regex), bool>>,
     dfa_hits: Counter,
     dfa_misses: Counter,
     inclusion_hits: Counter,
@@ -80,8 +65,6 @@ fn memo() -> &'static Memo {
         Memo {
             dfas: RwLock::new(HashMap::new()),
             inclusions: RwLock::new(HashMap::new()),
-            dfas_boxed: RwLock::new(HashMap::new()),
-            inclusions_boxed: RwLock::new(HashMap::new()),
             dfa_hits: obs.counter("relang_dfa_memo_hits_total"),
             dfa_misses: obs.counter("relang_dfa_memo_misses_total"),
             inclusion_hits: obs.counter("relang_inclusion_memo_hits_total"),
@@ -119,50 +102,12 @@ pub fn memo_stats() -> MemoStats {
     }
 }
 
-/// Resident sizes of the memo tables — what the DFA cache actually holds,
-/// for the X18 memory-footprint study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoFootprint {
-    /// Memoized DFAs resident (id-keyed and boxed-keyed tables combined).
-    pub dfa_entries: usize,
-    /// Total states across all memoized DFAs.
-    pub dfa_states: usize,
-    /// Approximate bytes of the memoized DFAs (transition tables,
-    /// acceptance vectors, alphabets).
-    pub dfa_bytes: usize,
-    /// Memoized inclusion results resident.
-    pub inclusion_entries: usize,
-}
-
-/// Measures the resident memo tables.
-pub fn memo_footprint() -> MemoFootprint {
-    let m = memo();
-    let mut out = MemoFootprint::default();
-    let weigh = |d: &Dfa, out: &mut MemoFootprint| {
-        out.dfa_entries += 1;
-        out.dfa_states += d.len();
-        out.dfa_bytes += d.transitions.len() * std::mem::size_of::<u32>()
-            + d.accepting.len()
-            + d.alphabet.len() * std::mem::size_of::<Sym>();
-    };
-    for d in m.dfas.read().values() {
-        weigh(d, &mut out);
-    }
-    for d in m.dfas_boxed.read().values() {
-        weigh(d, &mut out);
-    }
-    out.inclusion_entries = m.inclusions.read().len() + m.inclusions_boxed.read().len();
-    out
-}
-
 /// Drops every memoized DFA and inclusion result (counters are kept).
 /// Only needed by benchmarks that want a genuinely cold start.
 pub fn clear_memo() {
     let m = memo();
     m.dfas.write().clear();
     m.inclusions.write().clear();
-    m.dfas_boxed.write().clear();
-    m.inclusions_boxed.write().clear();
 }
 
 /// Snapshots the id-keyed inclusion table as `(a, b, L(a) ⊆ L(b))`
@@ -204,13 +149,10 @@ pub fn import_inclusions(entries: impl IntoIterator<Item = (ReId, ReId, bool)>) 
 /// process-wide cache. `alphabet` must be sorted and must contain every
 /// symbol of `r` (as guaranteed by the callers in [`crate::ops`]).
 pub fn memoized_dfa(r: &Regex, alphabet: &[Sym]) -> Arc<Dfa> {
-    if pool::boxed_baseline() {
-        return memoized_dfa_boxed(r, alphabet);
-    }
     memoized_dfa_id(pool::intern(r), pool::intern_alphabet(alphabet))
 }
 
-/// The id-keyed DFA memo: the hot path. A probe hashes `(u32, u32)`.
+/// The id-keyed DFA memo. A probe hashes `(u32, u32)`.
 pub fn memoized_dfa_id(r: ReId, alphabet_id: u32) -> Arc<Dfa> {
     let m = memo();
     {
@@ -235,35 +177,8 @@ pub fn memoized_dfa_id(r: ReId, alphabet_id: u32) -> Arc<Dfa> {
     built
 }
 
-/// The pre-intern DFA memo: a probe deep-clones and deep-hashes the key,
-/// and minimization is the seed Moore pass. Benchmark baseline only.
-fn memoized_dfa_boxed(r: &Regex, alphabet: &[Sym]) -> Arc<Dfa> {
-    let m = memo();
-    {
-        let table = m.dfas_boxed.read();
-        if let Some(dfa) = table.get(&(r.clone(), alphabet.to_vec())) {
-            m.dfa_hits.inc();
-            return Arc::clone(dfa);
-        }
-    }
-    m.dfa_misses.inc();
-    let built = Arc::new(Dfa::from_nfa(&Nfa::from_regex(r), alphabet).minimize_moore());
-    let mut table = m.dfas_boxed.write();
-    if table.len() >= DFA_CAPACITY {
-        table.clear();
-        m.evictions.inc();
-    }
-    table
-        .entry((r.clone(), alphabet.to_vec()))
-        .or_insert_with(|| Arc::clone(&built));
-    built
-}
-
 /// Memoized `L(a) ⊆ L(b)`; the uncached procedure lives in [`crate::ops`].
 pub fn memoized_subset(a: &Regex, b: &Regex) -> bool {
-    if pool::boxed_baseline() {
-        return memoized_subset_boxed(a, b);
-    }
     if a.is_empty_lang() {
         return true;
     }
@@ -301,24 +216,6 @@ pub fn memoized_subset_id(a: ReId, b: ReId) -> bool {
     result
 }
 
-/// Decides `L(a) ⊆ L(b)` from the pool's *language-exact* cached
-/// attributes alone, without building automata. Returns `None` when the
-/// attributes cannot settle it (the product check runs then). These are
-/// decisions, not heuristics — every arm is exact, so the memo stays
-/// answer-identical to the uncached procedure:
-///
-/// * `L(a) = ∅` ⟹ trivially included;
-/// * `L(b) = ∅` (and `L(a) ≠ ∅`) ⟹ refuted;
-/// * `ε ∈ L(a)` but `ε ∉ L(b)` ⟹ refuted;
-/// * some symbol occurs in a word of `a` but in no word of `b` ⟹ that
-///   word refutes inclusion;
-/// * some symbol starts a word of `a` but starts no word of `b` ⟹
-///   refuted likewise.
-///
-/// In the inference stack the bulk of inclusion probes are *failed*
-/// subsumption candidates (simplify's union pruning, tighten's validity
-/// checks), and almost all of them fall to one of these arms — this is
-/// where the X18 cold-inference speedup comes from.
 /// The automaton for one side of an inclusion walk. Reuses the cached
 /// minimized DFA when some caller already paid for it; otherwise builds
 /// the *raw* subset construction and does not cache it. [`Dfa::subset_of`]
@@ -338,6 +235,24 @@ fn inclusion_dfa(r: ReId, alphabet_id: u32, alphabet: &[Sym]) -> Arc<Dfa> {
     Arc::new(Dfa::from_nfa(&Nfa::from_regex(&regex), alphabet))
 }
 
+/// Decides `L(a) ⊆ L(b)` from the pool's *language-exact* cached
+/// attributes alone, without building automata. Returns `None` when the
+/// attributes cannot settle it (the product check runs then). These are
+/// decisions, not heuristics — every arm is exact, so the memo stays
+/// answer-identical to the uncached procedure:
+///
+/// * `L(a) = ∅` ⟹ trivially included;
+/// * `L(b) = ∅` (and `L(a) ≠ ∅`) ⟹ refuted;
+/// * `ε ∈ L(a)` but `ε ∉ L(b)` ⟹ refuted;
+/// * some symbol occurs in a word of `a` but in no word of `b` ⟹ that
+///   word refutes inclusion;
+/// * some symbol starts a word of `a` but starts no word of `b` ⟹
+///   refuted likewise.
+///
+/// In the inference stack the bulk of inclusion probes are *failed*
+/// subsumption candidates (simplify's union pruning, tighten's validity
+/// checks), and almost all of them fall to one of these arms — this is
+/// where the X18 cold-inference speedup comes from.
 fn refute_subset_id(a: ReId, b: ReId) -> Option<bool> {
     if pool::empty_lang(a) {
         return Some(true);
@@ -355,36 +270,6 @@ fn refute_subset_id(a: ReId, b: ReId) -> Option<bool> {
         return Some(false);
     }
     None
-}
-
-/// The pre-intern inclusion memo (benchmark baseline only).
-fn memoized_subset_boxed(a: &Regex, b: &Regex) -> bool {
-    if a.is_empty_lang() {
-        return true;
-    }
-    if a == b {
-        return true;
-    }
-    let m = memo();
-    {
-        let table = m.inclusions_boxed.read();
-        if let Some(&result) = table.get(&(a.clone(), b.clone())) {
-            m.inclusion_hits.inc();
-            return result;
-        }
-    }
-    m.inclusion_misses.inc();
-    let alpha = crate::ops::shared_alphabet(a, b);
-    let da = memoized_dfa_boxed(a, &alpha);
-    let db = memoized_dfa_boxed(b, &alpha);
-    let result = da.product(&db.complement()).language_is_empty();
-    let mut table = m.inclusions_boxed.write();
-    if table.len() >= INCLUSION_CAPACITY {
-        table.clear();
-        m.evictions.inc();
-    }
-    table.insert((a.clone(), b.clone()), result);
-    result
 }
 
 #[cfg(test)]
@@ -465,20 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_baseline_routes_to_legacy_tables_with_same_answers() {
-        let a = r("p*, p, p*");
-        let b = r("p+");
-        let interned = memoized_subset(&a, &b);
-        pool::set_boxed_baseline(true);
-        let boxed = memoized_subset(&a, &b);
-        let boxed_again = memoized_subset(&a, &b); // cached round
-        pool::set_boxed_baseline(false);
-        assert_eq!(interned, boxed);
-        assert_eq!(boxed, boxed_again);
-        assert!(interned);
-    }
-
-    #[test]
     fn inclusion_export_import_restores_cached_answers() {
         let a = pool::intern(&r("w1, w1"));
         let b = pool::intern(&r("w1*"));
@@ -509,15 +380,20 @@ mod tests {
     }
 
     #[test]
-    fn footprint_counts_resident_automata() {
-        clear_memo();
+    fn memoized_dfas_stay_resident() {
         let a = r("f1, (f2 | f3)*");
         let alpha: Vec<Sym> = a.syms().into_iter().collect();
-        let _ = memoized_dfa(&a, &alpha);
-        // other unit tests share the process-wide table, so lower-bound only
-        let fp = memo_footprint();
-        assert!(fp.dfa_entries >= 1);
-        assert!(fp.dfa_states > 0);
-        assert!(fp.dfa_bytes > 0);
+        let key = (pool::intern(&a), pool::intern_alphabet(&alpha));
+        // other unit tests clear the shared table concurrently, so one
+        // undisturbed round out of a few is enough
+        let resident = (0..8).any(|_| {
+            let built = memoized_dfa(&a, &alpha);
+            memo()
+                .dfas
+                .read()
+                .get(&key)
+                .is_some_and(|d| Arc::ptr_eq(d, &built))
+        });
+        assert!(resident, "the built automaton is kept under its id key");
     }
 }

@@ -87,23 +87,15 @@ pub fn equivalent_id(a: ReId, b: ReId) -> bool {
 
 /// The image (tag-erasure, Definition 3.8) of `r`, memoized in the regex
 /// pool so repeated tightness checks against the same specialized type
-/// don't re-walk it. Falls back to [`Regex::image`] in boxed-baseline
-/// mode.
+/// don't re-walk it.
 pub fn image_cached(r: &Regex) -> Regex {
-    if pool::boxed_baseline() {
-        return r.image();
-    }
     pool::to_regex(pool::image_id(pool::intern(r)))
 }
 
 /// Applies a symbol substitution through the pool (shared subterms are
-/// rewritten once). Falls back to the boxed [`Regex::map_syms`] in
-/// boxed-baseline mode. The substitution must map symbols to symbols —
-/// the retag/rename loops in the mediator core are exactly that shape.
+/// rewritten once). The substitution must map symbols to symbols — the
+/// retag/rename loops in the mediator core are exactly that shape.
 pub fn map_syms_cached(r: &Regex, f: &mut impl FnMut(Sym) -> Sym) -> Regex {
-    if pool::boxed_baseline() {
-        return r.map_syms(&mut |s| Regex::Sym(f(s)));
-    }
     let id = pool::map_syms_id(pool::intern(r), &mut |s| pool::sym_id(f(s)));
     pool::to_regex(id)
 }

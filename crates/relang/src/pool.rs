@@ -25,18 +25,12 @@
 //! lock (the same pattern as the [`crate::symbol`] interner). Node
 //! count, approximate bytes, and intern hit/miss counters are exported
 //! as `relang_pool_*` instruments of [`mix_obs::global()`].
-//!
-//! [`set_boxed_baseline`] flips the whole crate (and the inference stack
-//! above it) back onto the pre-intern boxed code paths; it exists solely
-//! so the X18 benchmark can measure "boxed baseline vs interned" in one
-//! process and must not be enabled in production serving.
 
 use crate::ast::Regex;
 use crate::symbol::Sym;
 use mix_obs::{Counter, Gauge};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A handle to one interned regex node. Copy, 4 bytes; equality and
@@ -832,23 +826,8 @@ pub fn import_arena(entries: &[PortableEntry]) -> ImportedArena {
 }
 
 // ---------------------------------------------------------------------
-// Baseline mode and statistics
+// Statistics
 // ---------------------------------------------------------------------
-
-static BOXED_BASELINE: AtomicBool = AtomicBool::new(false);
-
-/// Switches the relang decision procedures (and everything mode-aware
-/// above them) onto the pre-intern boxed code paths. **Benchmark-only**:
-/// the X18 harness uses it to measure the boxed baseline and the interned
-/// hot path in the same process. Not intended for concurrent flipping.
-pub fn set_boxed_baseline(on: bool) {
-    BOXED_BASELINE.store(on, Ordering::SeqCst);
-}
-
-/// Whether the boxed-baseline benchmark mode is active.
-pub fn boxed_baseline() -> bool {
-    BOXED_BASELINE.load(Ordering::Relaxed)
-}
 
 /// A snapshot of the pool's size and dedup counters (a typed view over
 /// the `relang_pool_*` instruments of [`mix_obs::global()`]).

@@ -20,10 +20,14 @@
 //!    regex size so pathological inputs stay cheap).
 //!
 //! Every rule preserves the language; `simplify` additionally
-//! `debug_assert!`s equivalence with the input.
+//! `debug_assert!`s equivalence with the input. The rules run over pool
+//! ids ([`crate::pool`]): structural equality is id equality and size
+//! and nullability are cached attributes. The same rules over boxed
+//! [`Regex`] values survive in the unit tests as the reference the id
+//! rewrite is checked against node for node.
 
 use crate::ast::Regex;
-use crate::ops::{equivalent, is_subset, is_subset_id};
+use crate::ops::{equivalent, is_subset_id};
 use crate::pool::{self, ReId, ReNode};
 
 /// Size bound above which the (automata-based) subsumption rule is skipped.
@@ -40,193 +44,6 @@ struct Count {
 }
 
 /// The base and count of a single concat factor.
-fn factor_base(r: &Regex) -> (&Regex, Count) {
-    match r {
-        Regex::Star(b) => (b, Count { min: 0, max: None }),
-        Regex::Plus(b) => (b, Count { min: 1, max: None }),
-        Regex::Opt(b) => (
-            b,
-            Count {
-                min: 0,
-                max: Some(1),
-            },
-        ),
-        other => (
-            other,
-            Count {
-                min: 1,
-                max: Some(1),
-            },
-        ),
-    }
-}
-
-fn render_counted(base: &Regex, c: Count) -> Regex {
-    let mut parts: Vec<Regex> = Vec::new();
-    for _ in 0..c.min {
-        parts.push(base.clone());
-    }
-    match c.max {
-        None => {
-            if c.min == 0 {
-                parts.push(Regex::star(base.clone()));
-            } else {
-                // render the last mandatory copy as b+ for compactness
-                parts.pop();
-                parts.push(Regex::plus(base.clone()));
-            }
-        }
-        Some(max) => {
-            for _ in c.min..max {
-                parts.push(Regex::opt(base.clone()));
-            }
-        }
-    }
-    Regex::concat(parts)
-}
-
-/// Collapses runs of same-base factors inside a (already simplified) concat.
-fn collapse_concat(parts: Vec<Regex>) -> Regex {
-    let mut out: Vec<Regex> = Vec::new();
-    let mut run: Option<(Regex, Count)> = None;
-    let flush = |run: &mut Option<(Regex, Count)>, out: &mut Vec<Regex>| {
-        if let Some((base, c)) = run.take() {
-            out.push(render_counted(&base, c));
-        }
-    };
-    for p in parts {
-        let (base, c) = factor_base(&p);
-        match &mut run {
-            Some((rb, rc)) if rb == base => {
-                rc.min += c.min;
-                rc.max = match (rc.max, c.max) {
-                    (Some(a), Some(b)) => Some(a + b),
-                    _ => None,
-                };
-            }
-            _ => {
-                flush(&mut run, &mut out);
-                run = Some((base.clone(), c));
-            }
-        }
-    }
-    flush(&mut run, &mut out);
-    Regex::concat(out)
-}
-
-fn as_factors(r: &Regex) -> Vec<Regex> {
-    match r {
-        Regex::Concat(v) => v.clone(),
-        Regex::Epsilon => vec![],
-        other => vec![other.clone()],
-    }
-}
-
-/// Factors the longest common prefix and suffix out of a union's branches
-/// when *all* branches share them. `(a,b)|(a,c) → a,(b|c)`.
-fn factor_union(branches: &[Regex]) -> Option<Regex> {
-    if branches.len() < 2 {
-        return None;
-    }
-    let factored: Vec<Vec<Regex>> = branches.iter().map(as_factors).collect();
-    let min_len = factored.iter().map(Vec::len).min().unwrap_or(0);
-    let mut prefix = 0;
-    while prefix < min_len && factored.iter().all(|f| f[prefix] == factored[0][prefix]) {
-        prefix += 1;
-    }
-    let mut suffix = 0;
-    while suffix < min_len - prefix
-        && factored
-            .iter()
-            .all(|f| f[f.len() - 1 - suffix] == factored[0][factored[0].len() - 1 - suffix])
-    {
-        suffix += 1;
-    }
-    if prefix == 0 && suffix == 0 {
-        return None;
-    }
-    let head = Regex::concat(factored[0][..prefix].iter().cloned());
-    let tail = Regex::concat(factored[0][factored[0].len() - suffix..].iter().cloned());
-    let middle = Regex::alt(
-        factored
-            .iter()
-            .map(|f| Regex::concat(f[prefix..f.len() - suffix].iter().cloned())),
-    );
-    Some(Regex::concat([head, middle, tail]))
-}
-
-/// Drops union branches whose language is included in another branch.
-fn subsume_union(branches: Vec<Regex>) -> Vec<Regex> {
-    let total: usize = branches.iter().map(Regex::size).sum();
-    if total > SUBSUMPTION_SIZE_LIMIT {
-        return branches;
-    }
-    let mut keep: Vec<Regex> = Vec::new();
-    'outer: for (i, b) in branches.iter().enumerate() {
-        for (j, other) in branches.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            // Drop b if it is included in a *different* branch; ties (equal
-            // languages) are broken by index so exactly one survives.
-            if is_subset(b, other) && (!is_subset(other, b) || j < i) {
-                continue 'outer;
-            }
-        }
-        keep.push(b.clone());
-    }
-    if keep.is_empty() {
-        branches
-    } else {
-        keep
-    }
-}
-
-fn pass(r: &Regex) -> Regex {
-    match r {
-        Regex::Empty | Regex::Epsilon | Regex::Sym(_) => r.clone(),
-        Regex::Concat(v) => {
-            let parts: Vec<Regex> = v.iter().map(pass).collect();
-            match Regex::concat(parts) {
-                Regex::Concat(parts) => collapse_concat(parts),
-                other => other,
-            }
-        }
-        Regex::Alt(v) => {
-            let parts: Vec<Regex> = v.iter().map(pass).collect();
-            match Regex::alt(parts) {
-                Regex::Alt(parts) => {
-                    let parts = subsume_union(parts);
-                    if let Some(f) = factor_union(&parts) {
-                        return f;
-                    }
-                    Regex::alt(parts)
-                }
-                other => other,
-            }
-        }
-        Regex::Star(x) => Regex::star(pass(x)),
-        Regex::Plus(x) => Regex::plus(pass(x)),
-        Regex::Opt(x) => {
-            let inner = pass(x);
-            // (r)? where r is nullable is just r.
-            if inner.nullable() {
-                inner
-            } else {
-                Regex::opt(inner)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pool-id mirror of the rewrite system. Each *_id function is the exact
-// twin of the boxed function above with structural equality replaced by
-// id equality and cached attributes (size, nullability) replacing
-// recomputation, so `to_regex(simplify_id(intern(r)))` is byte-identical
-// to the boxed `simplify(r)`.
-// ---------------------------------------------------------------------
-
 fn factor_base_id(r: ReId) -> (ReId, Count) {
     match pool::node(r) {
         ReNode::Star(b) => (b, Count { min: 0, max: None }),
@@ -416,24 +233,201 @@ pub fn simplify_id(r: ReId) -> ReId {
 
 /// Simplifies `r` to a language-equivalent, usually smaller regex.
 pub fn simplify(r: &Regex) -> Regex {
-    let cur = if pool::boxed_baseline() {
-        let mut cur = r.clone();
-        for _ in 0..MAX_PASSES {
-            let next = pass(&cur);
-            if next == cur {
-                break;
-            }
-            cur = next;
-        }
-        cur
-    } else {
-        pool::to_regex(simplify_id(pool::intern(r)))
-    };
+    let cur = pool::to_regex(simplify_id(pool::intern(r)));
     debug_assert!(
         equivalent(r, &cur),
         "simplify changed the language of {r} into {cur}"
     );
     cur
+}
+
+/// The reference rewrite system over boxed regexes, rule for rule the
+/// twin of the id functions above: `to_regex(pass_id(intern(r)))` must
+/// equal `pass(r)` byte for byte.
+#[cfg(test)]
+mod boxed {
+    use super::{Count, Regex, SUBSUMPTION_SIZE_LIMIT};
+    use crate::ops::is_subset;
+
+    /// The base and count of a single concat factor.
+    fn factor_base(r: &Regex) -> (&Regex, Count) {
+        match r {
+            Regex::Star(b) => (b, Count { min: 0, max: None }),
+            Regex::Plus(b) => (b, Count { min: 1, max: None }),
+            Regex::Opt(b) => (
+                b,
+                Count {
+                    min: 0,
+                    max: Some(1),
+                },
+            ),
+            other => (
+                other,
+                Count {
+                    min: 1,
+                    max: Some(1),
+                },
+            ),
+        }
+    }
+
+    fn render_counted(base: &Regex, c: Count) -> Regex {
+        let mut parts: Vec<Regex> = Vec::new();
+        for _ in 0..c.min {
+            parts.push(base.clone());
+        }
+        match c.max {
+            None => {
+                if c.min == 0 {
+                    parts.push(Regex::star(base.clone()));
+                } else {
+                    // render the last mandatory copy as b+ for compactness
+                    parts.pop();
+                    parts.push(Regex::plus(base.clone()));
+                }
+            }
+            Some(max) => {
+                for _ in c.min..max {
+                    parts.push(Regex::opt(base.clone()));
+                }
+            }
+        }
+        Regex::concat(parts)
+    }
+
+    /// Collapses runs of same-base factors inside a (already simplified) concat.
+    fn collapse_concat(parts: Vec<Regex>) -> Regex {
+        let mut out: Vec<Regex> = Vec::new();
+        let mut run: Option<(Regex, Count)> = None;
+        let flush = |run: &mut Option<(Regex, Count)>, out: &mut Vec<Regex>| {
+            if let Some((base, c)) = run.take() {
+                out.push(render_counted(&base, c));
+            }
+        };
+        for p in parts {
+            let (base, c) = factor_base(&p);
+            match &mut run {
+                Some((rb, rc)) if rb == base => {
+                    rc.min += c.min;
+                    rc.max = match (rc.max, c.max) {
+                        (Some(a), Some(b)) => Some(a + b),
+                        _ => None,
+                    };
+                }
+                _ => {
+                    flush(&mut run, &mut out);
+                    run = Some((base.clone(), c));
+                }
+            }
+        }
+        flush(&mut run, &mut out);
+        Regex::concat(out)
+    }
+
+    fn as_factors(r: &Regex) -> Vec<Regex> {
+        match r {
+            Regex::Concat(v) => v.clone(),
+            Regex::Epsilon => vec![],
+            other => vec![other.clone()],
+        }
+    }
+
+    /// Factors the longest common prefix and suffix out of a union's branches
+    /// when *all* branches share them. `(a,b)|(a,c) → a,(b|c)`.
+    fn factor_union(branches: &[Regex]) -> Option<Regex> {
+        if branches.len() < 2 {
+            return None;
+        }
+        let factored: Vec<Vec<Regex>> = branches.iter().map(as_factors).collect();
+        let min_len = factored.iter().map(Vec::len).min().unwrap_or(0);
+        let mut prefix = 0;
+        while prefix < min_len && factored.iter().all(|f| f[prefix] == factored[0][prefix]) {
+            prefix += 1;
+        }
+        let mut suffix = 0;
+        while suffix < min_len - prefix
+            && factored
+                .iter()
+                .all(|f| f[f.len() - 1 - suffix] == factored[0][factored[0].len() - 1 - suffix])
+        {
+            suffix += 1;
+        }
+        if prefix == 0 && suffix == 0 {
+            return None;
+        }
+        let head = Regex::concat(factored[0][..prefix].iter().cloned());
+        let tail = Regex::concat(factored[0][factored[0].len() - suffix..].iter().cloned());
+        let middle = Regex::alt(
+            factored
+                .iter()
+                .map(|f| Regex::concat(f[prefix..f.len() - suffix].iter().cloned())),
+        );
+        Some(Regex::concat([head, middle, tail]))
+    }
+
+    /// Drops union branches whose language is included in another branch.
+    fn subsume_union(branches: Vec<Regex>) -> Vec<Regex> {
+        let total: usize = branches.iter().map(Regex::size).sum();
+        if total > SUBSUMPTION_SIZE_LIMIT {
+            return branches;
+        }
+        let mut keep: Vec<Regex> = Vec::new();
+        'outer: for (i, b) in branches.iter().enumerate() {
+            for (j, other) in branches.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                // Drop b if it is included in a *different* branch; ties (equal
+                // languages) are broken by index so exactly one survives.
+                if is_subset(b, other) && (!is_subset(other, b) || j < i) {
+                    continue 'outer;
+                }
+            }
+            keep.push(b.clone());
+        }
+        if keep.is_empty() {
+            branches
+        } else {
+            keep
+        }
+    }
+
+    pub(super) fn pass(r: &Regex) -> Regex {
+        match r {
+            Regex::Empty | Regex::Epsilon | Regex::Sym(_) => r.clone(),
+            Regex::Concat(v) => {
+                let parts: Vec<Regex> = v.iter().map(pass).collect();
+                match Regex::concat(parts) {
+                    Regex::Concat(parts) => collapse_concat(parts),
+                    other => other,
+                }
+            }
+            Regex::Alt(v) => {
+                let parts: Vec<Regex> = v.iter().map(pass).collect();
+                match Regex::alt(parts) {
+                    Regex::Alt(parts) => {
+                        let parts = subsume_union(parts);
+                        if let Some(f) = factor_union(&parts) {
+                            return f;
+                        }
+                        Regex::alt(parts)
+                    }
+                    other => other,
+                }
+            }
+            Regex::Star(x) => Regex::star(pass(x)),
+            Regex::Plus(x) => Regex::plus(pass(x)),
+            Regex::Opt(x) => {
+                let inner = pass(x);
+                // (r)? where r is nullable is just r.
+                if inner.nullable() {
+                    inner
+                } else {
+                    Regex::opt(inner)
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -519,7 +513,7 @@ mod tests {
              | (publication*, publication, publication*, publication, publication*)",
         ] {
             let r = parse_regex(src).unwrap();
-            let boxed = pass(&r);
+            let boxed = boxed::pass(&r);
             let interned = crate::pool::to_regex(pass_id(crate::pool::intern(&r)));
             assert_eq!(interned, boxed, "pass mismatch on {src}");
             assert_eq!(

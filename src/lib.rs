@@ -64,9 +64,9 @@ pub mod prelude {
         tightness_counts, ServingMetrics,
     };
     pub use mix_infer::{
-        check_sat, check_sat_memo, classify_query, compose_union_views, infer_view_dtd, merge,
-        naive_view_dtd, refine, tighten, CacheStats, InferenceCache, InferredUnionView,
-        InferredView, NaiveMode, SatCache, SatVerdict, Verdict, WarmStore,
+        check_sat, classify_query, compose_union_views, infer_view_dtd, merge, naive_view_dtd,
+        refine, tighten, CacheStats, InferenceCache, InferredUnionView, InferredView, NaiveMode,
+        SatCache, SatVerdict, Verdict, WarmStore,
     };
     pub use mix_mediator::{
         compose, render_structure, Answer, AnswerPath, BreakerState, DeadReplica,

@@ -159,3 +159,59 @@ fn unchanged_swap_reports_nothing() {
         .unwrap();
     assert!(changed.is_empty());
 }
+
+/// A wildcard view re-inferred after a schema change is expanded against
+/// the *new* DTD: its view DTD and its answers match a view registered
+/// over the new schema from the start, for single and union views alike.
+#[test]
+fn wildcard_views_reinfer_against_the_new_schema() {
+    let source = |dtd: &str, doc: &str| -> Arc<dyn Wrapper> {
+        Arc::new(XmlSource::new(parse_compact(dtd).unwrap(), parse_document(doc).unwrap()).unwrap())
+    };
+    let old = || source("{<r : a*> <a : PCDATA>}", "<r><a>1</a></r>");
+    let evolved = || {
+        source(
+            "{<r : (a | b)*> <a : PCDATA> <b : PCDATA>}",
+            "<r><a>1</a><b>2</b></r>",
+        )
+    };
+    let register = |m: &mut Mediator| {
+        let single = parse_query("v = SELECT X WHERE <r> X:<*/> </r>").unwrap();
+        let part = parse_query("m = SELECT X WHERE <r> X:<*/> </r>").unwrap();
+        m.register_view("s", &single).unwrap();
+        m.register_union_view("u", &[("s", part.clone()), ("t", part)])
+            .unwrap();
+    };
+
+    // registered over the old schema, then the source evolves
+    let mut replaced = Mediator::new();
+    replaced.add_source("s", old());
+    replaced.add_source("t", old());
+    register(&mut replaced);
+    let changed = replaced.replace_source("s", evolved()).unwrap();
+    assert_eq!(changed, vec![name("v"), name("u")]);
+
+    // registered over the new schema from the start
+    let mut fresh = Mediator::new();
+    fresh.add_source("s", evolved());
+    fresh.add_source("t", old());
+    register(&mut fresh);
+
+    let xml = |m: &Mediator, view: &str| {
+        write_document(&m.materialize(name(view)).unwrap(), WriteConfig::default())
+    };
+    for view in ["v", "u"] {
+        assert_eq!(
+            replaced.view_dtd(name(view)),
+            fresh.view_dtd(name(view)),
+            "view DTD of {view}"
+        );
+        assert_eq!(xml(&replaced, view), xml(&fresh, view), "answer of {view}");
+    }
+    let v = replaced.view_dtd(name("v")).unwrap();
+    assert!(equivalent(
+        v.get(name("v")).unwrap().regex().unwrap(),
+        &parse_regex("(a | b)*").unwrap()
+    ));
+    assert_eq!(xml(&replaced, "v"), "<v>\n  <a>1</a>\n  <b>2</b>\n</v>");
+}

@@ -1,11 +1,11 @@
 //! Property suites for the hash-consed regex pool: interning must be
 //! lossless, id equality must be a sound proxy for language equality,
-//! the attribute-based inclusion fast paths must agree with the uncached
-//! automata procedure, and Hopcroft minimization must match the seed
-//! Moore pass state-for-state and word-for-word.
+//! and the attribute-based inclusion fast paths must agree with the
+//! uncached automata procedure. (Hopcroft minimization is checked
+//! against the seed Moore pass in mix-relang's own unit tests, where the
+//! Moore oracle lives.)
 
 use mix::prelude::*;
-use mix::relang::dfa::Dfa;
 use mix::relang::nfa::Nfa;
 use mix::relang::pool;
 use mix::relang::{equivalent_uncached, is_subset_uncached, Sym};
@@ -167,20 +167,5 @@ proptest! {
             equivalent_uncached(&a, &b),
             "equivalence fast path diverged on {} = {}", a, b
         );
-    }
-
-    /// Hopcroft and the seed Moore pass both compute *the* minimal DFA:
-    /// identical state counts, identical language.
-    #[test]
-    fn hopcroft_matches_moore(r in arb_regex()) {
-        let raw = Dfa::from_nfa(&Nfa::from_regex(&r), &alphabet());
-        let hopcroft = raw.minimize();
-        let moore = raw.minimize_moore();
-        prop_assert_eq!(hopcroft.len(), moore.len(), "minimal sizes differ for {}", r);
-        prop_assert!(hopcroft.len() <= raw.len());
-        for w in all_words() {
-            prop_assert_eq!(raw.accepts(&w), hopcroft.accepts(&w), "{:?} of {}", w, r);
-            prop_assert_eq!(raw.accepts(&w), moore.accepts(&w), "{:?} of {}", w, r);
-        }
     }
 }
