@@ -482,6 +482,45 @@ mod tests {
         (h, addr)
     }
 
+    /// A daemon double that exports a fixed DTD text and serves no data.
+    struct ExportsDtd(String);
+
+    impl mix_net::WireService for ExportsDtd {
+        fn export_dtd(&self) -> String {
+            self.0.clone()
+        }
+
+        fn answer(&self, _: Option<&str>) -> Result<String, mix_net::WireFault> {
+            Err(mix_net::WireFault::new("unavailable", "no data"))
+        }
+    }
+
+    #[test]
+    fn deeply_nested_exported_dtd_is_dtd_invalid() {
+        let deep = format!("{{<r : {}a{}>}}", "(".repeat(50_000), ")".repeat(50_000));
+        let server = mix_net::Server::bind(
+            "127.0.0.1:0",
+            std::sync::Arc::new(ExportsDtd(deep)),
+            mix_net::ServerConfig::default(),
+        )
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let addr = server.addr().to_string();
+        // registration parses the DTD on the caller's thread
+        let connected = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || RemoteWrapper::connect(&addr).map(|_| ()))
+            .unwrap()
+            .join()
+            .unwrap();
+        match connected {
+            Err(SourceError::DtdInvalid(msg)) => assert!(msg.contains("nested deeper"), "{msg}"),
+            other => panic!("expected DtdInvalid, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
     #[test]
     fn remote_wrapper_agrees_with_in_process_wrapper() {
         let (server, addr) = serve_local();

@@ -118,12 +118,7 @@ impl Wrapper for StreamingWrapper {
     /// escape hatch for callers that genuinely need the tree. This is
     /// the one operation whose memory is proportional to the document.
     fn fetch(&self) -> Result<Document, SourceError> {
-        let mut src = (self.open)()?;
-        let mut text = String::new();
-        src.read_to_string(&mut text)
-            .map_err(|e| SourceError::Unavailable(format!("stream: {e}")))?;
-        mix_xml::parse_document(&text)
-            .map_err(|e| SourceError::MalformedXml(format!("stream: {e}")))
+        mix_xml::read_document((self.open)()?).map_err(stream_to_source_error)
     }
 
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {

@@ -299,6 +299,39 @@ mod tests {
     }
 
     #[test]
+    fn deep_query_text_is_a_query_fault_and_the_daemon_keeps_answering() {
+        // the query parser runs on a reactor worker's stack: 50 000
+        // nested conditions must come back as a fault, not overflow it
+        let server = mix_net::Server::bind(
+            "127.0.0.1:0",
+            std::sync::Arc::new(service()),
+            mix_net::ServerConfig::default(),
+        )
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let pool = mix_net::Pool::new(server.addr().to_string(), mix_net::ClientConfig::default());
+        let deep = format!(
+            "v = SELECT X WHERE {}X:<a/>{}",
+            "<a>".repeat(50_000),
+            "</>".repeat(50_000)
+        );
+        match pool.request(mix_net::Msg::Query(deep)) {
+            Err(NetError::Remote { kind, msg }) => {
+                assert_eq!(kind, "query");
+                assert!(msg.contains("nested deeper"), "{msg}");
+            }
+            other => panic!("expected a remote query fault, got {other:?}"),
+        }
+        let q = "profs = SELECT P WHERE <department> P:<professor/> </department>";
+        match pool.request(mix_net::Msg::Query(q.into())) {
+            Ok(mix_net::Msg::Answer(xml)) => assert!(xml.contains("<professor>")),
+            other => panic!("expected an answer, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn source_faults_roundtrip_through_the_wire_encoding() {
         for e in [
             SourceError::Transient("reset".into()),

@@ -46,7 +46,7 @@ pub use ops::{
     equivalent_uncached, image_cached, is_proper_subset, is_subset, is_subset_id,
     is_subset_uncached, language_is_empty, map_syms_cached, matches, min_word_len,
 };
-pub use parser::{parse_regex, ParseError};
+pub use parser::{parse_regex, ParseError, MAX_NESTING_DEPTH};
 pub use pool::{
     export_arena, import_arena, intern, pool_stats, to_regex, ImportedArena, PoolStats,
     PortableEntry, PortableNode, ReId, ReNode,

@@ -17,6 +17,14 @@ use crate::ast::Regex;
 use crate::symbol::Name;
 use std::fmt;
 
+/// The deepest nesting any parser in the workspace accepts: parentheses
+/// in a content model, elements in an XML document, conditions in an
+/// XMAS query. Deeper input is a typed parse error, so the recursive
+/// walks over a parsed value (drop, clone, validation, evaluation,
+/// serialization) stay far inside a 2 MiB thread stack. libxml2's default
+/// limit is the same.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 /// A parse error with byte position and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -39,12 +47,17 @@ impl std::error::Error for ParseError {}
 pub struct Cursor<'a> {
     src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `src`.
     pub fn new(src: &'a str) -> Self {
-        Cursor { src, pos: 0 }
+        Cursor {
+            src,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// An error at the current position.
@@ -151,8 +164,15 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         match self.peek() {
             Some('(') => {
+                if self.depth == MAX_NESTING_DEPTH {
+                    return Err(self.err(format!(
+                        "parentheses nested deeper than {MAX_NESTING_DEPTH} levels"
+                    )));
+                }
                 self.bump();
+                self.depth += 1;
                 let inner = self.alt()?;
+                self.depth -= 1;
                 self.expect(')')?;
                 Ok(inner)
             }

@@ -6,9 +6,10 @@
 //! fragment of XMAS — pick-element queries without `!=` constraints —
 //! in one pass over the raw XML bytes:
 //!
-//! * [`reader`] pulls open/text/close events from any [`std::io::Read`]
-//!   with a bounded buffer, accepting and rejecting exactly the same
-//!   documents as `mix_xml::parse_document`;
+//! * `mix-xml`'s [`EventReader`] pulls open/text/close events from any
+//!   [`std::io::Read`] with a bounded buffer — the same reader that
+//!   builds `mix_xml::parse_document`'s trees, so both paths accept and
+//!   reject exactly the same documents;
 //! * [`compile`] flattens a normalized query into pattern nodes plus
 //!   per-node DTD feasibility sets — the hash-consed content-model
 //!   pool's emptiness/first/alphabet attributes prune descents that
@@ -39,8 +40,7 @@
 
 pub mod compile;
 pub mod matcher;
-pub mod reader;
 
 pub use compile::{CompiledQuery, Unsupported, MAX_SIBLING_CONDS};
 pub use matcher::{stream_answer, stream_answer_to, stream_eval, StreamStats};
-pub use reader::{EventReader, StreamError, XmlEvent};
+pub use mix_xml::{EventReader, StreamError, XmlEvent};

@@ -38,9 +38,11 @@
 //! children.
 
 use crate::compile::{CompiledQuery, Mask, PKind};
-use crate::reader::{EventReader, StreamError, XmlEvent};
 use mix_relang::symbol::Name;
-use mix_xml::{write_element_at, Content, Document, ElemId, Element, WriteConfig};
+use mix_xml::{
+    write_element_at, Content, Document, ElemId, Element, EventReader, StreamError, WriteConfig,
+    XmlEvent,
+};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::mem::size_of;

@@ -18,6 +18,7 @@
 
 use crate::ast::{Body, Condition, NameTest, Query, Var};
 use mix_relang::symbol::Name;
+use mix_relang::MAX_NESTING_DEPTH;
 use std::fmt;
 
 /// A query parse error.
@@ -40,6 +41,8 @@ impl std::error::Error for QueryError {}
 struct P<'a> {
     src: &'a str,
     pos: usize,
+    /// Conditions open around the cursor.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -135,6 +138,11 @@ impl<'a> P<'a> {
     /// `[Var ':'] '<' …`.
     fn condition(&mut self) -> Result<Condition, QueryError> {
         self.skip_ws();
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(format!(
+                "conditions nested deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
         let mut var = None;
         if matches!(self.peek(), Some(c) if c.is_alphabetic() || c == '_') {
             let save = self.pos;
@@ -173,7 +181,9 @@ impl<'a> P<'a> {
             });
         }
         self.expect_str(">")?;
+        self.depth += 1;
         let body = self.body(&test)?;
+        self.depth -= 1;
         Ok(Condition {
             test,
             var,
@@ -283,7 +293,12 @@ impl<'a> P<'a> {
 
 /// Parses a pick-element XMAS query.
 pub fn parse_query(src: &str) -> Result<Query, QueryError> {
-    P { src, pos: 0 }.query()
+    P {
+        src,
+        pos: 0,
+        depth: 0,
+    }
+    .query()
 }
 
 #[cfg(test)]

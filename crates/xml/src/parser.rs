@@ -1,14 +1,17 @@
-//! A from-scratch parser for the paper's XML fragment.
+//! Parsing the paper's XML fragment from text in memory.
 //!
 //! Accepts exactly the model of Section 2: elements with an optional `id`
 //! attribute and either element content or character content. Mixed
 //! content, non-`id` attributes, entities, comments inside content, and
 //! processing instructions are rejected with positioned errors (XML
 //! prologs `<?xml …?>` and `<!-- … -->` comments *between* elements are
-//! tolerated so realistic files parse).
+//! tolerated so realistic files parse). The parsing itself is the event
+//! reader's ([`crate::reader`]); this module adds the error type and the
+//! entity escaping both directions share.
 
-use crate::element::{Content, Document, ElemId, Element};
-use mix_relang::symbol::Name;
+use crate::element::Document;
+use crate::reader::{read_document, StreamError};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse error with byte position and message.
@@ -28,244 +31,24 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-struct P<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> P<'a> {
-    fn err(&self, msg: impl Into<String>) -> XmlError {
-        XmlError {
-            pos: self.pos,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s)
-    }
-
-    fn eat_str(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
-    }
-
-    fn skip_misc(&mut self) -> Result<(), XmlError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                match self.src[self.pos..].find("?>") {
-                    Some(k) => self.pos += k + 2,
-                    None => return Err(self.err("unterminated processing instruction")),
-                }
-            } else if self.starts_with("<!--") {
-                match self.src[self.pos..].find("-->") {
-                    Some(k) => self.pos += k + 3,
-                    None => return Err(self.err("unterminated comment")),
-                }
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn name(&mut self) -> Result<&'a str, XmlError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(c) if c.is_alphabetic() || c == '_' || c == ':' => {
-                self.bump();
-            }
-            _ => return Err(self.err("expected an element name")),
-        }
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || matches!(c, '_' | ':' | '.' | '-'))
-        {
-            self.bump();
-        }
-        Ok(&self.src[start..self.pos])
-    }
-
-    fn quoted(&mut self) -> Result<String, XmlError> {
-        let quote = match self.peek() {
-            Some(q @ ('"' | '\'')) => {
-                self.bump();
-                q
-            }
-            _ => return Err(self.err("expected a quoted attribute value")),
-        };
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == quote {
-                let v = self.src[start..self.pos].to_owned();
-                self.bump();
-                return Ok(unescape(&v));
-            }
-            self.bump();
-        }
-        Err(self.err("unterminated attribute value"))
-    }
-
-    /// Parses `<name …>` up to and including the closing `>`; returns the
-    /// element with its content.
-    fn element(&mut self) -> Result<Element, XmlError> {
-        if !self.eat_str("<") {
-            return Err(self.err("expected '<'"));
-        }
-        let name = self.name()?;
-        let elem_name = Name::intern(name);
-        let mut id: Option<ElemId> = None;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some('/') => {
-                    self.bump();
-                    if !self.eat_str(">") {
-                        return Err(self.err("expected '>' after '/'"));
-                    }
-                    return Ok(Element {
-                        name: elem_name,
-                        id: id.unwrap_or_else(ElemId::fresh),
-                        content: Content::Elements(vec![]),
-                    });
-                }
-                Some('>') => {
-                    self.bump();
-                    break;
-                }
-                _ => {
-                    let attr = self
-                        .name()
-                        .map_err(|_| self.err("expected attribute, '/>' or '>'"))?;
-                    self.skip_ws();
-                    if !self.eat_str("=") {
-                        return Err(self.err("expected '=' after attribute name"));
-                    }
-                    self.skip_ws();
-                    let value = self.quoted()?;
-                    if attr.eq_ignore_ascii_case("id") {
-                        if id.is_some() {
-                            return Err(self.err("duplicate id attribute"));
-                        }
-                        id = Some(ElemId::named(&value));
-                    } else {
-                        return Err(self.err(format!(
-                            "attribute '{attr}' is outside the paper's model (only 'id' is allowed)"
-                        )));
-                    }
-                }
-            }
-        }
-        let content = self.content(name)?;
-        Ok(Element {
-            name: elem_name,
-            id: id.unwrap_or_else(ElemId::fresh),
-            content,
-        })
-    }
-
-    /// Parses content up to and including `</name>`.
-    fn content(&mut self, open_name: &str) -> Result<Content, XmlError> {
-        // Decide between character content and element content by scanning
-        // for the first non-whitespace character.
-        let mut children = Vec::new();
-        let mut text: Option<String> = None;
-        loop {
-            if self.starts_with("</") {
-                self.pos += 2;
-                // The paper's compact notation allows `</>`.
-                self.skip_ws();
-                if self.peek() != Some('>') {
-                    let n = self.name()?;
-                    if n != open_name {
-                        return Err(
-                            self.err(format!("mismatched close tag: '{n}' vs '{open_name}'"))
-                        );
-                    }
-                    self.skip_ws();
-                }
-                if !self.eat_str(">") {
-                    return Err(self.err("expected '>' in close tag"));
-                }
-                return Ok(match text {
-                    Some(t) => {
-                        if !children.is_empty() {
-                            return Err(self.err("mixed content is outside the paper's model"));
-                        }
-                        Content::Text(t)
-                    }
-                    None => Content::Elements(children),
-                });
-            }
-            match self.peek() {
-                None => return Err(self.err(format!("unterminated element '{open_name}'"))),
-                Some('<') => {
-                    if self.starts_with("<!--") {
-                        self.skip_misc()?;
-                        continue;
-                    }
-                    if text.as_deref().is_some_and(|t| !t.trim().is_empty()) {
-                        return Err(self.err("mixed content is outside the paper's model"));
-                    }
-                    text = None;
-                    children.push(self.element()?);
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == '<' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                    let chunk = &self.src[start..self.pos];
-                    if chunk.trim().is_empty() && !children.is_empty() {
-                        // inter-element whitespace
-                        continue;
-                    }
-                    let t = text.get_or_insert_with(String::new);
-                    t.push_str(&unescape(chunk));
-                }
-            }
-        }
-    }
-}
-
 /// Replaces the five XML entity references (`&lt; &gt; &quot; &apos;
-/// &amp;`) with their characters. Shared with the streaming event reader
-/// (`mix-stream`), which must decode text identically to this parser.
-pub fn unescape(s: &str) -> String {
+/// &amp;`) with their characters; text without `&` is borrowed as is.
+pub(crate) fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_owned();
+        return Cow::Borrowed(s);
     }
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+    Cow::Owned(
+        s.replace("&lt;", "<")
+            .replace("&gt;", ">")
+            .replace("&quot;", "\"")
+            .replace("&apos;", "'")
+            .replace("&amp;", "&"),
+    )
 }
 
-/// Escapes `& < > "` as entity references — the inverse of [`unescape`]
-/// for serializer output (apostrophes pass through; `unescape` still
-/// decodes `&apos;` from foreign producers).
+/// Escapes `& < > "` as entity references — the inverse of the reader's
+/// entity decoding for serializer output (apostrophes pass through; the
+/// reader still decodes `&apos;` from foreign producers).
 pub fn escape(s: &str) -> String {
     if !s.contains(['&', '<', '>', '"']) {
         return s.to_owned();
@@ -276,42 +59,32 @@ pub fn escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
-/// Parses a single element (no prolog handling).
-pub fn parse_element(src: &str) -> Result<Element, XmlError> {
-    let mut p = P { src, pos: 0 };
-    p.skip_misc()?;
-    let e = p.element()?;
-    p.skip_misc()?;
-    if p.pos < src.len() {
-        return Err(p.err("trailing input after root element"));
-    }
-    Ok(e)
-}
-
 /// Parses a document: optional XML prolog/comments, one root element.
 /// Also enforces ID uniqueness (Appendix A validity requirement 1).
+/// [`read_document`] is the same parser over any byte stream.
 pub fn parse_document(src: &str) -> Result<Document, XmlError> {
-    let root = parse_element(src)?;
-    let doc = Document::new(root);
-    if let Some(id) = doc.duplicate_id() {
-        return Err(XmlError {
+    read_document(src.as_bytes()).map_err(|e| match e {
+        StreamError::Parse(e) => e,
+        // reading a byte slice cannot fail
+        StreamError::Io(e) => XmlError {
             pos: 0,
-            msg: format!("duplicate element id '{id}'"),
-        });
-    }
-    Ok(doc)
+            msg: e.to_string(),
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::ElemId;
+
+    fn root(src: &str) -> crate::Element {
+        parse_document(src).unwrap().root
+    }
 
     #[test]
     fn simple_element_tree() {
-        let e = parse_element(
-            r#"<professor id="p1"><firstName>Yannis</firstName><teaches/></professor>"#,
-        )
-        .unwrap();
+        let e = root(r#"<professor id="p1"><firstName>Yannis</firstName><teaches/></professor>"#);
         assert_eq!(e.name.as_str(), "professor");
         assert_eq!(e.id, ElemId::named("p1"));
         assert_eq!(e.children().len(), 2);
@@ -321,45 +94,45 @@ mod tests {
 
     #[test]
     fn fresh_ids_when_missing() {
-        let e = parse_element("<a><b/><b/></a>").unwrap();
+        let e = root("<a><b/><b/></a>");
         assert_ne!(e.children()[0].id, e.children()[1].id);
     }
 
     #[test]
     fn paper_style_empty_close() {
         // The paper writes `<journal></>` — anonymous close tags.
-        let e = parse_element("<publication><journal></></>").unwrap();
+        let e = root("<publication><journal></></>");
         assert_eq!(e.children()[0].name.as_str(), "journal");
     }
 
     #[test]
     fn whitespace_between_elements_ignored() {
-        let e = parse_element("<a>\n  <b/>\n  <c/>\n</a>").unwrap();
+        let e = root("<a>\n  <b/>\n  <c/>\n</a>");
         assert_eq!(e.children().len(), 2);
         assert!(e.pcdata().is_none());
     }
 
     #[test]
     fn text_content_preserved() {
-        let e = parse_element("<name>  CS &amp; Engineering </name>").unwrap();
+        let e = root("<name>  CS &amp; Engineering </name>");
         assert_eq!(e.pcdata(), Some("  CS & Engineering "));
     }
 
     #[test]
     fn mixed_content_rejected() {
-        assert!(parse_element("<a>text<b/></a>").is_err());
-        assert!(parse_element("<a><b/>text</a>").is_err());
+        assert!(parse_document("<a>text<b/></a>").is_err());
+        assert!(parse_document("<a><b/>text</a>").is_err());
     }
 
     #[test]
     fn non_id_attributes_rejected() {
-        assert!(parse_element(r#"<a href="x"/>"#).is_err());
+        assert!(parse_document(r#"<a href="x"/>"#).is_err());
     }
 
     #[test]
     fn mismatched_tags_rejected() {
-        assert!(parse_element("<a></b>").is_err());
-        assert!(parse_element("<a>").is_err());
+        assert!(parse_document("<a></b>").is_err());
+        assert!(parse_document("<a>").is_err());
     }
 
     #[test]
@@ -374,11 +147,13 @@ mod tests {
     fn duplicate_ids_rejected_at_document_level() {
         assert!(parse_document(r#"<a><b id="x"/><c id="x"/></a>"#).is_err());
         assert!(parse_document(r#"<a><b id="x"/><c id="y"/></a>"#).is_ok());
+        // two spellings of one auto id
+        assert!(parse_document("<a><b id='#7'/><c id='#07'/></a>").is_err());
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        assert!(parse_element("<a/><b/>").is_err());
+        assert!(parse_document("<a/><b/>").is_err());
     }
 
     #[test]

@@ -126,12 +126,16 @@ pub fn write_document(d: &Document, cfg: WriteConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_element;
+    use crate::parser::parse_document;
+
+    fn parse_root(src: &str) -> Element {
+        parse_document(src).unwrap().root
+    }
 
     #[test]
     fn roundtrip_compact() {
         let src = r#"<professor id="p1"><firstName>Yannis</firstName><teaches/></professor>"#;
-        let e = parse_element(src).unwrap();
+        let e = parse_root(src);
         let cfg = WriteConfig {
             indent: None,
             write_ids: true,
@@ -140,16 +144,16 @@ mod tests {
         assert_eq!(out, src);
         // write(parse(write(x))) == write(x)  (IDs of id-less elements are
         // freshly generated on each parse, so compare serialized forms)
-        assert_eq!(write_element(&parse_element(&out).unwrap(), cfg), out);
+        assert_eq!(write_element(&parse_root(&out), cfg), out);
     }
 
     #[test]
     fn roundtrip_pretty() {
         let src = "<a><b><c/></b><d>txt</d></a>";
-        let e = parse_element(src).unwrap();
+        let e = parse_root(src);
         let pretty = write_element(&e, WriteConfig::default());
         assert!(pretty.contains('\n'));
-        let reparsed = parse_element(&pretty).unwrap();
+        let reparsed = parse_root(&pretty);
         assert_eq!(write_element(&reparsed, WriteConfig::default()), pretty);
     }
 
@@ -177,13 +181,13 @@ mod tests {
             },
         );
         assert_eq!(out, "<t>a &lt; b &amp; c</t>");
-        assert_eq!(parse_element(&out).unwrap().pcdata(), Some("a < b & c"));
+        assert_eq!(parse_root(&out).pcdata(), Some("a < b & c"));
     }
 
     #[test]
     fn io_variant_matches_string_variant_modulo_trailing_newline() {
         let src = "<a><b><c/></b><d>t &amp; u</d></a>";
-        let e = parse_element(src).unwrap();
+        let e = parse_root(src);
         for cfg in [
             WriteConfig::default(),
             WriteConfig {
@@ -209,7 +213,7 @@ mod tests {
 
     #[test]
     fn write_element_at_indents_like_a_nested_child() {
-        let e = parse_element("<d>txt</d>").unwrap();
+        let e = parse_root("<d>txt</d>");
         let mut buf = Vec::new();
         write_element_at(&e, WriteConfig::default(), 2, &mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "    <d>txt</d>\n");

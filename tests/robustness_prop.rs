@@ -1,15 +1,45 @@
 //! Robustness properties: no parser in the workspace may panic on
-//! arbitrary input, the exact counters must agree with brute force
-//! (enumerate + accept) on random s-DTDs, and the fault-tolerant source
-//! layer must be deterministic, panic-free, and lossless for surviving
-//! union members.
+//! arbitrary input or abort on deeply nested input, the exact counters
+//! must agree with brute force (enumerate + accept) on random s-DTDs, and
+//! the fault-tolerant source layer must be deterministic, panic-free, and
+//! lossless for surviving union members.
 
 use mix::dtd::enumerate::enumerate_documents;
 use mix::dtd::generate::{seeded_dtd, DtdGenConfig};
 use mix::dtd::sdtd::SAcceptor;
+use mix::net::{WireFault, WireService};
 use mix::prelude::*;
+use mix::relang::MAX_NESTING_DEPTH;
+use mix::stream::StreamError;
 use proptest::prelude::*;
+use std::io::Read;
 use std::sync::Arc;
+
+/// Nesting depths every parser property also runs: the shared cap, one
+/// level past it, and far past it. Each property runs on a test thread
+/// (2 MiB of stack), where a recursive parser aborts long before 50 000.
+fn depths() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1, 50_000])
+}
+
+/// Checks a parse of input nested `depth` deep: it succeeds exactly up to
+/// the cap and fails with the nesting error beyond it.
+fn capped<T, E: std::fmt::Display>(depth: usize, parsed: Result<T, E>) -> Option<T> {
+    match parsed {
+        Ok(v) => {
+            assert!(depth <= MAX_NESTING_DEPTH, "accepted nesting {depth} deep");
+            Some(v)
+        }
+        Err(e) => {
+            assert!(
+                depth > MAX_NESTING_DEPTH,
+                "rejected nesting {depth} deep: {e}"
+            );
+            assert!(e.to_string().contains("nested deeper"), "{e}");
+            None
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -17,19 +47,71 @@ proptest! {
     /// The regex parser returns Ok or Err — never panics, and successful
     /// parses display+reparse to the same AST.
     #[test]
-    fn regex_parser_total(input in "\\PC{0,60}") {
-        if let Ok(r) = parse_regex(&input) {
-            let shown = r.to_string();
-            let again = parse_regex(&shown)
-                .unwrap_or_else(|e| panic!("display of {input:?} unparseable: {e}"));
-            prop_assert_eq!(r, again);
+    fn regex_parser_total(input in "\\PC{0,60}", depth in depths()) {
+        // `depth` parentheses, alternating `|` and `,` so the AST nests too
+        let deep = (0..depth)
+            .map(|i| if i % 2 == 0 { "(a | " } else { "(b, " })
+            .collect::<String>()
+            + "c"
+            + &")".repeat(depth);
+        for input in [input.as_str(), deep.as_str()] {
+            if let Ok(r) = parse_regex(input) {
+                let shown = r.to_string();
+                let again = parse_regex(&shown)
+                    .unwrap_or_else(|e| panic!("display of {input:?} unparseable: {e}"));
+                prop_assert_eq!(r, again);
+            }
         }
+        capped(depth, parse_regex(&deep));
     }
 
-    /// Same for the XML parser.
+    /// Same for the XML parser. At the cap a document also validates,
+    /// evaluates (in memory and streamed), serializes, clones and drops;
+    /// past it every XML entry point returns a typed error.
     #[test]
-    fn xml_parser_total(input in "\\PC{0,120}") {
+    fn xml_parser_total(input in "\\PC{0,120}", depth in depths()) {
         let _ = parse_document(&input);
+        // `depth` elements: a chain of `a` around a `b` holding the input
+        let text = format!("t{input}");
+        let deep = format!(
+            "{}<b>{}</b>{}",
+            "<a>".repeat(depth - 1),
+            mix::xml::escape(&text),
+            "</a>".repeat(depth - 1)
+        );
+        let dtd = parse_compact("{<a : a | b> <b : PCDATA>}").unwrap();
+        let q = parse_query("v = SELECT X WHERE <a> X:<a | b/> </a>").unwrap();
+        let cq = CompiledQuery::compile(&q, None).unwrap();
+        let bytes = deep.clone().into_bytes();
+        let streaming = StreamingWrapper::new(
+            dtd.clone(),
+            Box::new(move || {
+                Ok(Box::new(std::io::Cursor::new(bytes.clone())) as Box<dyn Read + Send>)
+            }),
+        );
+        let cfg = WriteConfig::default();
+        match capped(depth, parse_document(&deep)) {
+            Some(doc) => {
+                prop_assert_eq!(doc.root.depth(), depth);
+                let leaf = doc.root.walk().last().unwrap();
+                prop_assert_eq!(leaf.pcdata(), Some(text.as_str()));
+                validate_document(&dtd, &doc).unwrap();
+                let answer = evaluate(&q, &doc);
+                let (streamed, _) = stream_answer(deep.as_bytes(), &cq).unwrap();
+                prop_assert_eq!(write_document(&answer, cfg), write_document(&streamed, cfg));
+                let copy = doc.clone();
+                let fetched = streaming.fetch().unwrap();
+                prop_assert_eq!(write_document(&copy, cfg), write_document(&fetched, cfg));
+                drop((doc, copy, fetched, answer, streamed));
+            }
+            None => {
+                prop_assert!(matches!(
+                    stream_answer(deep.as_bytes(), &cq),
+                    Err(StreamError::Parse(_))
+                ));
+                prop_assert!(matches!(streaming.fetch(), Err(SourceError::MalformedXml(_))));
+            }
+        }
     }
 
     /// And for structured-ish XML-like inputs built from tag fragments.
@@ -51,19 +133,34 @@ proptest! {
 
     /// The query parser is total too.
     #[test]
-    fn query_parser_total(input in "\\PC{0,120}") {
-        if let Ok(q) = parse_query(&input) {
-            let shown = q.to_string();
-            prop_assert!(parse_query(&shown).is_ok(), "display unparseable:\n{shown}");
+    fn query_parser_total(input in "\\PC{0,120}", depth in depths()) {
+        // `depth` conditions: a chain of `a` around the picked `b`
+        let deep = format!(
+            "v = SELECT X WHERE {}X:<b/>{}",
+            "<a>".repeat(depth - 1),
+            "</>".repeat(depth - 1)
+        );
+        for input in [input.as_str(), deep.as_str()] {
+            if let Ok(q) = parse_query(input) {
+                let shown = q.to_string();
+                prop_assert!(parse_query(&shown).is_ok(), "display unparseable:\n{shown}");
+            }
+        }
+        if let Some(q) = capped(depth, parse_query(&deep)) {
+            prop_assert_eq!(q.pick_path().unwrap().len(), depth);
         }
     }
 
     /// DTD parsers (both syntaxes) are total.
     #[test]
-    fn dtd_parsers_total(input in "\\PC{0,120}") {
+    fn dtd_parsers_total(input in "\\PC{0,120}", depth in depths()) {
         let _ = parse_compact(&input);
         let _ = parse_compact_sdtd(&input);
         let _ = parse_xml_dtd(&input);
+        let model = format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        capped(depth, parse_compact(&format!("{{<r : {model}>}}")));
+        capped(depth, parse_compact_sdtd(&format!("{{<r : {model}>}}")));
+        capped(depth, parse_xml_dtd(&format!("<!ELEMENT r {model}>")));
     }
 
     /// A seeded fault schedule replays identically: two injectors built
@@ -197,6 +294,56 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected error: {}", e),
         }
     }
+}
+
+/// A daemon double whose every reply nests 50 000 elements deep.
+struct DeepReplies;
+
+impl WireService for DeepReplies {
+    fn export_dtd(&self) -> String {
+        "{<r : a*> <a : PCDATA>}".to_owned()
+    }
+
+    fn answer(&self, _: Option<&str>) -> Result<String, WireFault> {
+        Ok(format!(
+            "<r>{}{}</r>",
+            "<a>".repeat(50_000),
+            "</a>".repeat(50_000)
+        ))
+    }
+}
+
+/// A remote union member replying with a 50 000-deep document fails as
+/// malformed XML on its fetch thread, and the union is served degraded
+/// from the other member.
+#[test]
+fn deeply_nested_remote_reply_degrades_the_union() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(DeepReplies),
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let dtd = parse_compact("{<r : a*> <a : PCDATA>}").unwrap();
+    let q = parse_query("u = SELECT X WHERE <r> X:<a/> </r>").unwrap();
+    let good = parse_document("<r><a>kept</a></r>").unwrap();
+    let mut m = Mediator::new();
+    m.add_source("good", Arc::new(XmlSource::new(dtd, good).unwrap()));
+    let remote = RemoteWrapper::connect(&server.addr().to_string()).unwrap();
+    m.add_source("deep", Arc::new(remote));
+    m.register_union_view("u", &[("good", q.clone()), ("deep", q)])
+        .unwrap();
+    let (doc, report) = m.materialize_with_report(name("u")).unwrap();
+    let kept: Vec<_> = doc.root.children().iter().map(|c| c.pcdata()).collect();
+    assert_eq!(kept, [Some("kept")]);
+    assert_eq!(report.failed_sources(), ["deep"]);
+    assert!(
+        matches!(report.outcomes[1].error, Some(SourceError::MalformedXml(_))),
+        "{report}"
+    );
+    server.shutdown();
 }
 
 /// The subset-construction s-DTD counter agrees with brute force:
