@@ -42,6 +42,4 @@ pub use pipeline::{infer_view_dtd, InferredView};
 pub use refine::{refine, refine1};
 pub use sat::{check_sat, check_sat_normalized, SatCache, SatVerdict, SAT_CACHE_CAPACITY};
 pub use tighten::{classify_query, tighten, Tightened, Verdict};
-pub use union::{
-    compose_union_views, infer_union_view_dtd, infer_union_view_dtd_cached, InferredUnionView,
-};
+pub use union::{infer_union_view_dtd, infer_union_view_dtd_cached, InferredUnionView};

@@ -114,16 +114,6 @@ pub fn infer_view_dtd(q: &Query, source: &Dtd) -> Result<InferredView, Normalize
 /// specialization equal to the base type into the untagged name, and
 /// renumbers the surviving tags densely per name.
 pub(crate) fn collapse_equivalent(sdtd: SDtd) -> SDtd {
-    collapse_equivalent_with(sdtd, &mut [])
-}
-
-/// [`collapse_equivalent`], threading *extra* regexes (over the same sym
-/// space as `sdtd`) through every rename pass. Callers that track slices
-/// of the root type — the union-view composition keeps one list type per
-/// member — get them back rewritten into the final tag space, which cannot
-/// be recovered after the fact: `Regex::concat` flattens and
-/// [`apply_rename`] simplifies, so the collapsed root is not re-splittable.
-pub(crate) fn collapse_equivalent_with(sdtd: SDtd, extras: &mut [Regex]) -> SDtd {
     let mut current = sdtd;
     // Iterate: collapsing one pair may make others equivalent.
     for _ in 0..8 {
@@ -156,15 +146,8 @@ pub(crate) fn collapse_equivalent_with(sdtd: SDtd, extras: &mut [Regex]) -> SDtd
             break;
         }
         current = apply_rename(&current, &rename);
-        rename_extras(extras, &rename);
     }
-    renumber_with(current, extras)
-}
-
-fn rename_extras(extras: &mut [Regex], rename: &HashMap<Sym, Sym>) {
-    for r in extras.iter_mut() {
-        *r = simplify(&map_syms_cached(r, &mut |s| *rename.get(&s).unwrap_or(&s)));
-    }
+    renumber(current)
 }
 
 fn apply_rename(sdtd: &SDtd, rename: &HashMap<Sym, Sym>) -> SDtd {
@@ -192,7 +175,7 @@ fn apply_rename(sdtd: &SDtd, rename: &HashMap<Sym, Sym>) -> SDtd {
 /// `publication` (which needs both the original and the journal-only
 /// type) keeps a tag. Renaming specializations never changes the set of
 /// accepted documents: tags are just names.
-fn renumber_with(sdtd: SDtd, extras: &mut [Regex]) -> SDtd {
+fn renumber(sdtd: SDtd) -> SDtd {
     let mut per_name: HashMap<Name, Vec<Sym>> = HashMap::new();
     for s in sdtd.types.keys() {
         per_name.entry(s.name).or_default().push(s);
@@ -220,7 +203,6 @@ fn renumber_with(sdtd: SDtd, extras: &mut [Regex]) -> SDtd {
     if rename.is_empty() {
         sdtd
     } else {
-        rename_extras(extras, &rename);
         apply_rename(&sdtd, &rename)
     }
 }

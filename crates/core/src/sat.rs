@@ -521,9 +521,10 @@ impl fmt::Debug for SatCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tighten::{classify_query, Verdict};
     use mix_dtd::paper::{d1_department, section_recursive};
     use mix_dtd::parse_compact;
-    use mix_xmas::parse_query;
+    use mix_xmas::{normalize, parse_query};
 
     fn verdict(query: &str, dtd: &Dtd) -> SatVerdict {
         check_sat(&parse_query(query).unwrap(), dtd)
@@ -643,6 +644,26 @@ mod tests {
         assert!(v.is_unsat(), "{v}");
         let v = verdict("x = SELECT X WHERE <r> X:<c/> </r>", &d);
         assert_eq!(v, SatVerdict::Sat);
+    }
+
+    /// Neither emptiness analyzer implies the other, so folding one into
+    /// the other must keep both the productive-name restriction (only
+    /// here) and `tighten`'s sequential refinement of the content model.
+    #[test]
+    fn neither_emptiness_analyzer_implies_the_other() {
+        let tighten_verdict = |q: &Query, d: &Dtd| classify_query(&normalize(q, d).unwrap(), d);
+        // `b` only occurs next to the unproductive `u`: Unsat here,
+        // Satisfiable for tighten
+        let d = parse_compact("{<r : (u, b) | c> <u : u>}").unwrap();
+        let q = parse_query("x = SELECT X WHERE <r> X:<b/> </r>").unwrap();
+        assert!(check_sat(&q, &d).is_unsat());
+        assert_eq!(tighten_verdict(&q, &d), Verdict::Satisfiable);
+        // two `b` siblings under `a, b, a`: the duplicated model is outside
+        // the sibling analysis (Unknown), tighten proves it Unsatisfiable
+        let d = parse_compact("{<r : a, b, a> <a : EMPTY> <b : EMPTY>}").unwrap();
+        let q = parse_query("v = SELECT X WHERE <r> X:<b/> <b/> </>").unwrap();
+        assert_eq!(check_sat(&q, &d), SatVerdict::Unknown);
+        assert_eq!(tighten_verdict(&q, &d), Verdict::Unsatisfiable);
     }
 
     #[test]

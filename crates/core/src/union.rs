@@ -19,7 +19,7 @@
 
 use crate::cache::InferenceCache;
 use crate::merge::{merge, Merged};
-use crate::pipeline::{collapse_equivalent_with, infer_view_dtd, InferredView};
+use crate::pipeline::{collapse_equivalent, infer_view_dtd, InferredView};
 use crate::tighten::Verdict;
 use mix_dtd::{ContentModel, Dtd, SDtd};
 use mix_relang::ast::Regex;
@@ -51,11 +51,6 @@ pub struct InferredUnionView {
     /// The weakest per-part verdict (`Unsatisfiable` only if *every* part
     /// is; a single satisfiable part makes the union satisfiable).
     pub verdict: Verdict,
-    /// The per-part slices of the root list type, in union order and over
-    /// the *final* (post-collapse) tag space: the root type of `sdtd` is
-    /// their concatenation. [`compose_union_views`] re-shuffles these when
-    /// assembling a global view from per-shard inferences.
-    pub part_list_types: Vec<Regex>,
 }
 
 /// Infers the view DTD of a union view: one `(query, source DTD)` pair
@@ -122,26 +117,13 @@ fn infer_union_view_dtd_with(
         }
         queries.push(iv.query.clone());
     }
-    let root_type = Regex::concat(root_parts.clone());
+    let root_type = Regex::concat(root_parts);
     combined
         .types
         .insert(view_name.untagged(), ContentModel::Elements(root_type));
     // collapse equivalent specializations across parts (identical-schema
-    // sites fold together) and renumber densely; the per-part root slices
-    // are threaded through so they stay aligned with the collapsed tags
-    let mut part_list_types = root_parts;
-    let sdtd = collapse_equivalent_with(combined, &mut part_list_types);
-    Ok(assemble_union(queries, sdtd, part_list_types, verdict))
-}
-
-/// The shared tail of union inference and composition: kind-conflict
-/// detection and the merge to a plain DTD.
-fn assemble_union(
-    queries: Vec<Query>,
-    sdtd: SDtd,
-    part_list_types: Vec<Regex>,
-    verdict: Verdict,
-) -> InferredUnionView {
+    // sites fold together) and renumber densely
+    let sdtd = collapse_equivalent(combined);
     // detect names used with PCDATA content by one site and element
     // content by another — inexpressible as one plain type
     let mut kinds: HashMap<Name, (bool, bool)> = HashMap::new();
@@ -161,84 +143,14 @@ fn assemble_union(
     // stable across runs and processes
     kind_conflicts.sort_by_key(|n| n.as_str());
     let Merged { dtd, merged_names } = merge(&sdtd);
-    InferredUnionView {
+    Ok(InferredUnionView {
         queries,
         sdtd,
         dtd,
         merged_names,
         kind_conflicts,
         verdict,
-        part_list_types,
-    }
-}
-
-/// Composes per-shard union-view inferences into the global union view —
-/// the *Distributed XML Design* local/global typing obligation, executed.
-/// Each shard inferred its members independently; the composition moves
-/// every shard into a disjoint tag space, reassembles the global root by
-/// concatenating the per-member list types in *global* member order, and
-/// collapses equivalent specializations across shards. The result is
-/// language-equivalent to running [`infer_union_view_dtd`] over all
-/// members on a single node (the federation property test pins this).
-///
-/// `shards` pairs each shard's inference with the global positions of its
-/// members (parallel to its `queries`); the concatenation of all position
-/// slices must cover `0..total` exactly once.
-pub fn compose_union_views(
-    view_name: Name,
-    shards: &[(&InferredUnionView, &[usize])],
-) -> InferredUnionView {
-    let total: usize = shards.iter().map(|(_, pos)| pos.len()).sum();
-    let mut combined = SDtd::new(view_name.untagged());
-    combined
-        .types
-        .insert(view_name.untagged(), ContentModel::Elements(Regex::Epsilon));
-    let mut verdict = Verdict::Unsatisfiable;
-    let mut slots: Vec<Option<(Regex, Query)>> = vec![None; total];
-    const STRIDE: u32 = 1 << 16;
-    for (i, (shard, positions)) in shards.iter().enumerate() {
-        assert_eq!(
-            positions.len(),
-            shard.part_list_types.len(),
-            "one global position per shard member"
-        );
-        verdict = verdict.max(shard.verdict);
-        let offset = STRIDE * (i as u32 + 1);
-        // a disjoint tag space per shard, untagged included — mirrors the
-        // per-part retag of `infer_union_view_dtd` (shard tags are dense
-        // and small after collapse, far below the stride)
-        let retag = |s: Sym| s.name.tagged(offset + s.tag);
-        for (s, m) in shard.sdtd.types.iter() {
-            if s == shard.sdtd.doc_type {
-                continue; // the shard root is replaced by the global root
-            }
-            let moved = match m {
-                ContentModel::Pcdata => ContentModel::Pcdata,
-                ContentModel::Elements(r) => {
-                    ContentModel::Elements(map_syms_cached(r, &mut |x| retag(x)))
-                }
-            };
-            combined.types.insert(retag(s), moved);
-        }
-        for (k, &gp) in positions.iter().enumerate() {
-            let lt = map_syms_cached(&shard.part_list_types[k], &mut |s| retag(s));
-            assert!(slots[gp].is_none(), "global position {gp} assigned twice");
-            slots[gp] = Some((lt, shard.queries[k].clone()));
-        }
-    }
-    let mut part_list_types = Vec::with_capacity(total);
-    let mut queries = Vec::with_capacity(total);
-    for (gp, slot) in slots.into_iter().enumerate() {
-        let (lt, q) = slot.unwrap_or_else(|| panic!("global position {gp} unassigned"));
-        part_list_types.push(lt);
-        queries.push(q);
-    }
-    let root_type = Regex::concat(part_list_types.clone());
-    combined
-        .types
-        .insert(view_name.untagged(), ContentModel::Elements(root_type));
-    let sdtd = collapse_equivalent_with(combined, &mut part_list_types);
-    assemble_union(queries, sdtd, part_list_types, verdict)
+    })
 }
 
 #[cfg(test)]
@@ -330,82 +242,6 @@ mod tests {
         let root = u.dtd.get(name("nothing")).unwrap().regex().unwrap();
         assert_eq!(root, &Regex::Epsilon);
         assert_eq!(u.verdict, Verdict::Unsatisfiable);
-    }
-
-    #[test]
-    fn part_list_types_concatenate_to_the_root() {
-        let d = d1_department();
-        let q = q3_publist();
-        let parts = vec![(&q, &d), (&q, &d)];
-        let u = infer_union_view_dtd(name("allPubs"), &parts).unwrap();
-        assert_eq!(u.part_list_types.len(), 2);
-        let rebuilt = Regex::concat(u.part_list_types.clone());
-        let root = u
-            .sdtd
-            .get(name("allPubs").untagged())
-            .unwrap()
-            .regex()
-            .unwrap();
-        assert!(equivalent(&rebuilt, root), "{rebuilt} vs {root}");
-        // every sym a part slice mentions is defined in the collapsed s-DTD
-        for lt in &u.part_list_types {
-            for s in lt.syms() {
-                assert!(u.sdtd.types.contains(s), "dangling {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn composed_shards_match_single_node_inference() {
-        // global member order: [A, B, A, B]; shard 0 holds positions 0 and
-        // 3, shard 1 holds 1 and 2 — an interleaved assignment, as a hash
-        // ring would produce
-        let d_a = parse_compact(
-            "{<site : publication*> <publication : title, year> \
-              <title : PCDATA> <year : PCDATA>}",
-        )
-        .unwrap();
-        let d_b = parse_compact(
-            "{<site : publication*> <publication : title, venue> \
-              <title : PCDATA> <venue : PCDATA>}",
-        )
-        .unwrap();
-        let q =
-            mix_xmas::parse_query("pubs = SELECT P WHERE <site> P:<publication/> </site>").unwrap();
-        let global = infer_union_view_dtd(
-            name("cat"),
-            &[(&q, &d_a), (&q, &d_b), (&q, &d_a), (&q, &d_b)],
-        )
-        .unwrap();
-        let s0 = infer_union_view_dtd(name("cat"), &[(&q, &d_a), (&q, &d_b)]).unwrap();
-        let s1 = infer_union_view_dtd(name("cat"), &[(&q, &d_b), (&q, &d_a)]).unwrap();
-        let composed = compose_union_views(
-            name("cat"),
-            &[(&s0, &[0usize, 3][..]), (&s1, &[1usize, 2][..])],
-        );
-        assert_eq!(composed.verdict, global.verdict);
-        assert_eq!(composed.kind_conflicts, global.kind_conflicts);
-        let names_of = |d: &Dtd| {
-            let mut v: Vec<&str> = d.types.keys().map(|n| n.as_str()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(names_of(&composed.dtd), names_of(&global.dtd));
-        for n in composed.dtd.types.keys() {
-            let (a, b) = (composed.dtd.get(n).unwrap(), global.dtd.get(n).unwrap());
-            match (a, b) {
-                (ContentModel::Pcdata, ContentModel::Pcdata) => {}
-                (ContentModel::Elements(ra), ContentModel::Elements(rb)) => {
-                    assert!(equivalent(ra, rb), "{n}: {ra} vs {rb}");
-                }
-                _ => panic!("{n}: kind mismatch"),
-            }
-        }
-        // the identical A-shapes folded across shards, as on a single node
-        assert_eq!(
-            composed.sdtd.specializations(name("publication")).len(),
-            global.sdtd.specializations(name("publication")).len()
-        );
     }
 }
 

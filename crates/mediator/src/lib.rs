@@ -74,8 +74,5 @@ pub use simplifier::{simplify_query, SimplifyStats};
 pub use source::{LatencyWrapper, RemoteWrapper, Wrapper, XmlSource};
 pub use stack::ViewWrapper;
 pub use streaming::{ServedBy, StreamFactory, StreamingWrapper};
-pub use topology::{
-    DeadReplica, Federation, FederationPart, HashRing, ReplicaPolicy, ReplicaSet, SourceSpec,
-    Topology, TopologyError,
-};
+pub use topology::{DeadReplica, ReplicaPolicy, ReplicaSet, SourceSpec, Topology, TopologyError};
 pub use wire::{net_to_source_error, WrapperService};

@@ -134,8 +134,9 @@ pub enum AnswerPath {
     /// The DTD-based simplifier proved the query unsatisfiable against the
     /// view DTD; no source was contacted.
     PrunedUnsatisfiable,
-    /// The query was composed with the view definition and shipped to the
-    /// source as one query (no view materialization).
+    /// The query was composed with the view definition and answered as
+    /// one query against the source's document (no view
+    /// materialization).
     Composed,
     /// The view was materialized and the query evaluated over it.
     Materialized,
@@ -595,33 +596,6 @@ impl Mediator {
         }
     }
 
-    /// Materializes the members of a registered *union* view through the
-    /// resilience layer without assembling them: one
-    /// `(Option<Document>, SourceOutcome)` per member, in union
-    /// (registration) order, with `None` marking members that failed with
-    /// no snapshot to degrade to.
-    ///
-    /// Unlike [`Mediator::materialize_with_report`], an all-members-failed
-    /// call is **not** an error here — federation callers (see
-    /// [`crate::topology`]) reassemble the members of several per-shard
-    /// mediators into one global answer and make the all-failed decision
-    /// at that level.
-    pub fn materialize_union_members(
-        &self,
-        name: Name,
-    ) -> Result<Vec<(Option<Document>, SourceOutcome)>, MediatorError> {
-        let _trace_scope = (mix_obs::current_trace() == 0).then(|| self.registry.begin_trace());
-        let _span = self.registry.span("materialize");
-        match self
-            .views
-            .get(&name)
-            .ok_or(MediatorError::UnknownView(name))?
-        {
-            AnyView::Union(view) => self.union_members(view),
-            AnyView::Single(_) => Err(MediatorError::UnknownView(name)),
-        }
-    }
-
     /// One resilient call per member of a union view, in parallel, in
     /// union order.
     fn union_members(
@@ -842,9 +816,10 @@ impl Mediator {
             }
         }
         // 2. composition with the view definition (single-source views).
-        //    The composed query ships to the source through the resilience
-        //    layer, so retries, the breaker, and the stale snapshot apply
-        //    here exactly as on the materialization path.
+        //    The composed query goes through the resilience layer, which
+        //    fetches the source's document and evaluates it here, so
+        //    retries, the breaker, and the stale snapshot apply exactly as
+        //    on the materialization path.
         if self.config.use_composition {
             if let AnyView::Single(view) = any {
                 if let Some(composed) = compose(&view.inferred.query, q) {

@@ -97,7 +97,7 @@ impl SourceInstruments {
     }
 }
 
-/// The per-replica-set instrument bundle (one per sharded source, see
+/// The per-replica-set instrument bundle (one per replicated source, see
 /// [`crate::topology::ReplicaSet`]): failover traffic between replicas
 /// plus a live health gauge, labeled like [`SourceInstruments`] so the
 /// same registry and exposition serve both layers.

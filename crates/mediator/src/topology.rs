@@ -1,45 +1,32 @@
-//! The sharded, replica-aware federation tier (DESIGN.md §12).
+//! The replica-aware federation tier (DESIGN.md §12).
 //!
 //! The paper's headline scenario unions "the structures exported by 100
-//! sites" — at that scale one mediator process is both a bottleneck and
-//! a single point of failure. This module spreads the member sources of
-//! one federated union view across N mediator *nodes* and makes each
-//! source a *replica set*:
+//! sites" as one view. `mixctl federate --topology` serves that view
+//! from one [`crate::Mediator`] whose union members are replicated
+//! sources:
 //!
-//! * [`Topology`] — the cluster description (`nodes N` plus one
+//! * [`Topology`] — the cluster description (one
 //!   `source name = addr, addr` line per source, in union order),
-//! * [`HashRing`] — consistent hashing of source names onto nodes, so
-//!   growing the cluster only moves the sources landing on the new node,
 //! * [`ReplicaSet`] — a [`Wrapper`] routing each call to the first
 //!   healthy replica, with one circuit breaker ([`Health`]) per replica:
 //!   open breakers are skipped, live failures fail over to the next
 //!   replica, and only when *every* replica is down does the error
 //!   surface — at which point the outer resilience layer's stale
 //!   snapshot is the last line of defense,
-//! * [`Federation`] — per-shard [`Mediator`]s whose members reassemble
-//!   in global union order, so the federated answer is byte-identical
-//!   to a single-node run over the same sources, and whose per-shard
-//!   inferred view DTDs compose ([`compose_union_views`]) into the same
-//!   global view DTD a single node would infer.
+//! * [`DeadReplica`] — the stand-in for a replica that was unreachable
+//!   at start-up, so failover order matches the configuration.
 //!
 //! Everything stays deterministic: replica order is configuration
 //! order, breaker cooldowns count rejected calls (not wall time), and
 //! transport errors carry no OS text — a chaos run that kills a replica
-//! mid-batch produces the same bytes as a fault-free single-node run.
+//! mid-batch produces the same bytes as a fault-free run.
 
 use crate::error::SourceError;
-use crate::mediator::{Mediator, MediatorError, ProcessorConfig, UnionView};
 use crate::obs::ReplicaInstruments;
-use crate::resilience::{
-    BreakerGate, BreakerState, DegradationReport, FetchStatus, Health, ResiliencePolicy,
-    SourceOutcome,
-};
+use crate::resilience::{BreakerGate, BreakerState, Health};
 use crate::source::Wrapper;
-use mix_infer::{compose_union_views, InferredUnionView};
-use mix_obs::Registry;
-use mix_relang::symbol::Name;
 use mix_xmas::Query;
-use mix_xml::{Content, Document, ElemId, Element};
+use mix_xml::Document;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -47,21 +34,19 @@ use std::sync::{Arc, Mutex};
 // Topology configuration
 // ---------------------------------------------------------------------
 
-/// A parsed cluster topology: how many mediator nodes, and the replica
-/// addresses of every source, in union (file) order.
+/// A parsed cluster topology: the replica addresses of every source, in
+/// union (file) order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    /// The number of mediator nodes sources are sharded across.
-    pub nodes: usize,
-    /// The sources, in file order — which is the global union order of
-    /// the federated view.
+    /// The sources, in file order — which is the union order of the
+    /// federated view.
     pub sources: Vec<SourceSpec>,
 }
 
 /// One source line of a topology file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceSpec {
-    /// The source's registered name (also its shard-routing key).
+    /// The source's registered name.
     pub name: String,
     /// Replica addresses (`host:port`), in failover preference order.
     pub replicas: Vec<String>,
@@ -70,9 +55,8 @@ pub struct SourceSpec {
 /// Why a topology file failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
-    /// No `nodes N` line (or N = 0).
-    MissingNodes,
-    /// A line that is neither a comment, `nodes N`, nor `source … = …`.
+    /// A line that is neither a comment, `nodes N`, nor `source … = …`,
+    /// or a `source` line whose name or addresses are malformed.
     Garbage {
         /// 1-based line number.
         line: usize,
@@ -88,9 +72,6 @@ pub enum TopologyError {
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TopologyError::MissingNodes => {
-                write!(f, "topology needs a 'nodes N' line with N >= 1")
-            }
             TopologyError::Garbage { line, text } => {
                 write!(f, "topology line {line}: cannot parse '{text}'")
             }
@@ -116,10 +97,11 @@ impl Topology {
     /// source site1 = 127.0.0.1:7003
     /// ```
     ///
-    /// Source lines keep file order (the global union order); replica
-    /// addresses keep list order (the failover preference order).
+    /// Source lines keep file order (the union order); replica addresses
+    /// keep list order (the failover preference order). A `nodes N` line
+    /// with a positive N is accepted and ignored: one mediator serves
+    /// every source.
     pub fn parse(text: &str) -> Result<Topology, TopologyError> {
-        let mut nodes = 0usize;
         let mut sources: Vec<SourceSpec> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -130,100 +112,49 @@ impl Topology {
                 line: i + 1,
                 text: line.to_owned(),
             };
-            if let Some(n) = line.strip_prefix("nodes") {
-                nodes = n.trim().parse().map_err(|_| garbage())?;
-            } else if let Some(rest) = line.strip_prefix("source") {
-                let (name, addrs) = rest.split_once('=').ok_or_else(garbage)?;
-                let name = name.trim();
-                if name.is_empty() || name.contains(char::is_whitespace) {
-                    return Err(garbage());
+            // keywords are whole words: `sourcery = …` is not a source
+            let (keyword, rest) = line.split_once(char::is_whitespace).ok_or_else(garbage)?;
+            match keyword {
+                "nodes" => {
+                    rest.trim()
+                        .parse::<std::num::NonZeroUsize>()
+                        .map_err(|_| garbage())?;
                 }
-                if sources.iter().any(|s| s.name == name) {
-                    return Err(TopologyError::DuplicateSource(name.to_owned()));
+                "source" => {
+                    let (name, addrs) = rest.split_once('=').ok_or_else(garbage)?;
+                    let name = name.trim();
+                    if name.is_empty() || name.contains(char::is_whitespace) {
+                        return Err(garbage());
+                    }
+                    if sources.iter().any(|s| s.name == name) {
+                        return Err(TopologyError::DuplicateSource(name.to_owned()));
+                    }
+                    let replicas: Vec<String> = addrs
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|a| !a.is_empty())
+                        .map(str::to_owned)
+                        .collect();
+                    // a missing comma would otherwise join two addresses
+                    // into one unreachable replica
+                    if replicas
+                        .iter()
+                        .any(|a| a.contains(|c: char| c.is_whitespace() || c == '='))
+                    {
+                        return Err(garbage());
+                    }
+                    if replicas.is_empty() {
+                        return Err(TopologyError::NoReplicas(name.to_owned()));
+                    }
+                    sources.push(SourceSpec {
+                        name: name.to_owned(),
+                        replicas,
+                    });
                 }
-                let replicas: Vec<String> = addrs
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if replicas.is_empty() {
-                    return Err(TopologyError::NoReplicas(name.to_owned()));
-                }
-                sources.push(SourceSpec {
-                    name: name.to_owned(),
-                    replicas,
-                });
-            } else {
-                return Err(garbage());
+                _ => return Err(garbage()),
             }
         }
-        if nodes == 0 {
-            return Err(TopologyError::MissingNodes);
-        }
-        Ok(Topology { nodes, sources })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Consistent-hash ring
-// ---------------------------------------------------------------------
-
-/// Virtual points per node on the ring: enough to keep the per-node load
-/// skew small at the shard counts the federation tier targets.
-const VNODES_PER_NODE: usize = 64;
-
-/// FNV-1a with a 64-bit avalanche finalizer: deterministic and
-/// dependency-free (the std hasher is randomly seeded per process, which
-/// would make shard assignment differ between runs). The finalizer
-/// matters — raw FNV puts short sequential keys like `site0`…`site99`
-/// within a few multiples of the prime of each other, clustering them on
-/// one arc of the ring.
-fn ring_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
-/// A consistent-hash ring mapping source names onto node indices.
-///
-/// Each node contributes [`VNODES_PER_NODE`] virtual points; a key lands
-/// on the node owning the first point at or after the key's hash
-/// (wrapping). Growing the ring from N to N+1 nodes only reassigns the
-/// keys that land on the new node's points — every other source keeps
-/// its shard, so a cluster resize does not reshuffle the world.
-#[derive(Debug, Clone)]
-pub struct HashRing {
-    /// `(point, node)`, sorted by point.
-    points: Vec<(u64, usize)>,
-}
-
-impl HashRing {
-    /// A ring over `nodes` nodes (at least 1).
-    pub fn new(nodes: usize) -> HashRing {
-        assert!(nodes >= 1, "a hash ring needs at least one node");
-        let mut points: Vec<(u64, usize)> = (0..nodes)
-            .flat_map(|node| {
-                (0..VNODES_PER_NODE)
-                    .map(move |v| (ring_hash(format!("node{node}/vnode{v}").as_bytes()), node))
-            })
-            .collect();
-        points.sort_unstable();
-        HashRing { points }
-    }
-
-    /// The node a key lands on.
-    pub fn node_for(&self, key: &str) -> usize {
-        let h = ring_hash(key.as_bytes());
-        let i = self.points.partition_point(|&(p, _)| p < h);
-        self.points[i % self.points.len()].1
+        Ok(Topology { sources })
     }
 }
 
@@ -232,7 +163,7 @@ impl HashRing {
 // ---------------------------------------------------------------------
 
 /// Breaker knobs for one replica set. Separate from
-/// [`ResiliencePolicy`] because the replica router wants a hair
+/// [`crate::ResiliencePolicy`] because the replica router wants a hair
 /// trigger: the point of a second replica is to take over on the *first*
 /// failure, while the outer per-source breaker can afford to absorb a
 /// few.
@@ -458,111 +389,6 @@ impl ReplicaSet {
     }
 }
 
-impl ReplicaSet {
-    /// Routes a whole batch with per-item failover. The healthy case is
-    /// one pipelined [`Wrapper::answer_batch`] call to the first live
-    /// replica; items that come back with source faults carry over to
-    /// the next replica while their siblings' answers stand. Breaker
-    /// accounting is per item — a replica that fails a ten-query batch
-    /// has failed ten calls — but each replica's gate is consulted once
-    /// per batch, so a batch counts as one call against open-breaker
-    /// cooldowns.
-    fn route_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
-        let mut results: Vec<Option<Result<Document, SourceError>>> =
-            queries.iter().map(|_| None).collect();
-        let mut last_err: Vec<Option<SourceError>> = queries.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..queries.len()).collect();
-        let mut passed_over = false;
-        for (i, (w, h)) in self.replicas.iter().zip(&self.health).enumerate() {
-            if pending.is_empty() {
-                break;
-            }
-            let gate = h
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .gate(self.policy.cooldown_calls);
-            if gate == BreakerGate::Reject {
-                passed_over = true;
-                for &idx in &pending {
-                    last_err[idx].get_or_insert_with(|| {
-                        SourceError::Unavailable(format!(
-                            "circuit open for replica {i} of '{}'",
-                            self.source
-                        ))
-                    });
-                }
-                continue;
-            }
-            let sub: Vec<Query> = pending.iter().map(|&idx| queries[idx].clone()).collect();
-            let replies = w.answer_batch(&sub);
-            let mut carried = Vec::new();
-            let mut served_here = false;
-            for (&idx, reply) in pending.iter().zip(replies) {
-                match reply {
-                    Ok(doc) => {
-                        let reclosed = h
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .record_success(None);
-                        if reclosed {
-                            self.obs
-                                .event("replica-recover", &format!("replica {i} probe succeeded"));
-                        }
-                        if let Some(served) = self.obs.served.get(i) {
-                            served.inc();
-                        }
-                        served_here = true;
-                        results[idx] = Some(Ok(doc));
-                    }
-                    // the caller's fault, identically rejected everywhere
-                    Err(e @ SourceError::Query(_)) => results[idx] = Some(Err(e)),
-                    Err(e) => {
-                        if e.is_source_fault() {
-                            h.lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .record_failure(self.policy.failure_threshold);
-                        }
-                        last_err[idx] = Some(e);
-                        carried.push(idx);
-                    }
-                }
-            }
-            if served_here && passed_over {
-                self.obs.failovers.inc();
-                self.obs.event(
-                    "replica-failover",
-                    &format!("served by replica {i} after earlier replicas failed"),
-                );
-            }
-            if !carried.is_empty() {
-                passed_over = true;
-            }
-            pending = carried;
-        }
-        if !pending.is_empty() {
-            self.obs.exhausted.inc();
-            self.obs.event(
-                "replica-exhausted",
-                "every replica failed or was circuit-open",
-            );
-            for idx in pending {
-                let e = last_err[idx].take().unwrap_or_else(|| {
-                    SourceError::Unavailable(format!(
-                        "no replicas configured for '{}'",
-                        self.source
-                    ))
-                });
-                results[idx] = Some(Err(e));
-            }
-        }
-        self.publish_healthy();
-        results
-            .into_iter()
-            .map(|r| r.expect("every query served, rejected, or exhausted"))
-            .collect()
-    }
-}
-
 impl Wrapper for ReplicaSet {
     fn dtd(&self) -> &mix_dtd::Dtd {
         &self.dtd
@@ -575,249 +401,17 @@ impl Wrapper for ReplicaSet {
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
         self.route(&|w| w.answer(q))
     }
-
-    fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
-        self.route_batch(queries)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Federation
-// ---------------------------------------------------------------------
-
-/// One member of a federated union view: a source name (the shard
-/// routing key), the wrapper serving it (typically a [`ReplicaSet`]),
-/// and its member query.
-pub struct FederationPart {
-    /// The source's registered name.
-    pub source: String,
-    /// The wrapper serving the source.
-    pub wrapper: Arc<dyn Wrapper>,
-    /// The member's view-definition query.
-    pub query: Query,
-}
-
-/// A federated union view sharded across several mediator nodes.
-///
-/// [`Federation::build`] hashes every part's source name onto a
-/// [`HashRing`] of `nodes` nodes and builds one [`Mediator`] per
-/// non-empty node, each registering a union view over just its shard's
-/// members (kept in global union order within the shard). The per-shard
-/// inferred view DTDs are composed back into the global inference with
-/// [`compose_union_views`], which agrees with what a single node would
-/// infer over all parts — the sharding is invisible in the view DTD.
-///
-/// [`Federation::materialize_with_report`] materializes every shard's
-/// members and reassembles them in global union order, so the answer
-/// document is byte-identical to the single-node run; the
-/// [`DegradationReport`] likewise lists outcomes in global order.
-pub struct Federation {
-    view: Name,
-    shards: Vec<Mediator>,
-    /// Per shard: the members' global union positions, in shard-local
-    /// order.
-    positions: Vec<Vec<usize>>,
-    /// Per shard: the node index it runs as.
-    nodes: Vec<usize>,
-    total: usize,
-    inferred: InferredUnionView,
-    registry: Registry,
-}
-
-impl Federation {
-    /// Builds the sharded federation. `nodes` is the cluster width (at
-    /// least 1); `registry` is shared by every shard mediator, so one
-    /// snapshot carries the whole cluster's instruments.
-    pub fn build(
-        view_name: &str,
-        parts: Vec<FederationPart>,
-        nodes: usize,
-        registry: Registry,
-    ) -> Result<Federation, MediatorError> {
-        assert!(nodes >= 1, "a federation needs at least one node");
-        let view = Name::intern(view_name);
-        let ring = HashRing::new(nodes);
-        let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-        for (gp, part) in parts.iter().enumerate() {
-            by_node[ring.node_for(&part.source)].push(gp);
-        }
-        let mut shards = Vec::new();
-        let mut positions = Vec::new();
-        let mut shard_nodes = Vec::new();
-        for (node, gps) in by_node.iter().enumerate() {
-            if gps.is_empty() {
-                continue;
-            }
-            let mut m = Mediator::with_registry(ProcessorConfig::default(), registry.clone());
-            for &gp in gps {
-                m.add_source(&parts[gp].source, Arc::clone(&parts[gp].wrapper));
-            }
-            let local: Vec<(&str, Query)> = gps
-                .iter()
-                .map(|&gp| (parts[gp].source.as_str(), parts[gp].query.clone()))
-                .collect();
-            m.register_union_view(view_name, &local)?;
-            shard_nodes.push(node);
-            positions.push(gps.clone());
-            shards.push(m);
-        }
-        let shard_views: Vec<(&InferredUnionView, &[usize])> = shards
-            .iter()
-            .zip(&positions)
-            .map(|(m, gps)| {
-                let uv: &UnionView = m.union_view(view).expect("union view registered above");
-                (&uv.inferred, gps.as_slice())
-            })
-            .collect();
-        let inferred = compose_union_views(view, &shard_views);
-        Ok(Federation {
-            view,
-            shards,
-            positions,
-            nodes: shard_nodes,
-            total: parts.len(),
-            inferred,
-            registry,
-        })
-    }
-
-    /// The composed global union inference — equal (as a view DTD) to
-    /// what a single node would infer over all parts.
-    pub fn inferred(&self) -> &InferredUnionView {
-        &self.inferred
-    }
-
-    /// The per-shard mediators, in node order.
-    pub fn shards(&self) -> &[Mediator] {
-        &self.shards
-    }
-
-    /// The node index of each shard, parallel to [`Federation::shards`].
-    pub fn shard_nodes(&self) -> &[usize] {
-        &self.nodes
-    }
-
-    /// The registry every shard records into.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Applies one resilience policy to every shard mediator.
-    pub fn set_resilience_policy(&mut self, policy: ResiliencePolicy) {
-        for m in &mut self.shards {
-            m.set_resilience_policy(policy);
-        }
-    }
-
-    /// Materializes the federated view: every shard's members through
-    /// its mediator's resilience layer (shards in parallel, members in
-    /// parallel within each shard), reassembled in global union order.
-    ///
-    /// Degradation semantics match [`Mediator::materialize_with_report`]
-    /// on a union view: the partial answer is served as long as one
-    /// member (anywhere in the cluster) is, and
-    /// [`MediatorError::AllSourcesFailed`] is raised only when none is.
-    pub fn materialize_with_report(&self) -> Result<(Document, DegradationReport), MediatorError> {
-        let _trace_scope = (mix_obs::current_trace() == 0).then(|| self.registry.begin_trace());
-        let _span = self.registry.span("federate");
-        let trace = mix_obs::current_trace();
-        type ShardMembers = Vec<(Option<Document>, SourceOutcome)>;
-        let per_shard: Vec<Result<ShardMembers, MediatorError>> = if self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|m| {
-                        scope.spawn(move || {
-                            let _t = mix_obs::set_current_trace(trace);
-                            m.materialize_union_members(self.view)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard materialization panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter()
-                .map(|m| m.materialize_union_members(self.view))
-                .collect()
-        };
-        let mut slots: Vec<Option<(Option<Document>, SourceOutcome)>> =
-            (0..self.total).map(|_| None).collect();
-        for (gps, members) in self.positions.iter().zip(per_shard) {
-            let members = members?;
-            debug_assert_eq!(gps.len(), members.len());
-            for (local, member) in members.into_iter().enumerate() {
-                slots[gps[local]] = Some(member);
-            }
-        }
-        let _merge_span = self.registry.span("union_merge");
-        let mut members = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut served = 0usize;
-        for slot in slots {
-            let (doc, outcome) =
-                slot.expect("every global position is assigned to exactly one shard");
-            if let Some(part) = doc {
-                served += 1;
-                if let Content::Elements(kids) = part.root.content {
-                    members.extend(kids);
-                }
-            }
-            outcomes.push(outcome);
-        }
-        if served == 0 {
-            return Err(MediatorError::AllSourcesFailed(self.view));
-        }
-        let document = Document::new(Element {
-            name: self.view,
-            id: ElemId::fresh(),
-            content: Content::Elements(members),
-        });
-        let covers = if self.inferred.kind_conflicts.is_empty() {
-            mix_dtd::satisfies(&self.inferred.dtd, &document)
-        } else {
-            mix_dtd::sdtd_satisfies(&self.inferred.sdtd, &document)
-        };
-        let report = DegradationReport {
-            view: self.view.to_string(),
-            outcomes,
-            union_dtd_covers_survivors: covers,
-        };
-        if !report.is_clean() {
-            let served = report
-                .outcomes
-                .iter()
-                .filter(|o| o.status != FetchStatus::Failed)
-                .count();
-            self.registry.event(
-                "degraded-answer",
-                format!(
-                    "view '{}': {}/{} sources served, union DTD covers survivors: {}",
-                    report.view,
-                    served,
-                    report.outcomes.len(),
-                    if report.union_dtd_covers_survivors {
-                        "yes"
-                    } else {
-                        "no"
-                    }
-                ),
-            );
-        }
-        Ok((document, report))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{Fault, FaultInjector, FaultPlan};
+    use crate::mediator::{Mediator, ProcessorConfig};
+    use crate::resilience::FetchStatus;
     use crate::source::XmlSource;
     use mix_dtd::parse_compact;
+    use mix_obs::Registry;
     use mix_relang::symbol::name;
     use mix_xmas::parse_query;
     use mix_xml::{parse_document, write_document, WriteConfig};
@@ -839,6 +433,32 @@ mod tests {
         write_document(doc, WriteConfig::default())
     }
 
+    /// `m` with a union view `all` over `members`, in order — the shape
+    /// `mixctl federate --topology` builds from a topology file.
+    fn with_union(mut m: Mediator, members: Vec<(String, Arc<dyn Wrapper>, Query)>) -> Mediator {
+        for (source, wrapper, _) in &members {
+            m.add_source(source, Arc::clone(wrapper));
+        }
+        let parts: Vec<(&str, Query)> = members
+            .iter()
+            .map(|(source, _, q)| (source.as_str(), q.clone()))
+            .collect();
+        m.register_union_view("all", &parts).unwrap();
+        m
+    }
+
+    /// Bare sources `site0`..`site3` (site `i` holds `i + 1` entries),
+    /// member `i` asking `query(i)`.
+    fn plain_sites(query: impl Fn(usize) -> Query) -> Vec<(String, Arc<dyn Wrapper>, Query)> {
+        (0..4)
+            .map(|i| {
+                let s = format!("site{i}");
+                let w: Arc<dyn Wrapper> = Arc::new(site_source(&s, i + 1));
+                (s, w, query(i))
+            })
+            .collect()
+    }
+
     #[test]
     fn topology_parses_nodes_sources_and_comments() {
         let topo = Topology::parse(
@@ -849,7 +469,6 @@ mod tests {
              source site1 = 127.0.0.1:7003\n",
         )
         .unwrap();
-        assert_eq!(topo.nodes, 2);
         assert_eq!(topo.sources.len(), 2);
         assert_eq!(topo.sources[0].name, "site0");
         assert_eq!(
@@ -857,22 +476,32 @@ mod tests {
             vec!["127.0.0.1:7001", "127.0.0.1:7002"]
         );
         assert_eq!(topo.sources[1].replicas, vec!["127.0.0.1:7003"]);
+        // `nodes N` is optional and changes nothing
+        let without_nodes = Topology::parse(
+            "source site0 = 127.0.0.1:7001, 127.0.0.1:7002
+             source site1 = 127.0.0.1:7003
+",
+        );
+        assert_eq!(without_nodes, Ok(topo));
     }
 
     #[test]
     fn topology_rejects_malformed_input() {
+        let garbage_at = |text: &str| match Topology::parse(text) {
+            Err(TopologyError::Garbage { line, .. }) => line,
+            other => panic!("{text:?} parsed as {other:?}"),
+        };
+        assert_eq!(garbage_at("nodes 0\n"), 1);
+        assert_eq!(garbage_at("nodes 1\nwat\n"), 2);
+        // keywords are whole words
+        assert_eq!(garbage_at("nodes2\n"), 1);
+        assert_eq!(garbage_at("nodes 1\nsourcery = 127.0.0.1:1\n"), 2);
+        // a missing comma or a stray '=' is not one replica address
         assert_eq!(
-            Topology::parse("source s = 1.2.3.4:5\n"),
-            Err(TopologyError::MissingNodes)
+            garbage_at("nodes 1\nsource s = 127.0.0.1:1 127.0.0.1:2\n"),
+            2
         );
-        assert_eq!(
-            Topology::parse("nodes 0\n"),
-            Err(TopologyError::MissingNodes)
-        );
-        assert!(matches!(
-            Topology::parse("nodes 1\nwat\n"),
-            Err(TopologyError::Garbage { line: 2, .. })
-        ));
+        assert_eq!(garbage_at("source s = 127.0.0.1:1, t = 127.0.0.1:2\n"), 1);
         assert_eq!(
             Topology::parse("nodes 1\nsource s = a:1\nsource s = b:2\n"),
             Err(TopologyError::DuplicateSource("s".into()))
@@ -881,32 +510,6 @@ mod tests {
             Topology::parse("nodes 1\nsource s = \n"),
             Err(TopologyError::NoReplicas("s".into()))
         );
-    }
-
-    #[test]
-    fn hash_ring_is_deterministic_and_consistent_under_growth() {
-        let small = HashRing::new(3);
-        let big = HashRing::new(4);
-        let keys: Vec<String> = (0..200).map(|i| format!("site{i}")).collect();
-        let mut moved = 0;
-        let mut per_node = [0usize; 3];
-        for k in &keys {
-            let a = small.node_for(k);
-            assert_eq!(a, small.node_for(k), "assignment must be stable");
-            assert!(a < 3);
-            per_node[a] += 1;
-            let b = big.node_for(k);
-            if a != b {
-                // consistency: a key only ever moves TO the new node
-                assert_eq!(b, 3, "'{k}' moved {a} -> {b}, not to the new node");
-                moved += 1;
-            }
-        }
-        assert!(moved > 0, "the new node must take over some keys");
-        assert!(moved < keys.len() / 2, "growth reshuffled too much");
-        for (node, n) in per_node.iter().enumerate() {
-            assert!(*n > 0, "node {node} got no keys out of {}", keys.len());
-        }
     }
 
     #[test]
@@ -1044,67 +647,11 @@ mod tests {
         assert!(matches!(err, SourceError::Incompatible(_)));
     }
 
-    /// The tentpole equivalence: a sharded federation's answer, report
-    /// shape, and composed view DTD all match the single-node mediator
-    /// over the same sources.
+    /// Satisfiability pruning over replica sets: members with
+    /// provably-Unsat queries are skipped before any replica is called,
+    /// and the answer stays byte-identical to an unpruned run.
     #[test]
-    fn federation_matches_the_single_node_run() {
-        let sources: Vec<(String, usize)> = (0..5).map(|i| (format!("site{i}"), i + 1)).collect();
-
-        let mut single = Mediator::new();
-        for (s, n) in &sources {
-            single.add_source(s, Arc::new(site_source(s, *n)));
-        }
-        let parts_single: Vec<(&str, Query)> = sources
-            .iter()
-            .map(|(s, _)| (s.as_str(), part_query()))
-            .collect();
-        single.register_union_view("all", &parts_single).unwrap();
-        let (single_doc, single_report) = single.materialize_with_report(name("all")).unwrap();
-
-        for nodes in [1usize, 2, 3] {
-            let parts: Vec<FederationPart> = sources
-                .iter()
-                .map(|(s, n)| FederationPart {
-                    source: s.clone(),
-                    wrapper: Arc::new(site_source(s, *n)) as Arc<dyn Wrapper>,
-                    query: part_query(),
-                })
-                .collect();
-            let fed = Federation::build("all", parts, nodes, Registry::new()).unwrap();
-            if nodes > 1 {
-                assert!(fed.shards().len() > 1, "5 sources should span 2+ shards");
-            }
-            let (doc, report) = fed.materialize_with_report().unwrap();
-            assert_eq!(
-                render(&doc),
-                render(&single_doc),
-                "{nodes}-node federation diverged from the single node"
-            );
-            assert!(report.is_clean());
-            assert_eq!(report.outcomes.len(), single_report.outcomes.len());
-            let order: Vec<&str> = report.outcomes.iter().map(|o| o.source.as_str()).collect();
-            let single_order: Vec<&str> = single_report
-                .outcomes
-                .iter()
-                .map(|o| o.source.as_str())
-                .collect();
-            assert_eq!(order, single_order, "outcome order must be global order");
-            // the composed view DTD agrees with the single-node inference
-            let su = single.union_view(name("all")).unwrap();
-            assert!(mix_dtd::same_documents(
-                &fed.inferred().dtd,
-                &su.inferred.dtd
-            ));
-            assert_eq!(fed.inferred().verdict, su.inferred.verdict);
-        }
-    }
-
-    /// Shard-level satisfiability pruning: members with provably-Unsat
-    /// queries are skipped before any fetch, and the federated answer
-    /// stays byte-identical to an unpruned single-node run.
-    #[test]
-    fn unsat_members_and_shards_are_skipped_before_any_fetch() {
+    fn unsat_members_are_skipped_before_any_fetch() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         struct CountingSource {
@@ -1121,61 +668,54 @@ mod tests {
             }
         }
 
-        // <entry> is PCDATA, so a child step under it is provably Unsat
-        let unsat_query = || {
-            parse_query("all = SELECT X WHERE <site> <entry> X:<deep/> </entry> </site>").unwrap()
+        // <entry> is PCDATA, so a child step under it is provably Unsat;
+        // the first `sat_members` members ask the satisfiable query
+        let query = |i: usize, sat_members: usize| {
+            if i < sat_members {
+                part_query()
+            } else {
+                parse_query("all = SELECT X WHERE <site> <entry> X:<deep/> </entry> </site>")
+                    .unwrap()
+            }
         };
-        let build_parts = |fetches: &Arc<AtomicUsize>, sat_members: usize| -> Vec<FederationPart> {
-            (0..4)
+        let pruning = |fetches: &Arc<AtomicUsize>, registry: &Registry, sat_members: usize| {
+            let members = (0..4)
                 .map(|i| {
                     let s = format!("site{i}");
-                    FederationPart {
-                        source: s.clone(),
-                        wrapper: Arc::new(CountingSource {
-                            inner: site_source(&s, i + 1),
-                            fetches: Arc::clone(fetches),
-                        }) as Arc<dyn Wrapper>,
-                        query: if i < sat_members {
-                            part_query()
-                        } else {
-                            unsat_query()
-                        },
-                    }
+                    let counting: Arc<dyn Wrapper> = Arc::new(CountingSource {
+                        inner: site_source(&s, i + 1),
+                        fetches: Arc::clone(fetches),
+                    });
+                    let set = ReplicaSet::new(
+                        &s,
+                        vec![counting],
+                        ReplicaPolicy::default(),
+                        ReplicaInstruments::new(registry, &s, 1),
+                    )
+                    .unwrap();
+                    let w: Arc<dyn Wrapper> = Arc::new(set);
+                    (s, w, query(i, sat_members))
                 })
-                .collect()
+                .collect();
+            let m = Mediator::with_registry(ProcessorConfig::default(), registry.clone());
+            with_union(m, members)
         };
-
-        // reference: a single unpruned node over the same sources
+        // reference: an unpruned mediator over the bare sources
         let reference = |sat_members: usize| -> Document {
-            let mut m = Mediator::with_config(ProcessorConfig {
+            let m = Mediator::with_config(ProcessorConfig {
                 use_sat_pruning: false,
                 ..ProcessorConfig::default()
             });
-            for i in 0..4 {
-                let s = format!("site{i}");
-                m.add_source(&s, Arc::new(site_source(&s, i + 1)));
-            }
-            let parts: Vec<(String, Query)> = (0..4)
-                .map(|i| {
-                    let q = if i < sat_members {
-                        part_query()
-                    } else {
-                        unsat_query()
-                    };
-                    (format!("site{i}"), q)
-                })
-                .collect();
-            let refs: Vec<(&str, Query)> =
-                parts.iter().map(|(s, q)| (s.as_str(), q.clone())).collect();
-            m.register_union_view("all", &refs).unwrap();
-            m.materialize(name("all")).unwrap()
+            with_union(m, plain_sites(|i| query(i, sat_members)))
+                .materialize(name("all"))
+                .unwrap()
         };
 
-        // every member Unsat: all shards skip, zero fetches anywhere
+        // every member Unsat: zero fetches anywhere
         let fetches = Arc::new(AtomicUsize::new(0));
         let registry = Registry::new();
-        let fed = Federation::build("all", build_parts(&fetches, 0), 2, registry.clone()).unwrap();
-        let (doc, report) = fed.materialize_with_report().unwrap();
+        let m = pruning(&fetches, &registry, 0);
+        let (doc, report) = m.materialize_with_report(name("all")).unwrap();
         assert_eq!(render(&doc), render(&reference(0)));
         assert_eq!(fetches.load(Ordering::SeqCst), 0, "no member may fetch");
         assert_eq!(report.outcomes.len(), 4);
@@ -1185,34 +725,23 @@ mod tests {
         // mixed: only the satisfiable member fetches, bytes still match
         let fetches = Arc::new(AtomicUsize::new(0));
         let registry = Registry::new();
-        let fed = Federation::build("all", build_parts(&fetches, 1), 2, registry.clone()).unwrap();
-        let (doc, _) = fed.materialize_with_report().unwrap();
+        let m = pruning(&fetches, &registry, 1);
+        let (doc, _) = m.materialize_with_report(name("all")).unwrap();
         assert_eq!(render(&doc), render(&reference(1)));
         assert_eq!(fetches.load(Ordering::SeqCst), 1, "one Sat member fetches");
         assert_eq!(registry.snapshot().counters["sat_pruned_total"], 3);
     }
 
-    /// A replica killed under a shard is invisible in the answer: the
-    /// replica set fails over, the member serves fresh, and the bytes
-    /// match the fault-free single-node run.
+    /// A killed replica is invisible in the answer: the replica set fails
+    /// over, the member serves fresh, and the bytes match the fault-free
+    /// run over bare sources.
     #[test]
     fn replica_failure_keeps_the_federated_answer_byte_identical() {
-        let mut single = Mediator::new();
-        for i in 0..4 {
-            let s = format!("site{i}");
-            single.add_source(&s, Arc::new(site_source(&s, i + 1)));
-        }
-        let parts_single: Vec<(String, Query)> =
-            (0..4).map(|i| (format!("site{i}"), part_query())).collect();
-        let refs: Vec<(&str, Query)> = parts_single
-            .iter()
-            .map(|(s, q)| (s.as_str(), q.clone()))
-            .collect();
-        single.register_union_view("all", &refs).unwrap();
+        let single = with_union(Mediator::new(), plain_sites(|_| part_query()));
         let (single_doc, _) = single.materialize_with_report(name("all")).unwrap();
 
         let registry = Registry::new();
-        let parts: Vec<FederationPart> = (0..4)
+        let members = (0..4)
             .map(|i| {
                 let s = format!("site{i}");
                 // replica 0 of site1 is dead from the start; every set
@@ -1238,16 +767,16 @@ mod tests {
                     ReplicaInstruments::new(&registry, &s, 2),
                 )
                 .unwrap();
-                FederationPart {
-                    source: s,
-                    wrapper: Arc::new(set),
-                    query: part_query(),
-                }
+                let w: Arc<dyn Wrapper> = Arc::new(set);
+                (s, w, part_query())
             })
             .collect();
-        let fed = Federation::build("all", parts, 2, registry.clone()).unwrap();
+        let m = with_union(
+            Mediator::with_registry(ProcessorConfig::default(), registry.clone()),
+            members,
+        );
         for _ in 0..3 {
-            let (doc, report) = fed.materialize_with_report().unwrap();
+            let (doc, report) = m.materialize_with_report(name("all")).unwrap();
             assert_eq!(render(&doc), render(&single_doc));
             assert!(report.is_clean(), "failover must be invisible: {report}");
         }

@@ -23,11 +23,12 @@
 //! mixctl stats      --remote 127.0.0.1:7801 [--format prom]
 //! ```
 //!
-//! A topology file (`federate --topology`) describes a sharded,
-//! replica-aware cluster of `serve-source` daemons:
+//! A topology file (`federate --topology`) lists replicated
+//! `serve-source` daemons, one source per line in union order; each
+//! source becomes one union member that fails over across its replicas
+//! (a `nodes N` line is accepted and ignored):
 //!
 //! ```text
-//! nodes 2
 //! source site0 = 127.0.0.1:7801, 127.0.0.1:7811
 //! source site1 = 127.0.0.1:7802
 //! ```
@@ -488,119 +489,62 @@ fn serve_bench(args: &Args, dtd: &Dtd, view_q: &Query) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `federate --topology`: the sharded, replica-aware federation tier.
-///
-/// Every source in the topology becomes a [`ReplicaSet`] over its
-/// replica daemons (replicas that refuse the connection are registered
-/// as [`DeadReplica`] placeholders, keeping failover order stable);
-/// sources are sharded across `nodes` mediator nodes by consistent
-/// hashing; the shards' members reassemble in topology order, so the
-/// answer is byte-identical to a single-node `federate` over the same
-/// sources.
-fn federate_topology(args: &Args, q: &Query, topo_path: &str) -> ExitCode {
+/// Reads a `--topology` file. Exits 4 when it does not parse and 2 when
+/// it lists no sources.
+fn load_topology(path: &str) -> Topology {
+    let topo = Topology::parse(&read(path)).unwrap_or_else(|e| {
+        eprintln!("mixctl: {path}: {e}");
+        std::process::exit(EXIT_PARSE as i32)
+    });
+    if topo.sources.is_empty() {
+        eprintln!("mixctl: {path}: the topology lists no sources");
+        std::process::exit(2)
+    }
+    topo
+}
+
+/// One `federate --topology` member: a [`ReplicaSet`] over the source's
+/// replica daemons, recording into `registry`. Replicas that refuse the
+/// connection are kept as [`DeadReplica`] placeholders, so failover
+/// order stays the configured one. Fails with the exit code when no
+/// replica answers or the replicas' DTDs disagree.
+fn replica_set(args: &Args, registry: &Registry, spec: &SourceSpec) -> Result<ReplicaSet, u8> {
     use std::sync::Arc;
 
-    let topo = match Topology::parse(&read(topo_path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mixctl: {topo_path}: {e}");
-            return ExitCode::from(EXIT_PARSE);
-        }
-    };
-    if topo.sources.is_empty() {
-        eprintln!("mixctl: {topo_path}: the topology lists no sources");
-        return ExitCode::from(2);
-    }
     let cfg = client_config(args);
-    let registry = Registry::new();
-    // the federation tier holds no single inference cache to warm, but a
-    // store still seeds the pool arena and inclusion memo every shard
-    // mediator consults (loaded views are re-inferred warm from those)
-    if let Some(store) = open_store(args, &registry) {
-        let _ = store.load();
-    }
-    let mut parts = Vec::new();
-    for spec in &topo.sources {
-        // connect what answers; remember the positions that don't
-        let mut live: Vec<Option<Arc<dyn Wrapper>>> = Vec::new();
-        for addr in &spec.replicas {
-            match RemoteWrapper::connect_with(addr, cfg) {
-                Ok(w) => live.push(Some(Arc::new(w))),
-                Err(e) => {
-                    eprintln!("mixctl: warning: {}: replica {addr}: {e}", spec.name);
-                    live.push(None);
-                }
-            }
-        }
-        let Some(dtd) = live.iter().flatten().next().map(|w| w.dtd().clone()) else {
-            eprintln!("mixctl: every replica of '{}' is unreachable", spec.name);
-            return ExitCode::from(EXIT_UNAVAILABLE);
-        };
-        // dead replicas keep their failover position: a later run where
-        // the replica died one call in produces the same report
-        let replicas: Vec<Arc<dyn Wrapper>> = live
-            .into_iter()
-            .zip(&spec.replicas)
-            .map(|(w, addr)| w.unwrap_or_else(|| Arc::new(DeadReplica::new(addr, dtd.clone()))))
-            .collect();
-        let n = replicas.len();
-        let set = match ReplicaSet::new(
-            &spec.name,
-            replicas,
-            ReplicaPolicy::default(),
-            ReplicaInstruments::new(&registry, &spec.name, n),
-        ) {
-            Ok(s) => s,
+    // connect what answers; remember the positions that don't
+    let mut live: Vec<Option<Arc<dyn Wrapper>>> = Vec::new();
+    for addr in &spec.replicas {
+        match RemoteWrapper::connect_with(addr, cfg) {
+            Ok(w) => live.push(Some(Arc::new(w))),
             Err(e) => {
-                eprintln!("mixctl: {}: {e}", spec.name);
-                return ExitCode::from(source_error_exit(&e));
+                eprintln!("mixctl: warning: {}: replica {addr}: {e}", spec.name);
+                live.push(None);
             }
-        };
-        parts.push(FederationPart {
-            source: spec.name.clone(),
-            wrapper: Arc::new(set),
-            query: q.clone(),
-        });
+        }
     }
-    let mut fed = match Federation::build(&args.name, parts, topo.nodes, registry) {
-        Ok(f) => f,
-        Err(MediatorError::Normalize(e)) => {
-            eprintln!("mixctl: query rejected: {e}");
-            return ExitCode::from(EXIT_QUERY);
-        }
-        Err(e) => {
-            eprintln!("mixctl: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(dtd) = live.iter().flatten().next().map(|w| w.dtd().clone()) else {
+        eprintln!("mixctl: every replica of '{}' is unreachable", spec.name);
+        return Err(EXIT_UNAVAILABLE);
     };
-    fed.set_resilience_policy(ResiliencePolicy {
-        max_retries: args.retries,
-        ..ResiliencePolicy::default()
-    });
-    let code = match fed.materialize_with_report() {
-        Ok((doc, report)) => {
-            println!("{}", write_document(&doc, WriteConfig::default()));
-            print!("{report}");
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(EXIT_DEGRADED)
-            }
-        }
-        Err(e) => {
-            eprintln!("mixctl: {e}");
-            match e {
-                MediatorError::AllSourcesFailed(_) => ExitCode::from(EXIT_UNAVAILABLE),
-                MediatorError::Source { error, .. } => ExitCode::from(source_error_exit(&error)),
-                MediatorError::Normalize(_) => ExitCode::from(EXIT_QUERY),
-                _ => ExitCode::FAILURE,
-            }
-        }
-    };
-    if let Some(path) = &args.metrics_file {
-        dump_metrics(path, fed.registry(), &args.format);
-    }
-    code
+    // dead replicas keep their failover position: a later run where
+    // the replica died one call in produces the same report
+    let replicas: Vec<Arc<dyn Wrapper>> = live
+        .into_iter()
+        .zip(&spec.replicas)
+        .map(|(w, addr)| w.unwrap_or_else(|| Arc::new(DeadReplica::new(addr, dtd.clone()))))
+        .collect();
+    let n = replicas.len();
+    ReplicaSet::new(
+        &spec.name,
+        replicas,
+        ReplicaPolicy::default(),
+        ReplicaInstruments::new(registry, &spec.name, n),
+    )
+    .map_err(|e| {
+        eprintln!("mixctl: {}: {e}", spec.name);
+        source_error_exit(&e)
+    })
 }
 
 /// `eval --stream`: one-pass evaluation over the document file with the
@@ -692,11 +636,11 @@ fn main() -> ExitCode {
                  \x20            [--inflight M]   union local docs and\n\
                  \x20            remote serve-source daemons as one view under injected\n\
                  \x20            faults; print the (partial) answer + degradation report.\n\
-                 \x20            --topology shards a replica-aware cluster instead: the\n\
-                 \x20            file lists 'nodes N' and 'source NAME = ADDR, ADDR'\n\
-                 \x20            lines; sources shard across N mediator nodes by\n\
-                 \x20            consistent hashing and each call fails over across the\n\
-                 \x20            source's replicas (circuit breaker per replica)\n\
+                 \x20            --topology takes the members from a file instead: one\n\
+                 \x20            'source NAME = ADDR, ADDR' line per member, in union\n\
+                 \x20            order; each call fails over across the source's\n\
+                 \x20            replicas (circuit breaker per replica). A 'nodes N'\n\
+                 \x20            line is accepted and ignored\n\
                  \x20 serve      --bench --dtd F --query F --doc F … [--batch N]\n\
                  \x20            [--threads 1,2,4,8] [--latency-ms MS] [--out FILE]\n\
                  \x20            throughput driver: cold/warm inference-cache timing and\n\
@@ -909,14 +853,12 @@ fn main() -> ExitCode {
         }
         "federate" => {
             let q = load_query(&args);
-            if let Some(topo_path) = &args.topology {
-                if !args.docs.is_empty() || !args.remotes.is_empty() {
-                    eprintln!("mixctl: --topology replaces --doc/--remote members");
-                    return ExitCode::from(2);
-                }
-                return federate_topology(&args, &q, topo_path);
+            if args.topology.is_some() && (!args.docs.is_empty() || !args.remotes.is_empty()) {
+                eprintln!("mixctl: --topology replaces --doc/--remote members");
+                return ExitCode::from(2);
             }
-            if args.docs.is_empty() && args.remotes.is_empty() {
+            let topology = args.topology.as_deref().map(load_topology);
+            if topology.is_none() && args.docs.is_empty() && args.remotes.is_empty() {
                 usage();
             }
             let registry = Registry::new();
@@ -933,6 +875,15 @@ fn main() -> ExitCode {
                 ..ResiliencePolicy::default()
             });
             let mut site_names: Vec<String> = Vec::new();
+            // topology members, in file order: one replica set per source
+            for spec in topology.iter().flat_map(|t| &t.sources) {
+                let set = match replica_set(&args, m.registry(), spec) {
+                    Ok(set) => set,
+                    Err(code) => return ExitCode::from(code),
+                };
+                m.add_source(&spec.name, std::sync::Arc::new(set));
+                site_names.push(spec.name.clone());
+            }
             if !args.docs.is_empty() {
                 // local members share the --dtd; remote members export
                 // their own DTDs at registration

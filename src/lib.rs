@@ -64,17 +64,17 @@ pub mod prelude {
         tightness_counts, ServingMetrics,
     };
     pub use mix_infer::{
-        check_sat, classify_query, compose_union_views, infer_view_dtd, merge, naive_view_dtd,
-        refine, tighten, CacheStats, InferenceCache, InferredUnionView, InferredView, NaiveMode,
-        SatCache, SatVerdict, Verdict, WarmStore,
+        check_sat, classify_query, infer_view_dtd, merge, naive_view_dtd, refine, tighten,
+        CacheStats, InferenceCache, InferredUnionView, InferredView, NaiveMode, SatCache,
+        SatVerdict, Verdict, WarmStore,
     };
     pub use mix_mediator::{
         compose, render_structure, Answer, AnswerPath, BreakerState, DeadReplica,
-        DegradationReport, Fault, FaultInjector, FaultPlan, Federation, FederationPart,
-        FetchStatus, HashRing, LatencyWrapper, Mediator, MediatorError, ProcessorConfig,
-        RemoteWrapper, ReplicaInstruments, ReplicaPolicy, ReplicaSet, ResiliencePolicy, ServedBy,
-        SourceError, SourceOutcome, SourceSpec, StreamingWrapper, Topology, TopologyError,
-        UnionView, ViewWrapper, Wrapper, WrapperService, XmlSource,
+        DegradationReport, Fault, FaultInjector, FaultPlan, FetchStatus, LatencyWrapper, Mediator,
+        MediatorError, ProcessorConfig, RemoteWrapper, ReplicaInstruments, ReplicaPolicy,
+        ReplicaSet, ResiliencePolicy, ServedBy, SourceError, SourceOutcome, SourceSpec,
+        StreamingWrapper, Topology, TopologyError, UnionView, ViewWrapper, Wrapper, WrapperService,
+        XmlSource,
     };
     pub use mix_net::{
         AdmissionConfig, ClientConfig, Connection, Msg, NetError, Pool, Server, ServerConfig,

@@ -620,11 +620,11 @@ fn document_part(stdout: &[u8]) -> String {
     }
 }
 
-/// The satellite e2e for `federate --topology`: 2 sources × 2 replica
-/// daemons sharded across 2 nodes; the cluster answer matches a
-/// single-node `federate --remote` over one replica of each source, exit
-/// 0; after one replica is killed, the rerun still exits 0 with the
-/// identical document.
+/// The e2e for `federate --topology`: 2 sources × 2 replica daemons;
+/// the answer matches a `federate --remote` over one replica of each
+/// source, exit 0, and `--store-dir` leaves a compacted snapshot
+/// generation as on every other federate path; after one replica is
+/// killed, the rerun still exits 0 with the identical document.
 #[test]
 fn federate_topology_survives_a_replica_kill_byte_identically() {
     let dtd = fixture("topo.dtd", D1);
@@ -671,12 +671,16 @@ fn federate_topology_survives_a_replica_kill_byte_identically() {
     let expected = document_part(&single.stdout);
     assert!(expected.contains("<view>"), "{expected}");
 
+    let store = std::env::temp_dir().join(format!("mixctl-test-{}-topo-store", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
     let healthy = mixctl(&[
         "federate",
         "--query",
         q.to_str().unwrap(),
         "--topology",
         topo.to_str().unwrap(),
+        "--store-dir",
+        store.to_str().unwrap(),
     ]);
     assert_eq!(healthy.status.code(), Some(0), "{healthy:?}");
     assert_eq!(
@@ -686,6 +690,17 @@ fn federate_topology_survives_a_replica_kill_byte_identically() {
     );
     let report = String::from_utf8_lossy(&healthy.stdout);
     assert!(report.contains("2/2 sources served"), "{report}");
+    let generations: Vec<String> = std::fs::read_dir(&store)
+        .expect("store directory created")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|f| f.starts_with("gen-") && f.ends_with(".snap"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&store);
+    assert_eq!(
+        generations.len(),
+        1,
+        "one compacted generation: {generations:?}"
+    );
 
     // the chaos event: replica 0 of siteA dies; the rerun must still
     // serve the identical document, exit 0, report clean

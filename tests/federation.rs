@@ -1,20 +1,14 @@
-//! End-to-end tests for the sharded, replica-aware federation tier.
+//! End-to-end tests for the replica-aware federation tier: one mediator
+//! whose union members are replica sets over loopback `serve-source`
+//! daemons — the shape `mixctl federate --topology` builds.
 //!
-//! The chaos scenario: a 2-shard × 2-replica cluster of loopback
-//! `serve-source` daemons serves a federated union view in a batch loop;
-//! one replica is killed mid-batch. Every answer — before, at, and after
-//! the kill — must be byte-identical to a fault-free single-node run
-//! over the same sources, because the replica set fails over inside the
-//! member call and the member still serves fresh.
-//!
-//! The property test is the sharding-invisibility contract for the *view
-//! DTD*: composing per-shard union inferences ([`compose_union_views`])
-//! over any random sharding of a source set yields the same inference a
-//! single node computes over the whole set.
+//! The chaos scenario: 4 sources × 2 replicas serve a federated union
+//! view in a batch loop; one replica is killed mid-batch. Every answer —
+//! before, at, and after the kill — must be byte-identical to a
+//! fault-free run over the bare sources, because the replica set fails
+//! over inside the member call and the member still serves fresh.
 
-use mix::infer::infer_union_view_dtd;
 use mix::prelude::*;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 const SITE_DTD: &str = "{<site : entry*> <entry : PCDATA>}";
@@ -49,12 +43,12 @@ fn render(doc: &Document) -> String {
     write_document(doc, WriteConfig::default())
 }
 
-/// The ISSUE chaos scenario, in process: 2 shards × 2 replicas, one
-/// replica killed mid-batch, every answer byte-identical to the
-/// fault-free single-node run.
+/// The chaos scenario, in process: 4 sources × 2 replicas, one replica
+/// killed mid-batch, every answer byte-identical to the fault-free run
+/// over the bare sources.
 #[test]
 fn replica_kill_mid_batch_is_invisible_in_the_answer_bytes() {
-    // the fault-free single-node reference
+    // the fault-free reference over the bare sources
     let mut single = Mediator::new();
     let mut parts_single = Vec::new();
     for i in 0..4 {
@@ -82,36 +76,27 @@ fn replica_kill_mid_batch_is_invisible_in_the_answer_bytes() {
         ]);
     }
     let registry = Registry::new();
-    let parts: Vec<FederationPart> = (0..4)
-        .map(|i| {
-            let s = format!("site{i}");
-            let replicas: Vec<Arc<dyn Wrapper>> = daemons[i]
-                .iter()
-                .map(|d| {
-                    let addr = d.as_ref().expect("daemon alive").addr().to_string();
-                    Arc::new(RemoteWrapper::connect(&addr).expect("replica reachable"))
-                        as Arc<dyn Wrapper>
-                })
-                .collect();
-            let set = ReplicaSet::new(
-                &s,
-                replicas,
-                ReplicaPolicy::default(),
-                ReplicaInstruments::new(&registry, &s, 2),
-            )
-            .expect("replica DTDs agree");
-            FederationPart {
-                source: s,
-                wrapper: Arc::new(set),
-                query: part_query(),
-            }
-        })
-        .collect();
-    let fed = Federation::build("all", parts, 2, registry.clone()).unwrap();
-    assert!(
-        fed.shards().len() >= 2,
-        "4 sources across 2 nodes should occupy both"
-    );
+    let mut fed = Mediator::with_registry(ProcessorConfig::default(), registry.clone());
+    for (i, replica_daemons) in daemons.iter().enumerate() {
+        let s = format!("site{i}");
+        let replicas: Vec<Arc<dyn Wrapper>> = replica_daemons
+            .iter()
+            .map(|d| {
+                let addr = d.as_ref().expect("daemon alive").addr().to_string();
+                Arc::new(RemoteWrapper::connect(&addr).expect("replica reachable"))
+                    as Arc<dyn Wrapper>
+            })
+            .collect();
+        let set = ReplicaSet::new(
+            &s,
+            replicas,
+            ReplicaPolicy::default(),
+            ReplicaInstruments::new(&registry, &s, 2),
+        )
+        .expect("replica DTDs agree");
+        fed.add_source(&s, Arc::new(set));
+    }
+    fed.register_union_view("all", &refs).unwrap();
 
     const BATCH: usize = 6;
     for k in 0..BATCH {
@@ -120,11 +105,13 @@ fn replica_kill_mid_batch_is_invisible_in_the_answer_bytes() {
             // its pooled connection down with it
             daemons[2][0].take().expect("not yet killed").shutdown();
         }
-        let (doc, report) = fed.materialize_with_report().expect("cluster serves");
+        let (doc, report) = fed
+            .materialize_with_report(name("all"))
+            .expect("cluster serves");
         assert_eq!(
             render(&doc),
             expected,
-            "batch answer {k} diverged from the fault-free single-node run"
+            "batch answer {k} diverged from the fault-free reference"
         );
         assert!(
             report.is_clean(),
@@ -155,7 +142,7 @@ fn replica_kill_mid_batch_is_invisible_in_the_answer_bytes() {
 
 /// All replicas of one source down → that member degrades exactly like a
 /// single dead source in a plain federation (partial answer, failed
-/// member in the report), while the other shards keep serving fresh.
+/// member in the report), while the other members keep serving fresh.
 #[test]
 fn all_replicas_down_degrades_like_a_single_dead_source() {
     let policy = ResiliencePolicy {
@@ -163,6 +150,7 @@ fn all_replicas_down_degrades_like_a_single_dead_source() {
         ..ResiliencePolicy::default()
     };
     let registry = Registry::new();
+    let mut fed = Mediator::with_registry(ProcessorConfig::default(), registry.clone());
     let mut parts = Vec::new();
     let mut doomed = Vec::new();
     for i in 0..3 {
@@ -189,19 +177,17 @@ fn all_replicas_down_degrades_like_a_single_dead_source() {
         } else {
             Arc::new(site_source(&s, 3))
         };
-        parts.push(FederationPart {
-            source: s,
-            wrapper,
-            query: part_query(),
-        });
+        fed.add_source(&s, wrapper);
+        parts.push((s, part_query()));
     }
-    let mut fed = Federation::build("all", parts, 2, registry.clone()).unwrap();
+    let refs: Vec<(&str, Query)> = parts.iter().map(|(s, q)| (s.as_str(), q.clone())).collect();
+    fed.register_union_view("all", &refs).unwrap();
     fed.set_resilience_policy(policy);
     for d in doomed {
         d.shutdown();
     }
     let (doc, report) = fed
-        .materialize_with_report()
+        .materialize_with_report(name("all"))
         .expect("partial answer served");
     assert!(!report.is_clean());
     assert_eq!(report.failed_sources(), vec!["site1"]);
@@ -215,111 +201,4 @@ fn all_replicas_down_degrades_like_a_single_dead_source() {
     let snap = registry.snapshot();
     assert!(snap.counters[r#"replica_exhausted_total{source="site1"}"#] >= 1);
     assert_eq!(snap.gauges[r#"replica_healthy{source="site1"}"#], 0);
-}
-
-// ---------------------------------------------------------------------------
-// Property: per-shard union inference composes to the single-node
-// inference under any sharding (satellite 1).
-// ---------------------------------------------------------------------------
-
-/// The member pool: paper DTDs (D1, D9, D11) with known-good member
-/// queries of different shapes (deep pick under a disjunctive filter,
-/// whole-subtree pick, leaf pick).
-fn member_pool() -> Vec<(Query, Dtd)> {
-    let d1 = mix::dtd::paper::d1_department();
-    let d9 = mix::dtd::paper::d9_professor();
-    let d11 = mix::dtd::paper::d11_department();
-    let q = |text: &str| parse_query(text).unwrap();
-    vec![
-        (
-            q("m = SELECT P WHERE <department> <professor | gradStudent> \
-               P:<publication><journal/></publication> </> </>"),
-            d1.clone(),
-        ),
-        (
-            q("m = SELECT P WHERE <department> P:<professor/> </>"),
-            d1.clone(),
-        ),
-        (
-            q("m = SELECT G WHERE <department> G:<gradStudent/> </>"),
-            d11.clone(),
-        ),
-        (
-            q("m = SELECT P WHERE <department> <gradStudent> P:<publication/> </> </>"),
-            d11,
-        ),
-        (q("m = SELECT J WHERE <professor> J:<journal/> </>"), d9),
-        (q("m = SELECT N WHERE <department> N:<name/> </>"), d1),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any sharding of any member multiset: composing the per-shard
-    /// inferred union views yields the single-node inference — same
-    /// member list types, same merged DTD (as a language), same
-    /// PCDATA/element kind conflicts, same verdict.
-    #[test]
-    fn sharded_union_inference_composes_to_the_single_node_inference(
-        picks in prop::collection::vec(0usize..6, 1..7),
-        assign in prop::collection::vec(0usize..4, 6..7),
-        nodes in 1usize..=4,
-    ) {
-        let pool = member_pool();
-        let members: Vec<&(Query, Dtd)> = picks.iter().map(|&i| &pool[i]).collect();
-
-        let all: Vec<(&Query, &Dtd)> = members.iter().map(|(q, d)| (q, d)).collect();
-        let single = infer_union_view_dtd(name("all"), &all).unwrap();
-
-        // the random sharding: member i -> node assign[i] % nodes
-        let mut shard_positions: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-        for (i, _) in members.iter().enumerate() {
-            shard_positions[assign[i] % nodes].push(i);
-        }
-        let mut shard_views = Vec::new();
-        for positions in shard_positions.iter().filter(|p| !p.is_empty()) {
-            let local: Vec<(&Query, &Dtd)> =
-                positions.iter().map(|&i| (&members[i].0, &members[i].1)).collect();
-            shard_views.push((infer_union_view_dtd(name("all"), &local).unwrap(), positions));
-        }
-        let refs: Vec<(&InferredUnionView, &[usize])> = shard_views
-            .iter()
-            .map(|(v, p)| (v, p.as_slice()))
-            .collect();
-        let composed = compose_union_views(name("all"), &refs);
-
-        prop_assert_eq!(composed.verdict, single.verdict);
-        prop_assert!(
-            same_documents(&composed.dtd, &single.dtd),
-            "composed merged DTD diverged:\n{}\nvs\n{}",
-            composed.dtd,
-            single.dtd
-        );
-        let key = |names: &[mix::relang::symbol::Name]| {
-            let mut v: Vec<&str> = names.iter().map(|n| n.as_str()).collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(key(&composed.kind_conflicts), key(&single.kind_conflicts));
-        // per-member list types match up to specialized-name renumbering
-        // (the subscripts are arbitrary labels; composition renumbers
-        // them, so compare the base-name skeletons)
-        prop_assert_eq!(composed.part_list_types.len(), single.part_list_types.len());
-        let skeleton = |r: &Regex| {
-            r.syms_in_order()
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect::<Vec<_>>()
-        };
-        for (c, s) in composed.part_list_types.iter().zip(&single.part_list_types) {
-            prop_assert_eq!(
-                skeleton(c),
-                skeleton(s),
-                "member list type diverged: {} vs {}",
-                c,
-                s
-            );
-        }
-    }
 }

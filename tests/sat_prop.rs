@@ -108,8 +108,9 @@ proptest! {
     /// Soundness of `Unsat` against random DTDs: queries generated for
     /// one DTD are checked against another (cross-pairing makes `Unsat`
     /// common — root mismatches, absent tags), and whenever the analyzer
-    /// says `Unsat`, the naive evaluator returns the empty view on every
-    /// sampled conforming document.
+    /// says `Unsat` — or the paper's `tighten` classifies the normalized
+    /// query `Unsatisfiable` — the naive evaluator returns the empty view
+    /// on every sampled conforming document.
     #[test]
     fn unsat_means_empty_on_every_conforming_document(
         home_seed in 0u64..200,
@@ -121,12 +122,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(q_seed);
         let q = mix::xmas::gen::random_query(&home, &mut rng, &mix::xmas::gen::QueryGenConfig::default());
         let verdict = check_sat(&q, &target);
-        if !verdict.is_unsat() {
+        // a query that does not even normalize (e.g. X != X) never
+        // reaches an evaluator; the claim is vacuous there
+        let Ok(nq) = normalize(&q, &target) else { return };
+        let tightened = classify_query(&nq, &target);
+        if !verdict.is_unsat() && tightened != Verdict::Unsatisfiable {
             return;
         }
-        // an `Unsat` whose query does not even normalize (e.g. X != X)
-        // never reaches an evaluator; the claim is vacuous there
-        let Ok(nq) = normalize(&q, &target) else { return };
         let sampler = DocSampler::new(&target, doc_cfg()).expect("generator guarantees docs");
         for _ in 0..12 {
             let doc = sampler.sample(&mut rng);
@@ -134,7 +136,8 @@ proptest! {
             prop_assert!(
                 view.root.children().is_empty(),
                 "UNSOUND prune (home_seed={home_seed}, target_seed={target_seed}, \
-                 q_seed={q_seed}): {verdict}\nquery:\n{q}\ndoc:\n{}\nview:\n{}",
+                 q_seed={q_seed}): sat {verdict}, tighten {tightened:?}\nquery:\n{q}\n\
+                 doc:\n{}\nview:\n{}",
                 render(&doc),
                 render(&view),
             );
