@@ -5,8 +5,6 @@
 //!   structure, Section 1);
 //! * X9: answering a member query by view–query composition vs. by
 //!   materializing the view;
-//! * X9b: materialized evaluation with vs. without DTD-guided condition
-//!   pruning (dropping provably-valid subconditions before matching);
 //! * X14: the degraded path — a union query over 10 sources with 0%,
 //!   10%, and 50% of calls failing (seeded injection), measuring what
 //!   retries, breaker accounting, and partial-answer assembly cost.
@@ -46,14 +44,6 @@ fn bench_mediator(c: &mut Criterion) {
         "ans = SELECT X WHERE <withJournals> X:<professor> <teaches/> </professor> </>",
     )
     .expect("parses");
-    // a query whose conditions are all guaranteed by the view DTD — the
-    // best case for condition pruning
-    let prunable = parse_query(
-        "ans = SELECT X WHERE <withJournals> X:<professor> \
-           <firstName/> <lastName/> <publication><title/><author/></publication> \
-         </professor> </withJournals>",
-    )
-    .expect("parses");
 
     for professors in [16usize, 64, 256] {
         let on = build(professors, ProcessorConfig::default());
@@ -62,7 +52,6 @@ fn bench_mediator(c: &mut Criterion) {
             ProcessorConfig {
                 use_simplifier: false,
                 use_composition: false,
-                use_condition_pruning: false,
                 use_sat_pruning: false,
             },
         );
@@ -71,7 +60,6 @@ fn bench_mediator(c: &mut Criterion) {
             ProcessorConfig {
                 use_simplifier: false,
                 use_composition: true,
-                use_condition_pruning: false,
                 use_sat_pruning: false,
             },
         );
@@ -106,27 +94,6 @@ fn bench_mediator(c: &mut Criterion) {
             BenchmarkId::new("member_materialized", professors),
             &professors,
             |b, _| b.iter(|| off.query(&member).expect("answers")),
-        );
-
-        // X9b: condition pruning on vs off (both materialized)
-        let pruning_only = build(
-            professors,
-            ProcessorConfig {
-                use_simplifier: false,
-                use_composition: false,
-                use_condition_pruning: true,
-                use_sat_pruning: false,
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("prunable_pruning_on", professors),
-            &professors,
-            |b, _| b.iter(|| pruning_only.query(&prunable).expect("answers")),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("prunable_pruning_off", professors),
-            &professors,
-            |b, _| b.iter(|| off.query(&prunable).expect("answers")),
         );
     }
     g.finish();

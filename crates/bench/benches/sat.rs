@@ -6,8 +6,8 @@
 //! Custom harness (not Criterion): the acceptance criteria are hard
 //! assertions — the pruned run fetches exactly 2 of 8 sources
 //! (`sat_pruned_total == 6`), the answers are byte-identical, tail
-//! latency improves, and an `Unknown` verdict (a duplicated content
-//! model defeats the sibling analysis) still fetches. Machine-readable
+//! latency improves, and a duplicated content model's impossible
+//! sibling pattern is pruned with unpruned answer bytes. Machine-readable
 //! results land in `BENCH_PR10.json` at the workspace root.
 
 use mix_dtd::parse_compact;
@@ -187,36 +187,55 @@ fn main() {
         "pruning must improve tail latency (pruned p99 {p99:.3} ms vs unpruned {u99:.3} ms)"
     );
 
-    // -- Unknown is not a license to skip ---------------------------------
-    // a duplicated content model (a, b, a) defeats the duplicate-free
-    // sibling analysis: the verdict degrades to Unknown and the source
-    // is fetched — soundness over savings
-    let unknown_registry = Registry::new();
-    let mut m = Mediator::with_registry(ProcessorConfig::default(), unknown_registry.clone());
+    // -- duplicated content models are decided exactly --------------------
+    // `a, b, a` admits one <b> child, so two <b> siblings are Unsat: the
+    // source is never fetched, and the answer is the one an unpruned
+    // mediator computes from the document
     let dup_dtd = parse_compact("{<r : a, b, a> <a : EMPTY> <b : EMPTY>}").unwrap();
     let dup_doc = parse_document("<r><a/><b/><a/></r>").unwrap();
-    let (source, dup_fetches) =
-        CountingSource::new(XmlSource::new(dup_dtd, dup_doc).expect("dup doc validates"));
-    m.add_source("dup", Arc::new(source));
     let uq = parse_query("v = SELECT X WHERE <r> X:<b/> <b/> </>").unwrap();
-    m.register_view("dup", &uq).expect("view registers");
-    m.materialize(name("v"))
-        .expect("unknown-verdict view serves");
-    assert_eq!(
-        dup_fetches.load(Ordering::SeqCst),
-        1,
-        "an Unknown verdict must still fetch"
+    let dup_view = |config: ProcessorConfig, registry: Registry| {
+        let mut m = Mediator::with_registry(config, registry);
+        let (source, fetches) = CountingSource::new(
+            XmlSource::new(dup_dtd.clone(), dup_doc.clone()).expect("dup doc validates"),
+        );
+        m.add_source("dup", Arc::new(source));
+        m.register_view("dup", &uq).expect("view registers");
+        let doc = m
+            .materialize(name("v"))
+            .expect("duplicated-model view serves");
+        (
+            write_document(&doc, WriteConfig::default()),
+            fetches.load(Ordering::SeqCst),
+        )
+    };
+    let dup_registry = Registry::new();
+    let (dup_answer, dup_fetched) = dup_view(ProcessorConfig::default(), dup_registry.clone());
+    let (dup_reference, _) = dup_view(
+        ProcessorConfig {
+            use_sat_pruning: false,
+            ..ProcessorConfig::default()
+        },
+        Registry::new(),
     );
-    let snap = unknown_registry.snapshot();
     assert_eq!(
-        snap.counters["sat_unknown_total"], 1,
-        "the analysis gave up exactly once"
+        dup_fetched, 0,
+        "a provably empty member must not be fetched"
+    );
+    let snap = dup_registry.snapshot();
+    assert_eq!(
+        snap.counters["sat_pruned_total"], 1,
+        "the duplicated-model member is pruned exactly once"
     );
     assert_eq!(
-        snap.counters["sat_pruned_total"], 0,
-        "Unknown must never count as pruned"
+        snap.counters["sat_unknown_total"], 0,
+        "the duplicated model is decided, not given up on"
     );
-    println!("X23: duplicated-model source: verdict Unknown, fetched (never pruned)");
+    assert_eq!(
+        dup_answer, dup_reference,
+        "pruning changed the duplicated-model answer bytes"
+    );
+    println!("X23: duplicated-model source: verdict Unsat, not fetched, answer byte-identical");
 
     let json = format!(
         "{{\n  \"experiment\": \"X23\",\n  \
@@ -227,7 +246,7 @@ fn main() {
          \"latency_ms\": {{\n    \"pruned\": {{ \"p50\": {p50:.3}, \"p99\": {p99:.3} }},\n    \
          \"unpruned\": {{ \"p50\": {u50:.3}, \"p99\": {u99:.3} }}\n  }},\n  \
          \"tail_speedup\": {:.2},\n  \
-         \"unknown_source\": {{ \"verdict\": \"unknown\", \"fetched\": true }},\n  \
+         \"duplicated_model_source\": {{ \"verdict\": \"unsat\", \"fetched\": false }},\n  \
          \"byte_identical_answers\": true\n}}",
         u99 / p99.max(1e-9),
     );

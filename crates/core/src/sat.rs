@@ -1,16 +1,21 @@
 //! Per-source satisfiability of an XMAS tree pattern under a DTD — the
-//! analyzer behind the mediator's "never fetch what is provably empty"
-//! optimization.
+//! one emptiness decider behind the mediator's "never answer what is
+//! provably empty" optimizations: the view-level prune in
+//! `Mediator::query` and the fetch-level prune in `Mediator::sat_skip`.
 //!
 //! [`check_sat`] walks a normalized pattern top-down against the DTD
-//! graph and returns a [`SatVerdict`]: `Sat` (no obstruction found),
-//! `Unsat(reason)` (**provably** no valid document of the DTD matches —
-//! the reason is the witness path), or `Unknown` (the analysis hit a
-//! content model outside its tractable fragment; fall back to fetching).
+//! graph and returns a [`SatVerdict`]: `Sat` (some valid document of the
+//! DTD matches, id-inequalities aside), `Unsat(reason)` (**provably** no
+//! valid document matches — the reason is the witness path), or
+//! `Unknown` (the query does not normalize, or a sibling check gave up
+//! at its bound; fall back to fetching).
 //!
-//! **Soundness rule.** Callers may skip work only on `Unsat`. Every
-//! `Unsat` branch below is justified against the evaluator's semantics
-//! (`mix_xmas::evaluate`) plus document validity (Definition 2.3):
+//! **Exactness.** Ignoring `!=` constraints, the walk decides emptiness
+//! exactly, for every content model, unless a sibling check exceeds
+//! [`MAX_SIBLING_FRONTIER`]. Every `Unsat` branch below is justified
+//! against the evaluator's semantics (`mix_xmas::evaluate`) plus
+//! document validity (Definition 2.3), and every `Sat` is realized by
+//! some valid document:
 //!
 //! * the root condition is root-anchored, so a root test that excludes
 //!   the document type never matches;
@@ -18,12 +23,18 @@
 //!   (subtrees of a finite valid document are finite and valid), so a
 //!   child step whose test misses the restricted model's language-exact
 //!   alphabet ([`mix_relang::pool::live_alphabet`]) can bind nothing;
-//! * sibling conditions bind **distinct** children, so a set of required
-//!   siblings induces a *need multiset* (name → multiplicity) that some
-//!   word of the restricted model must dominate. Under a duplicate-free
-//!   model ([`mix_dtd::ContentClass::DuplicateFree`], the tractable
-//!   fragment of arXiv 1308.0769) that cover check is exact; other
-//!   models degrade the joint check to `Unknown`, never to `Unsat`;
+//! * elements of one name share one type, so the child steps are
+//!   independent below the parent: step `i` can bind any child whose
+//!   name is *viable* for it (in its test and recursively `Sat`);
+//! * sibling conditions bind **distinct** children, so the steps fit
+//!   together iff some word of the restricted model has an occurrence
+//!   for every step, no occurrence used twice. `SiblingCheck` decides
+//!   that with the model's Pareto-maximal occurrence-count vectors and a
+//!   bipartite matching. That question is NP-hard in general, so the
+//!   check keeps at most [`MAX_SIBLING_FRONTIER`] vectors per model node
+//!   and otherwise gives up: the steps are taken to fit, an `Unsat`
+//!   proved elsewhere in the pattern still stands, and `Sat` weakens to
+//!   `Unknown`;
 //! * text conditions never match an element with element content (and
 //!   vice versa), because validity forbids the mismatch.
 //!
@@ -36,6 +47,11 @@
 //! which is the sound direction. The one exception, `X != X`, is folded
 //! into `Unsat` before normalization can reject it.
 //!
+//! Figure 2's `tighten` stays the paper's inference algorithm (view
+//! registration, InferList); it is not an emptiness oracle on the query
+//! path, because its sequential refinement enumerates tag orderings and
+//! grows with every repeated sibling.
+//!
 //! [`SatCache`] memoizes verdicts under the same process-independent
 //! `(query fingerprint, DTD fingerprint)` key as the [`InferenceCache`](crate::InferenceCache),
 //! with optional persistence through the [`WarmStore`] seam. The
@@ -43,7 +59,7 @@
 //! verdict cache.
 
 use crate::cache::{fingerprint_dtd, fingerprint_query, Fingerprint, WarmStore};
-use mix_dtd::{content_class, productive, restrict, ContentClass, ContentModel, Dtd};
+use mix_dtd::{productive, restrict, ContentModel, Dtd};
 use mix_obs::{Counter, Histogram, Registry};
 use mix_relang::pool::{self, ReId, ReNode};
 use mix_relang::symbol::Name;
@@ -53,29 +69,25 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// Joint-sibling assignments enumerated before the check degrades to
-/// `Unknown` (each child step with a k-name disjunctive test multiplies
-/// the assignment count by k; single-name steps — the common case —
-/// contribute a factor of 1).
-pub const MAX_SIBLING_ASSIGNMENTS: usize = 64;
-
 /// Default resident-entry bound of a [`SatCache`] (same philosophy as
 /// [`crate::INFERENCE_CACHE_CAPACITY`]: verdicts are cheap to recompute,
 /// so at the bound the table flushes wholesale).
 pub const SAT_CACHE_CAPACITY: usize = 4096;
 
-/// The satisfiability lattice: `Unsat < Unknown < Sat`.
+/// The verdict of the emptiness decider.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatVerdict {
-    /// No obstruction found — the pattern may match some valid document.
-    /// (Not a proof of satisfiability: id-inequalities are ignored.)
+    /// Some valid document of the DTD matches the pattern. (Not a proof
+    /// that the answer is non-empty: id-inequalities are ignored.)
     Sat,
     /// **Provably** no valid document of the DTD matches; the string is
     /// the witness path explaining why. Callers may skip the fetch and
     /// synthesize the empty answer.
     Unsat(String),
-    /// The analysis could not decide (non-tractable content model, or a
-    /// normalization failure unrelated to satisfiability). Fetch.
+    /// Not decided: the query does not normalize against the DTD (other
+    /// than by `X != X`), so there is no pattern to decide, or a sibling
+    /// check gave up at [`MAX_SIBLING_FRONTIER`]. Fetch; a rejected query
+    /// surfaces the error the client already knows on that path.
     Unknown,
 }
 
@@ -91,33 +103,6 @@ impl SatVerdict {
         match self {
             SatVerdict::Unsat(r) => Some(r),
             _ => None,
-        }
-    }
-
-    fn rank(&self) -> u8 {
-        match self {
-            SatVerdict::Unsat(_) => 0,
-            SatVerdict::Unknown => 1,
-            SatVerdict::Sat => 2,
-        }
-    }
-
-    /// Lattice meet (conjunction): keeps the *first* `Unsat` witness.
-    fn and(self, other: SatVerdict) -> SatVerdict {
-        if other.rank() < self.rank() {
-            other
-        } else {
-            self
-        }
-    }
-
-    /// Lattice join (disjunction): on equal ranks keeps the *latest*
-    /// value, so folding from an `Unsat("")` seed picks up a real witness.
-    fn or(self, other: SatVerdict) -> SatVerdict {
-        if other.rank() >= self.rank() {
-            other
-        } else {
-            self
         }
     }
 }
@@ -171,7 +156,9 @@ pub fn check_sat(q: &Query, dtd: &Dtd) -> SatVerdict {
     }
 }
 
-/// Satisfiability of an already-normalized query against a source DTD.
+/// Satisfiability of an already-normalized query against a source DTD:
+/// `Sat` or `Unsat`, or `Unknown` if a sibling check gave up at
+/// [`MAX_SIBLING_FRONTIER`].
 pub fn check_sat_normalized(nq: &Query, dtd: &Dtd) -> SatVerdict {
     if !nq.root.test.matches(dtd.doc_type) {
         return SatVerdict::Unsat(format!(
@@ -191,8 +178,13 @@ pub fn check_sat_normalized(nq: &Query, dtd: &Dtd) -> SatVerdict {
         dtd,
         prod,
         restricted: HashMap::new(),
+        gave_up: false,
     };
-    walker.walk(&nq.root, dtd.doc_type, dtd.doc_type.as_str())
+    match walker.walk(&nq.root, dtd.doc_type, dtd.doc_type.as_str()) {
+        Err(witness) => SatVerdict::Unsat(witness),
+        Ok(()) if walker.gave_up => SatVerdict::Unknown,
+        Ok(()) => SatVerdict::Sat,
+    }
 }
 
 /// Per-check state: the productive-name set and a per-name memo of the
@@ -200,8 +192,11 @@ pub fn check_sat_normalized(nq: &Query, dtd: &Dtd) -> SatVerdict {
 struct Walker<'a> {
     dtd: &'a Dtd,
     prod: HashSet<Name>,
-    /// name → (interned `L(model) ∩ productive*`, duplicate-free?)
-    restricted: HashMap<Name, (ReId, bool)>,
+    /// name → interned `L(model) ∩ productive*`
+    restricted: HashMap<Name, ReId>,
+    /// Did some sibling check give up? Its steps were taken to fit, so an
+    /// `Unsat` found elsewhere still holds, but `Sat` is not proved.
+    gave_up: bool,
 }
 
 impl Walker<'_> {
@@ -209,31 +204,27 @@ impl Walker<'_> {
     /// model restricted to productive names, interned into the pool so
     /// its language-exact attributes (`live_alphabet`, `empty_lang`) are
     /// cached per node.
-    fn restricted_model(&mut self, n: Name, r: &mix_relang::Regex) -> (ReId, bool) {
-        if let Some(&hit) = self.restricted.get(&n) {
-            return hit;
-        }
-        let restricted = restrict(r, &self.prod);
-        let df = content_class(&ContentModel::Elements(restricted.clone()))
-            == ContentClass::DuplicateFree;
-        let entry = (mix_relang::intern(&restricted), df);
-        self.restricted.insert(n, entry);
-        entry
+    fn restricted_model(&mut self, n: Name, r: &mix_relang::Regex) -> ReId {
+        let prod = &self.prod;
+        *self
+            .restricted
+            .entry(n)
+            .or_insert_with(|| mix_relang::intern(&restrict(r, prod)))
     }
 
-    /// Satisfiability of `cond` matched against an element named `n`
-    /// inside a valid document; `path` locates the step for witnesses.
-    fn walk(&mut self, cond: &Condition, n: Name, path: &str) -> SatVerdict {
+    /// Can `cond` match an element named `n` inside a valid document?
+    /// `Err` carries the witness; `path` locates the step in it.
+    fn walk(&mut self, cond: &Condition, n: Name, path: &str) -> Result<(), String> {
         let Some(model) = self.dtd.get(n) else {
-            return SatVerdict::Unsat(format!("{path}: <{n}> is not declared in the DTD"));
+            return Err(format!("{path}: <{n}> is not declared in the DTD"));
         };
         match (&cond.body, model) {
-            (Body::Text(_), ContentModel::Pcdata) => SatVerdict::Sat,
-            (Body::Text(_), ContentModel::Elements(_)) => SatVerdict::Unsat(format!(
+            (Body::Text(_), ContentModel::Pcdata) => Ok(()),
+            (Body::Text(_), ContentModel::Elements(_)) => Err(format!(
                 "{path}: the pattern requires text content but <{n}> has element content"
             )),
-            (Body::Children(cs), _) if cs.is_empty() => SatVerdict::Sat,
-            (Body::Children(_), ContentModel::Pcdata) => SatVerdict::Unsat(format!(
+            (Body::Children(cs), _) if cs.is_empty() => Ok(()),
+            (Body::Children(_), ContentModel::Pcdata) => Err(format!(
                 "{path}: the pattern requires child elements but <{n}> is PCDATA"
             )),
             (Body::Children(cs), ContentModel::Elements(r)) => self.walk_children(cs, n, r, path),
@@ -246,12 +237,11 @@ impl Walker<'_> {
         n: Name,
         r: &mix_relang::Regex,
         path: &str,
-    ) -> SatVerdict {
-        let (rid, duplicate_free) = self.restricted_model(n, r);
+    ) -> Result<(), String> {
+        let rid = self.restricted_model(n, r);
         let live: Vec<Name> = pool::live_alphabet(rid).iter().map(|s| s.name).collect();
-        let mut verdict = SatVerdict::Sat;
-        // per child step: the names it could still bind to (test names
-        // that are realizable children and not recursively Unsat)
+        // per child step: the names it could bind to (test names that are
+        // realizable children and recursively satisfiable)
         let mut viable: Vec<Vec<Name>> = Vec::with_capacity(cs.len());
         for cc in cs {
             let mut feasible: Vec<Name> = cc
@@ -263,117 +253,269 @@ impl Walker<'_> {
                 .collect();
             feasible.dedup();
             if feasible.is_empty() {
-                return SatVerdict::Unsat(format!(
+                return Err(format!(
                     "{path}: child step <{}> never occurs under <{n}> (realizable children: {})",
                     fmt_test(&cc.test),
                     fmt_names(&live),
                 ));
             }
-            let mut child_verdict = SatVerdict::Unsat(String::new());
             let mut names = Vec::new();
+            let mut witness = String::new();
             for &m in &feasible {
-                let v = self.walk(cc, m, &format!("{path}/{m}"));
-                if !v.is_unsat() {
-                    names.push(m);
+                match self.walk(cc, m, &format!("{path}/{m}")) {
+                    Ok(()) => names.push(m),
+                    Err(w) => witness = w,
                 }
-                child_verdict = child_verdict.or(v);
             }
             if names.is_empty() {
-                // every candidate name is recursively Unsat; the join of
-                // all-Unsat carries the last inner witness
-                return child_verdict;
+                // every candidate name is unsatisfiable: report the last
+                return Err(witness);
             }
-            verdict = verdict.and(child_verdict);
             viable.push(names);
         }
-        if cs.len() >= 2 {
-            if !duplicate_free {
-                // outside the tractable fragment: the joint check would
-                // need multiset splitting across duplicated occurrences
-                verdict = verdict.and(SatVerdict::Unknown);
-            } else {
-                let combos = viable.iter().map(Vec::len).try_fold(1usize, |a, b| {
-                    let p = a.checked_mul(b)?;
-                    (p <= MAX_SIBLING_ASSIGNMENTS).then_some(p)
-                });
-                match combos {
-                    None => verdict = verdict.and(SatVerdict::Unknown),
-                    Some(_) if some_assignment_covers(rid, &viable) => {}
-                    Some(_) => {
-                        let steps: Vec<String> = cs.iter().map(|c| fmt_test(&c.test)).collect();
-                        return SatVerdict::Unsat(format!(
-                            "{path}: required siblings [{}] cannot jointly occur under <{n}>",
-                            steps.join(", ")
-                        ));
-                    }
+        if cs.len() < 2 {
+            return Ok(());
+        }
+        match SiblingCheck::new(&viable).fits(rid) {
+            Some(true) => Ok(()),
+            Some(false) => {
+                let steps: Vec<String> = cs.iter().map(|c| fmt_test(&c.test)).collect();
+                Err(format!(
+                    "{path}: required siblings [{}] cannot jointly occur under <{n}>",
+                    steps.join(", ")
+                ))
+            }
+            // carry on as if they fit: only `Sat` weakens, to `Unknown`
+            None => {
+                self.gave_up = true;
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Count vectors a sibling check keeps at one node of the content model
+/// before it gives up and the verdict becomes `Unknown`. Deciding the
+/// joint sibling check is NP-hard in general (a concatenation of
+/// alternatives can have exponentially many Pareto-maximal vectors), so
+/// this bound is what keeps one client query from costing exponential
+/// time and memory; giving up lets the fetch proceed, which is sound.
+pub const MAX_SIBLING_FRONTIER: usize = 64;
+
+/// Occurrence counts, one slot per class of [`SiblingCheck`] names.
+type Counts = Vec<usize>;
+
+/// The joint check for one parent's sibling steps: does some word of
+/// the parent's restricted model have a distinct occurrence for every
+/// step, each of a name viable for that step?
+///
+/// Occurrences of other names never help, and more occurrences never
+/// hurt, so a word matters only through its count vector, each count
+/// capped at the number of steps that can use it. Names that exactly
+/// the same steps can bind are interchangeable, so they share one count
+/// slot. [`SiblingCheck::frontier`] computes the Pareto-maximal capped
+/// vectors of a model bottom-up, dropping every vector that cannot fit
+/// the steps even with the most the rest of the word can add; the steps
+/// fit iff a vector of the whole model is left.
+struct SiblingCheck {
+    /// Per step: the slots it can bind.
+    steps: Vec<Vec<usize>>,
+    /// Per viable name: its slot.
+    slots: HashMap<Name, usize>,
+    /// Per slot: how many steps can bind it (the useful maximum count).
+    caps: Counts,
+}
+
+impl SiblingCheck {
+    fn new(viable: &[Vec<Name>]) -> SiblingCheck {
+        // per name, the steps that can bind it
+        let mut binders: HashMap<Name, Vec<usize>> = HashMap::new();
+        for (i, names) in viable.iter().enumerate() {
+            for &n in names {
+                let steps = binders.entry(n).or_default();
+                if steps.last() != Some(&i) {
+                    steps.push(i);
                 }
             }
         }
-        verdict
+        let mut slot_of: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut slots = HashMap::new();
+        let mut caps = Vec::new();
+        for (n, steps) in binders {
+            let cap = steps.len();
+            let slot = *slot_of.entry(steps).or_insert_with(|| {
+                caps.push(cap);
+                caps.len() - 1
+            });
+            slots.insert(n, slot);
+        }
+        let steps = viable
+            .iter()
+            .map(|names| {
+                let mut s: Vec<usize> = names.iter().map(|n| slots[n]).collect();
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect();
+        SiblingCheck { steps, slots, caps }
     }
-}
 
-/// Does any assignment of child steps to their viable names induce a
-/// need multiset some word of `L(rid)` dominates? Enumerated with an
-/// odometer over the (capped) cartesian product.
-fn some_assignment_covers(rid: ReId, viable: &[Vec<Name>]) -> bool {
-    let mut idx = vec![0usize; viable.len()];
-    loop {
-        let mut need: HashMap<Name, usize> = HashMap::new();
-        for (slot, names) in idx.iter().zip(viable) {
-            *need.entry(names[*slot]).or_insert(0) += 1;
-        }
-        if covers(rid, &need) {
-            return true;
-        }
-        let mut i = 0;
-        loop {
-            if i == idx.len() {
-                return false;
+    /// Does some word of `L(rid)` fit every step? `None` if the check
+    /// gave up at [`MAX_SIBLING_FRONTIER`].
+    fn fits(&self, rid: ReId) -> Option<bool> {
+        let nothing = vec![0; self.caps.len()];
+        Some(!self.frontier(rid, &nothing)?.is_empty())
+    }
+
+    /// The Pareto-maximal capped count vectors of the words of `L(id)`
+    /// that still fit every step when the rest of the word adds at most
+    /// `around`; `None` once more than [`MAX_SIBLING_FRONTIER`] remain.
+    fn frontier(&self, id: ReId, around: &[usize]) -> Option<Vec<Counts>> {
+        let zero = vec![0; self.caps.len()];
+        let candidates = match pool::node(id) {
+            ReNode::Empty => Vec::new(),
+            ReNode::Epsilon => vec![zero],
+            ReNode::Plus(x) if pool::empty_lang(x) => Vec::new(),
+            // one word reaches the bound: a symbol, or enough iterations
+            ReNode::Sym(_) | ReNode::Star(_) | ReNode::Plus(_) => vec![self.bound(id)],
+            ReNode::Opt(x) => {
+                let mut vs = self.frontier(x, around)?;
+                vs.push(zero);
+                vs
             }
-            idx[i] += 1;
-            if idx[i] < viable[i].len() {
-                break;
+            ReNode::Alt(parts) => {
+                let mut vs = Vec::new();
+                for &p in parts.iter() {
+                    vs.extend(self.frontier(p, around)?);
+                }
+                vs
             }
-            idx[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-fn in_live(id: ReId, n: Name) -> bool {
-    pool::live_alphabet(id).iter().any(|s| s.name == n)
-}
-
-/// Is there a word `w ∈ L(id)` with `count_n(w) ≥ need[n]` for every
-/// needed name? Exact on duplicate-free regexes: each needed name then
-/// occurs in at most one concatenation factor, so the partition of the
-/// need multiset is forced and no splitting search is required.
-fn covers(id: ReId, need: &HashMap<Name, usize>) -> bool {
-    if need.is_empty() {
-        return !pool::empty_lang(id);
-    }
-    match pool::node(id) {
-        ReNode::Empty | ReNode::Epsilon => false,
-        ReNode::Sym(s) => need.len() == 1 && need.get(&s.name) == Some(&1),
-        ReNode::Alt(parts) => parts.iter().any(|&p| covers(p, need)),
-        ReNode::Concat(parts) => {
-            let mut sub: Vec<HashMap<Name, usize>> = vec![HashMap::new(); parts.len()];
-            'names: for (&n, &c) in need {
-                for (i, &p) in parts.iter().enumerate() {
-                    if in_live(p, n) {
-                        sub[i].insert(n, c);
-                        continue 'names;
+            ReNode::Concat(parts) => {
+                // after[k]: the most parts k.. and the context can add
+                let mut after = vec![around.to_vec()];
+                for &p in parts.iter().rev() {
+                    after.push(self.add(&self.bound(p), after.last().expect("seeded")));
+                }
+                after.reverse();
+                let mut acc = vec![zero];
+                for (k, &p) in parts.iter().enumerate() {
+                    let before = acc.iter().fold(vec![0; self.caps.len()], |m, a| {
+                        m.iter().zip(a).map(|(&x, &y)| x.max(y)).collect()
+                    });
+                    let part = self.frontier(p, &self.add(&before, &after[k + 1]))?;
+                    let sums = acc
+                        .iter()
+                        .flat_map(|a| part.iter().map(move |b| self.add(a, b)))
+                        .collect();
+                    acc = self.keep(sums, &after[k + 1])?;
+                    if acc.is_empty() {
+                        break;
                     }
                 }
-                return false;
+                return Some(acc);
             }
-            parts.iter().zip(&sub).all(|(&p, s)| covers(p, s))
+        };
+        self.keep(candidates, around)
+    }
+
+    /// The componentwise most of every slot a word of `L(id)` can hold
+    /// (exact for a symbol and for a star, which iterates its body until
+    /// every slot the body's live alphabet touches is full).
+    fn bound(&self, id: ReId) -> Counts {
+        let mut v = vec![0; self.caps.len()];
+        match pool::node(id) {
+            ReNode::Empty | ReNode::Epsilon => {}
+            ReNode::Sym(s) => {
+                if let Some(&j) = self.slots.get(&s.name) {
+                    v[j] = 1;
+                }
+            }
+            ReNode::Star(x) | ReNode::Plus(x) => {
+                for s in pool::live_alphabet(x).iter() {
+                    if let Some(&j) = self.slots.get(&s.name) {
+                        v[j] = self.caps[j];
+                    }
+                }
+            }
+            ReNode::Opt(x) => v = self.bound(x),
+            ReNode::Alt(parts) => {
+                for &p in parts.iter() {
+                    for (x, y) in v.iter_mut().zip(self.bound(p)) {
+                        *x = (*x).max(y);
+                    }
+                }
+            }
+            ReNode::Concat(parts) => {
+                for &p in parts.iter() {
+                    v = self.add(&v, &self.bound(p));
+                }
+            }
         }
-        // a starred body supplies any multiplicity: one iteration per
-        // needed occurrence, each from a word that realizes that name
-        ReNode::Star(x) | ReNode::Plus(x) => need.keys().all(|&n| in_live(x, n)),
-        ReNode::Opt(x) => covers(x, need),
+        v
+    }
+
+    fn add(&self, a: &[usize], b: &[usize]) -> Counts {
+        (0..a.len())
+            .map(|j| (a[j] + b[j]).min(self.caps[j]))
+            .collect()
+    }
+
+    /// The Pareto-maximal `candidates` that fit every step when the rest
+    /// of the word adds `around`; `None` if more than
+    /// [`MAX_SIBLING_FRONTIER`] of them remain.
+    fn keep(&self, mut candidates: Vec<Counts>, around: &[usize]) -> Option<Vec<Counts>> {
+        candidates.retain(|c| self.matches(&self.add(c, around)));
+        // only a vector with a larger total can dominate another, so in
+        // order of decreasing total each one is compared with the kept ones
+        candidates.sort_unstable_by_key(|c| std::cmp::Reverse(c.iter().sum::<usize>()));
+        let mut kept: Vec<Counts> = Vec::new();
+        for c in candidates {
+            if !kept.iter().any(|k| k.iter().zip(&c).all(|(x, y)| x >= y)) {
+                if kept.len() == MAX_SIBLING_FRONTIER {
+                    return None;
+                }
+                kept.push(c);
+            }
+        }
+        Some(kept)
+    }
+
+    /// Can every step bind its own occurrence among `counts`? Kuhn's
+    /// augmenting paths over the slots, with `counts` as capacities: a
+    /// path visits each slot once, so it is never deeper than the content
+    /// model has names, however many steps share one.
+    fn matches(&self, counts: &[usize]) -> bool {
+        let mut taken: Vec<Vec<usize>> = vec![Vec::new(); counts.len()];
+        (0..self.steps.len())
+            .all(|i| self.augment(i, counts, &mut taken, &mut vec![false; counts.len()]))
+    }
+
+    fn augment(
+        &self,
+        i: usize,
+        counts: &[usize],
+        taken: &mut [Vec<usize>],
+        seen: &mut [bool],
+    ) -> bool {
+        for &j in &self.steps[i] {
+            if seen[j] {
+                continue;
+            }
+            seen[j] = true;
+            if taken[j].len() < counts[j] {
+                taken[j].push(i);
+                return true;
+            }
+            for k in 0..taken[j].len() {
+                let other = taken[j][k];
+                if self.augment(other, counts, taken, seen) {
+                    taken[j][k] = i;
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -586,16 +728,83 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_model_degrades_to_unknown() {
-        // truth: three <b> children are impossible under `b, b` — but the
-        // model is out of the tractable fragment, so the analyzer must
-        // answer Unknown, never a guessed Unsat
+    fn duplicated_model_is_decided_exactly() {
+        // three <b> children are impossible under `b, b`; two fit
         let d = parse_compact("{<r : b, b>}").unwrap();
         let v = verdict(
             "x = SELECT X WHERE X:<r> <b>u</b> <b>w</b> <b>y</b> </r>",
             &d,
         );
+        assert!(v.reason().unwrap().contains("cannot jointly occur"), "{v}");
+        let v = verdict("x = SELECT X WHERE X:<r> <b>u</b> <b>w</b> </r>", &d);
+        assert_eq!(v, SatVerdict::Sat);
+    }
+
+    #[test]
+    fn disjunctive_occurrences_are_matched_to_distinct_steps() {
+        // each (a | b) slot supplies one child of either name
+        let d = parse_compact("{<r : (a | b), (a | b), c?>}").unwrap();
+        let v = verdict("x = SELECT X WHERE X:<r> <a/> <a/> </r>", &d);
+        assert_eq!(v, SatVerdict::Sat);
+        let v = verdict("x = SELECT X WHERE X:<r> <a/> <b/> <c/> </r>", &d);
+        assert_eq!(v, SatVerdict::Sat);
+        let v = verdict("x = SELECT X WHERE X:<r> <a/> <a/> <b/> </r>", &d);
+        assert!(v.reason().unwrap().contains("cannot jointly occur"), "{v}");
+        // a disjunctive step takes whichever occurrence is left over
+        let d = parse_compact("{<r : a, (b | c)>}").unwrap();
+        let v = verdict("x = SELECT X WHERE X:<r> <b | a/> <a/> </r>", &d);
+        assert_eq!(v, SatVerdict::Sat);
+        let v = verdict("x = SELECT X WHERE X:<r> <b | a/> <a/> <c/> </r>", &d);
+        assert!(v.is_unsat(), "{v}");
+    }
+
+    #[test]
+    fn many_identical_siblings_stay_cheap() {
+        // the shape that made sequential refinement blow up, wide enough
+        // that a matching recursing once per step would overflow the stack
+        let d = d1_department();
+        let pubs = "<publication/> ".repeat(20_000);
+        let q = format!("x = SELECT X WHERE <department> X:<professor> {pubs}</> </>");
+        let t = std::time::Instant::now();
+        assert_eq!(verdict(&q, &d), SatVerdict::Sat);
+        let d = parse_compact("{<r : a, b, a> <a : EMPTY> <b : EMPTY>}").unwrap();
+        let q = format!("x = SELECT X WHERE X:<r> {} </r>", "<a/> ".repeat(20_000));
+        assert!(verdict(&q, &d).is_unsat());
+        assert!(t.elapsed().as_secs() < 5, "took {:?}", t.elapsed());
+    }
+
+    /// `(a1 | b1), …, (a20 | b20)` has 2^20 incomparable count vectors
+    /// over its 40 names; the check stays prompt on it either way.
+    #[test]
+    fn wide_alternation_models_are_decided_promptly() {
+        let pairs: Vec<String> = (1..=20).map(|i| format!("(a{i} | b{i})")).collect();
+        let empties: String = (1..=20)
+            .map(|i| format!("<a{i} : EMPTY> <b{i} : EMPTY> "))
+            .collect();
+        let d = parse_compact(&format!("{{<r : {}> {empties}}}", pairs.join(", "))).unwrap();
+        let t = std::time::Instant::now();
+        // every name at once: a word holds only one of each pair
+        let every: String = (1..=20).map(|i| format!("<a{i}/> <b{i}/> ")).collect();
+        let v = verdict(&format!("x = SELECT X WHERE X:<r> {every}</r>"), &d);
+        assert!(v.reason().unwrap().contains("cannot jointly occur"), "{v}");
+        // names that the same steps bind share a count
+        assert_eq!(
+            verdict("x = SELECT X WHERE X:<r> <*/> <*/> </r>", &d),
+            SatVerdict::Sat
+        );
+        let either: String = (1..=20).map(|i| format!("<a{i} | b{i}/> ")).collect();
+        let v = verdict(&format!("x = SELECT X WHERE X:<r> {either}</r>"), &d);
+        assert_eq!(v, SatVerdict::Sat);
+        // twice the pairs, every name wanted: each pair must give `a` in
+        // one copy and `b` in the other, and after the first 20 pairs all
+        // 2^20 choices are still open, so the check gives up
+        let d = parse_compact(&format!("{{<r : {0}, {0}> {empties}}}", pairs.join(", "))).unwrap();
+        let v = verdict(&format!("x = SELECT X WHERE X:<r> {every}</r>"), &d);
         assert_eq!(v, SatVerdict::Unknown);
+        // an obstruction elsewhere in the pattern still proves `Unsat`
+        let v = verdict(&format!("x = SELECT X WHERE X:<r> {every}<c/> </r>"), &d);
+        assert!(v.is_unsat(), "{v}");
+        assert!(t.elapsed().as_secs() < 5, "took {:?}", t.elapsed());
     }
 
     #[test]
@@ -646,23 +855,87 @@ mod tests {
         assert_eq!(v, SatVerdict::Sat);
     }
 
-    /// Neither emptiness analyzer implies the other, so folding one into
-    /// the other must keep both the productive-name restriction (only
-    /// here) and `tighten`'s sequential refinement of the content model.
+    /// [`SiblingCheck`] against brute force: every word of length at
+    /// most 7 over `{a, b, c}`, each step bound to a distinct occurrence
+    /// of one of its names.
     #[test]
-    fn neither_emptiness_analyzer_implies_the_other() {
+    fn sibling_check_agrees_with_word_enumeration() {
+        use mix_relang::symbol::name;
+        let letters = ["a", "b", "c"];
+        let step_names: [&[usize]; 5] = [&[0], &[1], &[0, 1], &[2], &[0, 2]];
+        for model in [
+            "a, b, a",
+            "(a | b), (a | b)",
+            "(a, a) | b",
+            "a*, b",
+            "(a, b)+",
+            "a?, (b | c)*",
+            "(a | (b, c)), a?",
+            "((a, b) | c)*, a",
+        ] {
+            let r = mix_relang::parse_regex(model).unwrap();
+            let rid = mix_relang::intern(&r);
+            // the letter counts of every accepted word
+            let mut counts: Vec<[usize; 3]> = mix_relang::enumerate_words(&r, 7, usize::MAX)
+                .iter()
+                .map(|w| {
+                    let mut c = [0; 3];
+                    for s in w {
+                        c[letters.iter().position(|&l| l == s.name.as_str()).unwrap()] += 1;
+                    }
+                    c
+                })
+                .collect();
+            counts.sort_unstable();
+            counts.dedup();
+            for n in 2..=3 {
+                for pick in 0..step_names.len().pow(n) {
+                    let steps: Vec<&[usize]> = (0..n)
+                        .map(|i| step_names[pick / step_names.len().pow(i) % step_names.len()])
+                        .collect();
+                    // brute force: some word, some choice of one letter per
+                    // step, with enough occurrences of every chosen letter
+                    let expect = counts.iter().any(|c| {
+                        (0..3usize.pow(n)).any(|choice| {
+                            let mut need = [0; 3];
+                            steps.iter().enumerate().all(|(i, ls)| {
+                                let l = choice / 3usize.pow(i as u32) % 3;
+                                need[l] += 1;
+                                ls.contains(&l)
+                            }) && (0..3).all(|l| need[l] <= c[l])
+                        })
+                    });
+                    let viable: Vec<Vec<Name>> = steps
+                        .iter()
+                        .map(|ls| ls.iter().map(|&l| name(letters[l])).collect())
+                        .collect();
+                    assert_eq!(
+                        SiblingCheck::new(&viable).fits(rid),
+                        Some(expect),
+                        "model {model}, steps {steps:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The decider proves both inputs that once split the two emptiness
+    /// analyzers; Figure 2's `tighten` still misses the first, because it
+    /// has no productive-name restriction.
+    #[test]
+    fn check_sat_proves_what_either_analyzer_proved() {
         let tighten_verdict = |q: &Query, d: &Dtd| classify_query(&normalize(q, d).unwrap(), d);
-        // `b` only occurs next to the unproductive `u`: Unsat here,
-        // Satisfiable for tighten
+        // `b` only occurs next to the unproductive `u`
         let d = parse_compact("{<r : (u, b) | c> <u : u>}").unwrap();
         let q = parse_query("x = SELECT X WHERE <r> X:<b/> </r>").unwrap();
         assert!(check_sat(&q, &d).is_unsat());
         assert_eq!(tighten_verdict(&q, &d), Verdict::Satisfiable);
-        // two `b` siblings under `a, b, a`: the duplicated model is outside
-        // the sibling analysis (Unknown), tighten proves it Unsatisfiable
+        // two `b` siblings under `a, b, a`: the duplicated model admits
+        // one `b` only
         let d = parse_compact("{<r : a, b, a> <a : EMPTY> <b : EMPTY>}").unwrap();
         let q = parse_query("v = SELECT X WHERE <r> X:<b/> <b/> </>").unwrap();
-        assert_eq!(check_sat(&q, &d), SatVerdict::Unknown);
+        let v = check_sat(&q, &d);
+        assert!(v.reason().unwrap().contains("cannot jointly occur"), "{v}");
         assert_eq!(tighten_verdict(&q, &d), Verdict::Unsatisfiable);
     }
 

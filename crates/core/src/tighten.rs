@@ -5,8 +5,15 @@
 //! types into a specialized-DTD fragment. As a side effect it classifies
 //! each condition — and the whole query — as *valid*, *satisfiable*, or
 //! *unsatisfiable* with respect to the DTD (the side effect the paper
-//! highlights at the end of Section 4.2, which the mediator's query
-//! simplifier exploits).
+//! highlights at the end of Section 4.2). Registration, re-inference,
+//! InferList and `mixctl infer`/`classify` use these verdicts.
+//!
+//! The query path does not: sequential refinement enumerates the tag
+//! orderings of repeated sibling conditions, so its cost grows steeply
+//! with every repeated sibling. The mediator's emptiness prunes go
+//! through [`crate::sat::check_sat`], which proves empty every query
+//! classified `Unsatisfiable` here, and more, unless its sibling check
+//! gives up at [`crate::sat::MAX_SIBLING_FRONTIER`].
 
 use crate::refine::refine_id;
 use mix_dtd::{ContentModel, Dtd, TypeMap};
@@ -50,12 +57,6 @@ pub struct Tightened {
     /// element of that name (typed by the *source* DTD), does its content
     /// always/sometimes/never satisfy the condition's subtree?
     pub per_name: HashMap<(Tag, Name), Verdict>,
-    /// The *step* verdict of each condition occurrence: the verdict
-    /// `apply_condition` returned for it — refine validity against the
-    /// parent's (sequentially refined) type conjoined with the per-name
-    /// body verdicts. `Valid` here means every parent instance certainly
-    /// contains a (fresh) witness child for this condition.
-    pub step: HashMap<Tag, Verdict>,
 }
 
 impl Tightened {
@@ -82,7 +83,6 @@ pub fn tighten(q: &Query, dtd: &Dtd) -> Tightened {
         types: TypeMap::new(),
         verdict: Verdict::Valid,
         per_name: HashMap::new(),
-        step: HashMap::new(),
     };
     // The root condition applies to the root element, whose name is always
     // the document type.
@@ -139,10 +139,6 @@ fn tighten_body(
             let mut v = Verdict::Valid;
             for c in conds {
                 let (t2, vc) = apply_condition(&t, c, dtd, out);
-                // a condition under a disjunctive parent is evaluated once
-                // per parent name; keep the conservative minimum
-                let merged = out.step.get(&c.tag).map_or(vc, |old| old.and(vc));
-                out.step.insert(c.tag, merged);
                 if vc == Verdict::Unsatisfiable {
                     return (model.clone(), Verdict::Unsatisfiable);
                 }

@@ -109,52 +109,6 @@ pub fn nondeterministic_names(d: &Dtd) -> Vec<Name> {
         .collect()
 }
 
-/// The tractable-fragment class of one content model, following the
-/// satisfiability playbook of *XPath Satisfiability with Parent Axes or
-/// Qualifiers Is Tractable under Many of Real-World DTDs* (arXiv
-/// 1308.0769): joint realizability of a required sibling combination is
-/// decided exactly by one structural pass only when the content model is
-/// **duplicate-free** (each element name occurs at most once in the
-/// regex). Models outside the fragment force the satisfiability analyzer
-/// to degrade that check to `Unknown` — never to an unsound `Unsat`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentClass {
-    /// `PCDATA` content: no element children at all.
-    Pcdata,
-    /// Every element name occurs at most once in the content regex; the
-    /// fragment where sibling-combination realizability is tractable.
-    DuplicateFree,
-    /// Some element name occurs more than once in the regex; sibling
-    /// reasoning over this model is out of the tractable fragment.
-    Duplicated,
-}
-
-/// Classifies one content model into the tractable fragment (see
-/// [`ContentClass`]).
-pub fn content_class(m: &ContentModel) -> ContentClass {
-    match m {
-        ContentModel::Pcdata => ContentClass::Pcdata,
-        ContentModel::Elements(r) => {
-            let mut seen: HashSet<Name> = HashSet::new();
-            if occurrences_unique(r, &mut seen) {
-                ContentClass::DuplicateFree
-            } else {
-                ContentClass::Duplicated
-            }
-        }
-    }
-}
-
-/// True when no element name is seen twice across the whole regex.
-fn occurrences_unique(r: &Regex, seen: &mut HashSet<Name>) -> bool {
-    match r {
-        Regex::Empty | Regex::Epsilon => true,
-        Regex::Sym(s) => seen.insert(s.name),
-        Regex::Concat(v) | Regex::Alt(v) => v.iter().all(|x| occurrences_unique(x, seen)),
-        Regex::Star(x) | Regex::Plus(x) | Regex::Opt(x) => occurrences_unique(x, seen),
-    }
-}
-
 /// Restricts a content model to the given alphabet: occurrences of other
 /// names become `∅` and are normalized away. `L(restrict(r, S)) =
 /// L(r) ∩ S*`, which is exactly the set of child sequences realizable when
@@ -232,84 +186,6 @@ mod tests {
         let d = crate::paper::d1_department();
         let u = usable(&d);
         assert_eq!(u.len(), d.types.len());
-    }
-
-    /// The tractable-fragment coverage table for the paper's DTDs,
-    /// pinned so it can't silently regress. The source DTDs the paper
-    /// feeds the mediator (D1, D9, D11, the recursive section DTD) are
-    /// entirely duplicate-free — the satisfiability analyzer's joint
-    /// sibling check is exact on all of them. The *inferred* view DTDs
-    /// D2 (Q2 over D1) and D10 (Q6 over D9) pick up duplicated names
-    /// from specialization merging (`publication, publication+`;
-    /// `... journal ..., journal, ...`), so sibling reasoning over those
-    /// models must degrade to `Unknown`.
-    #[test]
-    fn paper_dtd_content_class_table() {
-        use ContentClass::*;
-        let class_of = |d: &Dtd, n: &str| content_class(d.get(name(n)).unwrap());
-
-        // D1: every model duplicate-free (journal|conference is one
-        // occurrence each).
-        let d1 = crate::paper::d1_department();
-        for n in [
-            "department",
-            "professor",
-            "gradStudent",
-            "publication",
-            "teaches",
-            "journal",
-            "conference",
-            "course",
-        ] {
-            assert_eq!(class_of(&d1, n), DuplicateFree, "D1 <{n}>");
-        }
-        for n in ["firstName", "lastName", "title", "author", "name"] {
-            assert_eq!(class_of(&d1, n), Pcdata, "D1 <{n}>");
-        }
-
-        // D9 and D11: duplicate-free throughout.
-        let d9 = crate::paper::d9_professor();
-        assert_eq!(class_of(&d9, "professor"), DuplicateFree);
-        assert_eq!(class_of(&d9, "name"), Pcdata);
-        let d11 = crate::paper::d11_department();
-        for n in ["department", "professor", "gradStudent", "publication"] {
-            assert_eq!(class_of(&d11, n), DuplicateFree, "D11 <{n}>");
-        }
-
-        // The recursive section DTD stays in the fragment: recursion is
-        // fine, duplication is what breaks tractability.
-        let sec = crate::paper::section_recursive();
-        assert_eq!(class_of(&sec, "section"), DuplicateFree);
-
-        // D2 (the view DTD Q2 infers over D1): specialization merging
-        // leaves `publication, publication+` — out of the fragment.
-        let d2 = parse_compact(
-            "{ (document type: withJournals)
-               <withJournals : professor*, gradStudent*>
-               <professor : firstName, lastName, publication, publication+, teaches>
-               <gradStudent : firstName, lastName, publication, publication+>
-               <firstName : PCDATA> <lastName : PCDATA>
-               <publication : title, author+, (journal | conference)>
-               <teaches : EMPTY> <title : PCDATA> <author : PCDATA>
-               <journal : EMPTY> <conference : EMPTY> }",
-        )
-        .unwrap();
-        assert_eq!(class_of(&d2, "professor"), Duplicated);
-        assert_eq!(class_of(&d2, "gradStudent"), Duplicated);
-        assert_eq!(class_of(&d2, "withJournals"), DuplicateFree);
-        assert_eq!(class_of(&d2, "publication"), DuplicateFree);
-
-        // D10 (Q6 over D9): `(journal | conference)*, journal,
-        // (journal | conference)*` repeats both names.
-        let d10 = parse_compact(
-            "{ (document type: answer)
-               <answer : professor?>
-               <professor : name, (journal | conference)*, journal, (journal | conference)*>
-               <name : PCDATA> <journal : EMPTY> <conference : EMPTY> }",
-        )
-        .unwrap();
-        assert_eq!(class_of(&d10, "professor"), Duplicated);
-        assert_eq!(class_of(&d10, "answer"), DuplicateFree);
     }
 
     #[test]

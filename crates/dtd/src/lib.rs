@@ -32,10 +32,7 @@ pub mod sdtd;
 pub mod validate;
 pub mod xml_syntax;
 
-pub use analysis::{
-    content_class, describes_some_document, nondeterministic_names, productive, restrict, usable,
-    ContentClass,
-};
+pub use analysis::{describes_some_document, nondeterministic_names, productive, restrict, usable};
 pub use compare::{same_documents, strictly_tighter, tighter_than, Tightness};
 pub use count::{
     count_documents_by_size, count_documents_upto, count_sdocuments_by_size, count_sdocuments_upto,

@@ -3,10 +3,14 @@
 //! The on-demand XML mediator architecture of Section 1: wrappers export
 //! XML data typed by DTDs ([`Wrapper`], [`XmlSource`]); the mediator
 //! registers XMAS views, runs the View DTD Inference module on
-//! registration, and answers user queries with a DTD-based query
-//! simplifier (pruning provably-empty queries) and view–query composition
-//! (avoiding materialization). Mediators stack: a [`ViewWrapper`] exports
-//! a view — with its *inferred* DTD — as a source for a higher mediator.
+//! registration, and answers user queries with DTD-based pruning and
+//! view–query composition (avoiding materialization). Both emptiness
+//! prunes — a user query against its view's DTD, and a per-source query
+//! against the source DTD before any fetch — ask one decider,
+//! [`mix_infer::check_sat`]; the Figure 2 inference algorithm runs only
+//! when a view is registered or re-inferred. Mediators stack: a
+//! [`ViewWrapper`] exports a view — with its *inferred* DTD — as a
+//! source for a higher mediator.
 //! [`render_structure`] is the structure summary of the DTD-based query
 //! interface.
 //!
@@ -52,7 +56,6 @@ pub mod interface;
 pub mod mediator;
 pub mod obs;
 pub mod resilience;
-pub mod simplifier;
 pub mod source;
 pub mod stack;
 pub mod streaming;
@@ -70,7 +73,6 @@ pub use resilience::{
     resilient_answer, BreakerGate, BreakerState, DegradationReport, FetchStatus, Health,
     ResiliencePolicy, SourceOutcome,
 };
-pub use simplifier::{simplify_query, SimplifyStats};
 pub use source::{LatencyWrapper, RemoteWrapper, Wrapper, XmlSource};
 pub use stack::ViewWrapper;
 pub use streaming::{ServedBy, StreamFactory, StreamingWrapper};

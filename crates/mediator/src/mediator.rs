@@ -1,5 +1,5 @@
 //! The MIX mediator: view registration with DTD inference, and query
-//! answering with the DTD-based simplifier and view–query composition.
+//! answering with DTD-based emptiness pruning and view–query composition.
 
 use crate::compose::compose;
 use crate::error::SourceError;
@@ -11,8 +11,8 @@ use crate::resilience::{
 use crate::source::Wrapper;
 use mix_infer::metrics::ServingMetrics;
 use mix_infer::{
-    classify_query, infer_union_view_dtd_cached, InferenceCache, InferredUnionView, InferredView,
-    Verdict,
+    check_sat_normalized, infer_union_view_dtd_cached, InferenceCache, InferredUnionView,
+    InferredView,
 };
 use mix_obs::Registry;
 use mix_relang::symbol::Name;
@@ -131,7 +131,7 @@ impl From<NormalizeError> for MediatorError {
 /// and the examples can show the effect of each optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerPath {
-    /// The DTD-based simplifier proved the query unsatisfiable against the
+    /// The emptiness decider proved the query unsatisfiable against the
     /// view DTD; no source was contacted.
     PrunedUnsatisfiable,
     /// The query was composed with the view definition and answered as
@@ -165,9 +165,6 @@ pub struct ProcessorConfig {
     pub use_simplifier: bool,
     /// Compose queries with view definitions instead of materializing.
     pub use_composition: bool,
-    /// Rewrite queries before evaluation: drop provably-valid conditions
-    /// and narrow dead disjuncts (see [`crate::simplifier`]).
-    pub use_condition_pruning: bool,
     /// Check per-source queries against the source DTD with the
     /// satisfiability analyzer ([`mix_infer::check_sat`]) and skip the
     /// fetch entirely when the query is provably `Unsat`, synthesizing
@@ -180,7 +177,6 @@ impl Default for ProcessorConfig {
         ProcessorConfig {
             use_simplifier: true,
             use_composition: true,
-            use_condition_pruning: true,
             use_sat_pruning: true,
         }
     }
@@ -760,8 +756,8 @@ impl Mediator {
     }
 
     /// Answers a user query whose condition is rooted at a view name,
-    /// using (per configuration) the DTD-based simplifier and view–query
-    /// composition.
+    /// using (per configuration) DTD-based emptiness pruning and
+    /// view–query composition.
     ///
     /// Each call is one trace: a `query` span covering the whole
     /// pipeline, with `normalize`, cache, `fetch/<source>`, and
@@ -801,13 +797,15 @@ impl Mediator {
         let any = &self.views[&view_name];
         let view_dtd = any.dtd();
         let dtd_sound = any.plain_dtd_is_sound();
-        // 1. DTD-based simplification: prune certainly-empty queries.
+        // 1. DTD-based simplification: prune certainly-empty queries with
+        //    the emptiness decider. It runs uncached here: the sat cache
+        //    and its counters belong to the per-source fetch prune.
         if self.config.use_simplifier && dtd_sound {
             let nq = {
                 let _s = self.registry.span("normalize");
                 normalize(q, view_dtd)?
             };
-            if classify_query(&nq, view_dtd) == Verdict::Unsatisfiable {
+            if check_sat_normalized(&nq, view_dtd).is_unsat() {
                 return Ok(Answer {
                     document: empty_answer(q.view_name),
                     path: AnswerPath::PrunedUnsatisfiable,
@@ -853,17 +851,12 @@ impl Mediator {
                 }
             }
         }
-        // 3. fall back to materialize-then-evaluate (with DTD-guided
-        //    condition pruning when configured).
+        // 3. fall back to materialize-then-evaluate.
         let (materialized, report) = self.materialize_with_report(view_name)?;
-        let mut nq = {
+        let nq = {
             let _s = self.registry.span("normalize");
             normalize(q, view_dtd)?
         };
-        if self.config.use_condition_pruning && dtd_sound {
-            let (pruned, _) = crate::simplifier::simplify_query(&nq, view_dtd);
-            nq = pruned;
-        }
         Ok(Answer {
             document: evaluate(&nq, &materialized),
             path: AnswerPath::Materialized,
@@ -939,6 +932,7 @@ mod tests {
     use super::*;
     use crate::source::XmlSource;
     use mix_dtd::paper::d1_department;
+    use mix_infer::Verdict;
     use mix_relang::symbol::name;
     use mix_xmas::parse_query;
     use mix_xml::parse_document;
@@ -1038,7 +1032,6 @@ mod tests {
             let mut m = Mediator::with_config(ProcessorConfig {
                 use_simplifier: false,
                 use_composition: false,
-                use_condition_pruning: false,
                 use_sat_pruning: false,
             });
             let src = XmlSource::new(d1_department(), dept_doc()).unwrap();

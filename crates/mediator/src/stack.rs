@@ -5,7 +5,9 @@
 //! [`ViewWrapper`] exports one registered view of a lower mediator as a
 //! [`Wrapper`]: its DTD is the *inferred* view DTD, its document is the
 //! materialized view, and it answers queries through the lower mediator's
-//! query processor (simplifier + composition included).
+//! query processor (emptiness pruning and composition included), so a
+//! query the view DTD proves empty is answered without touching the
+//! lower sources.
 
 use crate::error::SourceError;
 use crate::mediator::{Mediator, MediatorError};

@@ -626,8 +626,9 @@ fn main() -> ExitCode {
                  \x20 explain    --sat --dtd F --query F   per-source satisfiability\n\
                  \x20            verdict: 'sat', 'unknown', or 'unsat: WITNESS' with the\n\
                  \x20            proof path, plus whether the mediator would skip the\n\
-                 \x20            fetch. --part DTD:QUERY … explains a federated plan\n\
-                 \x20            (one line per source)\n\
+                 \x20            fetch; a query that does not normalize is 'query\n\
+                 \x20            rejected' (exit 5). --part DTD:QUERY … explains a\n\
+                 \x20            federated plan (one line per source)\n\
                  \x20 tightness  --dtd F --query F [--max-size N]   exact tightness counts\n\
                  \x20 union      [--name N] --part DTD:QUERY …      infer a union view DTD\n\
                  \x20 federate   --query F [--dtd F --doc F …] [--remote HOST:PORT …]\n\
@@ -800,10 +801,20 @@ fn main() -> ExitCode {
                 args.parts.clone()
             };
             let mut pruned = 0usize;
+            let mut rejected = false;
             for (dtd_path, query_path) in &parts {
                 let dtd = load_dtd_path(dtd_path);
                 let q = load_query_path(query_path);
                 let verdict = check_sat(&q, &dtd);
+                // a query that does not normalize is `Unknown`: federate
+                // rejects it before any fetch, so there is no plan
+                if verdict == SatVerdict::Unknown {
+                    if let Err(e) = normalize(&q, &dtd) {
+                        println!("{dtd_path}: query rejected: {e}");
+                        rejected = true;
+                        continue;
+                    }
+                }
                 let action = match &verdict {
                     SatVerdict::Unsat(_) => {
                         pruned += 1;
@@ -813,6 +824,9 @@ fn main() -> ExitCode {
                     SatVerdict::Unknown => "fetch proceeds (not provably empty)",
                 };
                 println!("{dtd_path}: {verdict} [{action}]");
+            }
+            if rejected {
+                return ExitCode::from(EXIT_QUERY);
             }
             println!("{pruned}/{} source fetches pruned", parts.len());
             ExitCode::SUCCESS

@@ -27,8 +27,8 @@
 //! * [`dtd`] — DTDs & specialized DTDs: validation, comparison, counting,
 //! * [`xmas`] — the pick-element XMAS query language,
 //! * [`infer`] — refine / tighten / merge / InferList (the contribution),
-//! * [`mediator`] — the MIX mediator: views, simplifier, composition,
-//!   stacking,
+//! * [`mediator`] — the MIX mediator: views, emptiness pruning,
+//!   composition, stacking,
 //! * [`net`] — the mix-net wire protocol for distributed mediation
 //!   (`mixctl serve-source` daemons, `RemoteWrapper` clients),
 //! * [`obs`] — the observability substrate: atomic instruments, span

@@ -280,6 +280,58 @@ fn explain_sat_prints_per_source_verdicts() {
     assert_eq!(mixctl(&["explain"]).status.code(), Some(2));
 }
 
+/// A query that does not normalize has no plan to explain: `explain
+/// --sat` reports the part as rejected and exits 5, as `federate` does
+/// for the same query before any fetch.
+#[test]
+fn explain_sat_rejects_a_query_that_does_not_normalize() {
+    let dtd = fixture("rej.dtd", "{<r : a*> <a : PCDATA>}");
+    let doc = fixture("rej.xml", "<r><a>x</a></r>");
+    let bad = fixture("rej-bad.xmas", "u = SELECT Z WHERE <r> X:<a/> </r>");
+    let good = fixture("rej-good.xmas", "u = SELECT X WHERE <r> X:<a/> </r>");
+    let (dtd, doc) = (dtd.to_str().unwrap(), doc.to_str().unwrap());
+
+    let out = mixctl(&[
+        "explain",
+        "--sat",
+        "--dtd",
+        dtd,
+        "--query",
+        bad.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(5), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.starts_with(&format!("{dtd}: query rejected: ")),
+        "{text}"
+    );
+    assert!(!text.contains("fetch proceeds"), "{text}");
+
+    // the other parts of a federated plan are still explained
+    let good_part = format!("{dtd}:{}", good.to_str().unwrap());
+    let bad_part = format!("{dtd}:{}", bad.to_str().unwrap());
+    let out = mixctl(&[
+        "explain", "--sat", "--part", &good_part, "--part", &bad_part,
+    ]);
+    assert_eq!(out.status.code(), Some(5), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(lines[0].ends_with("sat [fetch proceeds]"), "{text}");
+    assert!(lines[1].contains("query rejected"), "{text}");
+
+    let out = mixctl(&[
+        "federate",
+        "--dtd",
+        dtd,
+        "--query",
+        bad.to_str().unwrap(),
+        "--doc",
+        doc,
+    ]);
+    assert_eq!(out.status.code(), Some(5), "{out:?}");
+}
+
 /// A query whose tags are absent from the source DTD is *not* a
 /// client-facing error: the satisfiability analyzer proves it `Unsat`,
 /// the mediator skips the fetch, and the run exits 0 with a clean empty

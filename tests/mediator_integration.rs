@@ -15,7 +15,6 @@ fn all_off() -> ProcessorConfig {
     ProcessorConfig {
         use_simplifier: false,
         use_composition: false,
-        use_condition_pruning: false,
         use_sat_pruning: false,
     }
 }

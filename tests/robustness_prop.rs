@@ -13,6 +13,7 @@ use mix::relang::MAX_NESTING_DEPTH;
 use mix::stream::StreamError;
 use proptest::prelude::*;
 use std::io::Read;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Nesting depths every parser property also runs: the shared cap, one
@@ -344,6 +345,156 @@ fn deeply_nested_remote_reply_degrades_the_union() {
         "{report}"
     );
     server.shutdown();
+}
+
+/// A department whose professors have at most 2 publications each, so
+/// evaluating a pattern with many `<publication/>` siblings stays cheap
+/// and the test measures the prune, not the evaluator.
+fn small_department() -> Document {
+    let professor = |i: usize, pubs: usize| {
+        let publications: String = (0..pubs)
+            .map(|p| format!("<publication><title>t{i}.{p}</title><author>a</author><journal/></publication>"))
+            .collect();
+        format!("<professor><firstName>f{i}</firstName><lastName>l{i}</lastName>{publications}<teaches/></professor>")
+    };
+    parse_document(&format!(
+        "<department><name>CS</name>{}{}\
+         <gradStudent><firstName>g</firstName><lastName>s</lastName>\
+           <publication><title>g</title><author>a</author><conference/></publication>\
+         </gradStudent></department>",
+        professor(0, 1),
+        professor(1, 2),
+    ))
+    .unwrap()
+}
+
+/// An [`XmlSource`] that counts its fetches, so a test can prove a
+/// pruned query never touched the source.
+struct CountingSource {
+    inner: XmlSource,
+    fetches: Arc<AtomicUsize>,
+}
+
+impl Wrapper for CountingSource {
+    fn dtd(&self) -> &Dtd {
+        self.inner.dtd()
+    }
+
+    fn fetch(&self) -> Result<Document, SourceError> {
+        self.fetches.fetch_add(1, Ordering::SeqCst);
+        self.inner.fetch()
+    }
+}
+
+/// A mediator over two counting copies of one source, `cs` and `ee`,
+/// with the single view `view` over `cs` and the union view `union`
+/// over both, each defined by `view` (whose name is replaced); and the
+/// fetch counter both sources share.
+fn counted_views(dtd: &Dtd, doc: &Document, view: &str) -> (Arc<Mediator>, Arc<AtomicUsize>) {
+    let fetches = Arc::new(AtomicUsize::new(0));
+    let mut m = Mediator::new();
+    for site in ["cs", "ee"] {
+        let source = CountingSource {
+            inner: XmlSource::new(dtd.clone(), doc.clone()).unwrap(),
+            fetches: Arc::clone(&fetches),
+        };
+        m.add_source(site, Arc::new(source));
+    }
+    m.register_view("cs", &parse_query(&format!("view = {view}")).unwrap())
+        .unwrap();
+    let member = parse_query(&format!("union = {view}")).unwrap();
+    m.register_union_view("union", &[("cs", member.clone()), ("ee", member)])
+        .unwrap();
+    (Arc::new(m), fetches)
+}
+
+/// Asks `q` on a helper thread and fails if no answer arrives within
+/// 10 s.
+fn answer_within_10s(m: &Arc<Mediator>, q: &str) -> Answer {
+    let q = parse_query(q).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mediator = Arc::clone(m);
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(mediator.query(&q));
+    });
+    // on a timeout the worker is left running: a thread cannot be
+    // stopped, and the test fails either way
+    let sent = rx.recv_timeout(std::time::Duration::from_secs(10));
+    assert!(
+        !matches!(sent, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "no answer within 10 s"
+    );
+    worker.join().expect("the query thread panicked");
+    sent.expect("the worker sent its answer").unwrap()
+}
+
+/// 64 identical sibling conditions under `X:<professor>` are decided
+/// promptly by the view-level emptiness prune, for a single view and for
+/// a union view: 64 `<publication/>` siblings fit `publication+` and the
+/// query is answered (empty: no professor has that many), and 64
+/// `<teaches/>` siblings cannot fit the one `teaches`, so the query is
+/// pruned without a fetch.
+#[test]
+fn many_identical_sibling_conditions_are_decided_promptly() {
+    let d1 = mix::dtd::paper::d1_department();
+    let (m, fetches) = counted_views(
+        &d1,
+        &small_department(),
+        "SELECT X WHERE <department> X:<professor/> </>",
+    );
+    for view in ["view", "union"] {
+        let pubs = "<publication/> ".repeat(64);
+        let q = format!("ans = SELECT X WHERE <{view}> X:<professor> {pubs}</professor> </{view}>");
+        let answer = answer_within_10s(&m, &q);
+        assert_ne!(answer.path, AnswerPath::PrunedUnsatisfiable, "<{view}>");
+        assert!(
+            answer.document.root.children().is_empty(),
+            "<{view}>: {:?}",
+            answer.document
+        );
+
+        let before = fetches.load(Ordering::SeqCst);
+        let teaches = "<teaches/> ".repeat(64);
+        let q =
+            format!("ans = SELECT X WHERE <{view}> X:<professor> {teaches}</professor> </{view}>");
+        let answer = answer_within_10s(&m, &q);
+        assert_eq!(answer.path, AnswerPath::PrunedUnsatisfiable, "<{view}>");
+        assert_eq!(fetches.load(Ordering::SeqCst), before, "<{view}> fetched");
+    }
+}
+
+/// A content model of 20 alternatives, `(a1 | b1), …, (a20 | b20)`, has
+/// 2^20 incomparable name-count vectors; queries over it are decided
+/// promptly at the view level. Asking for all 40 names is pruned without
+/// a fetch (a document holds one name of each pair); two wildcard
+/// siblings fit and are answered.
+#[test]
+fn wide_alternation_conditions_are_decided_promptly() {
+    let pairs: Vec<String> = (1..=20).map(|i| format!("(a{i} | b{i})")).collect();
+    let empties: String = (1..=20)
+        .map(|i| format!("<a{i} : EMPTY> <b{i} : EMPTY> "))
+        .collect();
+    let dtd = parse_compact(&format!("{{<r : {}> {empties}}}", pairs.join(", "))).unwrap();
+    let children: String = (1..=20).map(|i| format!("<a{i}/>")).collect();
+    let doc = parse_document(&format!("<r>{children}</r>")).unwrap();
+    let (m, fetches) = counted_views(&dtd, &doc, "SELECT X WHERE X:<r/>");
+    let every: String = (1..=20).map(|i| format!("<a{i}/> <b{i}/> ")).collect();
+    for view in ["view", "union"] {
+        let before = fetches.load(Ordering::SeqCst);
+        let q = format!("ans = SELECT X WHERE <{view}> X:<r> {every}</r> </{view}>");
+        let answer = answer_within_10s(&m, &q);
+        assert_eq!(answer.path, AnswerPath::PrunedUnsatisfiable, "<{view}>");
+        assert_eq!(fetches.load(Ordering::SeqCst), before, "<{view}> fetched");
+
+        let q = format!("ans = SELECT X WHERE <{view}> X:<r> <*/> <*/> </r> </{view}>");
+        let answer = answer_within_10s(&m, &q);
+        assert_ne!(answer.path, AnswerPath::PrunedUnsatisfiable, "<{view}>");
+        assert!(
+            !answer.document.root.children().is_empty(),
+            "<{view}>: {:?}",
+            answer.document
+        );
+    }
 }
 
 /// The subset-construction s-DTD counter agrees with brute force:

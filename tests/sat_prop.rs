@@ -102,6 +102,52 @@ fn render(doc: &Document) -> String {
     write_document(doc, WriteConfig::default())
 }
 
+/// `check_sat` is the one emptiness decider: over a fixed sweep of
+/// cross-paired (query, DTD) pairs it proves every query Figure 2's
+/// `tighten` classifies `Unsatisfiable`, and it decides every pair whose
+/// query normalizes (no pair reaches the sibling check's bound).
+#[test]
+fn check_sat_proves_every_query_tighten_proves_empty() {
+    const SEEDS: u64 = 40;
+    let dtds: Vec<Dtd> = (0..SEEDS)
+        .map(|s| seeded_dtd(s, &DtdGenConfig::default()))
+        .collect();
+    let mut missed = Vec::new();
+    let mut undecided = Vec::new();
+    for h in 0..SEEDS {
+        for t in 0..SEEDS {
+            let mut rng = StdRng::seed_from_u64(h * 1000 + t);
+            let q = mix::xmas::gen::random_query(
+                &dtds[h as usize],
+                &mut rng,
+                &mix::xmas::gen::QueryGenConfig::default(),
+            );
+            let target = &dtds[t as usize];
+            let Ok(nq) = normalize(&q, target) else {
+                continue;
+            };
+            let verdict = check_sat(&q, target);
+            if classify_query(&nq, target) == Verdict::Unsatisfiable && !verdict.is_unsat() {
+                missed.push(format!("(home {h}, target {t}): {verdict}\n{q}"));
+            }
+            if verdict == SatVerdict::Unknown {
+                undecided.push(format!("(home {h}, target {t})"));
+            }
+        }
+    }
+    assert!(
+        missed.is_empty(),
+        "{} pair(s) tighten proves empty but check_sat does not:\n{}",
+        missed.len(),
+        missed.join("\n")
+    );
+    assert!(
+        undecided.is_empty(),
+        "normalizing pairs left Unknown: {}",
+        undecided.join(", ")
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
