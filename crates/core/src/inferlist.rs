@@ -28,7 +28,7 @@ use mix_dtd::{ContentModel, Dtd};
 use mix_relang::ast::Regex;
 use mix_relang::simplify;
 use mix_relang::symbol::{Name, Tag};
-use mix_xmas::{Condition, Query};
+use mix_xmas::{Body, Condition, Query};
 
 /// Projection (Appendix B): keep occurrences of `keep` (any tag, "could
 /// match" semantics) retagged to `tag`; every other name becomes `ε`.
@@ -83,17 +83,20 @@ pub fn infer_list(q: &Query, dtd: &Dtd, tightened: &Tightened) -> Regex {
         Verdict::Satisfiable => Regex::opt(Regex::Sym(dtd.doc_type.tagged(root_cond.tag))),
     };
     // Levels 1..k: extend, project, weaken.
-    for cond in &path[1..] {
+    for (parent, cond) in path.iter().zip(&path[1..]) {
         t = one_level_extension(&t, dtd);
         let viable = tightened.viable_names(cond);
         if viable.is_empty() {
             return Regex::Epsilon;
         }
         t = project(&t, &viable, cond.tag);
+        let contested = sibling_names(parent, cond, tightened);
         let soft: Vec<Name> = viable
             .iter()
             .copied()
-            .filter(|&n| verdict_of(tightened, cond, n) == Verdict::Satisfiable)
+            .filter(|&n| {
+                verdict_of(tightened, cond, n) == Verdict::Satisfiable || contested.contains(&n)
+            })
             .collect();
         t = weaken(&t, &soft, cond.tag);
         if matches!(t, Regex::Epsilon | Regex::Empty) {
@@ -101,6 +104,21 @@ pub fn infer_list(q: &Query, dtd: &Dtd, tightened: &Tightened) -> Regex {
         }
     }
     simplify(&t)
+}
+
+/// The names that a sibling step of `cond` under `parent` can bind.
+/// Sibling steps bind distinct children, so a child of such a name may
+/// be needed by the sibling: it lies on the path only in some documents,
+/// even when its own subtree condition is valid.
+fn sibling_names(parent: &Condition, cond: &Condition, tightened: &Tightened) -> Vec<Name> {
+    match &parent.body {
+        Body::Children(steps) => steps
+            .iter()
+            .filter(|&step| !std::ptr::eq(step, cond))
+            .flat_map(|step| tightened.viable_names(step))
+            .collect(),
+        Body::Text(_) => Vec::new(),
+    }
 }
 
 fn verdict_of(tightened: &Tightened, cond: &Condition, n: Name) -> Verdict {
@@ -179,6 +197,34 @@ mod tests {
         let d = d1_department();
         let t = list_type("v = SELECT J WHERE <department> J:<journal/> </>", &d);
         assert_eq!(t, Regex::Epsilon);
+    }
+
+    /// Sibling steps bind distinct children, so a step whose name a
+    /// sibling step can also bind keeps only some of its children: the
+    /// pick itself in the first query, a path step above it in the
+    /// second. Each answer must satisfy the inferred s-DTD.
+    #[test]
+    fn names_a_sibling_step_can_take_are_optional() {
+        use crate::pipeline::infer_view_dtd;
+        use mix_dtd::{parse_compact, sdtd_satisfies};
+        for (dtd, query, doc) in [
+            (
+                "{<r : (a, a, b)+> <a : b*> <b : PCDATA>}",
+                "v = SELECT P WHERE <r> P:<a/> <a> <b/> </a> </r>",
+                "<r><a/><a><b>x</b></a><b>y</b></r>",
+            ),
+            (
+                "{<r : a, a> <a : b+, c?> <b : PCDATA> <c : PCDATA>}",
+                "v = SELECT P WHERE <r> <a> P:<b/> </a> <a> <c/> </a> </r>",
+                "<r><a><b>1</b><c>x</c></a><a><b>2</b></a></r>",
+            ),
+        ] {
+            let d = parse_compact(dtd).unwrap();
+            let iv = infer_view_dtd(&parse_query(query).unwrap(), &d).unwrap();
+            let answer = mix_xmas::evaluate(&iv.query, &mix_xml::parse_document(doc).unwrap());
+            assert_eq!(answer.root.children().len(), 1, "{query}");
+            assert!(sdtd_satisfies(&iv.sdtd, &answer), "{query}\n{}", iv.sdtd);
+        }
     }
 
     #[test]

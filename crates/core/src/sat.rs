@@ -392,6 +392,16 @@ impl SiblingCheck {
                 vs
             }
             ReNode::Concat(parts) => {
+                // counts commute, so the parts fold in any order: those
+                // with one vector (a symbol, `*`, `+`) go first, and a star
+                // that fills every slot then absorbs the alternatives
+                let (mut parts, rest): (Vec<ReId>, Vec<ReId>) = parts.iter().partition(|&&p| {
+                    matches!(
+                        pool::node(p),
+                        ReNode::Sym(_) | ReNode::Star(_) | ReNode::Plus(_)
+                    )
+                });
+                parts.extend(rest);
                 // after[k]: the most parts k.. and the context can add
                 let mut after = vec![around.to_vec()];
                 for &p in parts.iter().rev() {
@@ -804,6 +814,19 @@ mod tests {
         // an obstruction elsewhere in the pattern still proves `Unsat`
         let v = verdict(&format!("x = SELECT X WHERE X:<r> {every}<c/> </r>"), &d);
         assert!(v.is_unsat(), "{v}");
+        // a star over every name supplies them all, wherever it stands
+        let names: Vec<String> = (1..=20)
+            .flat_map(|i| [format!("a{i}"), format!("b{i}")])
+            .collect();
+        let star = format!("({})*", names.join(" | "));
+        for model in [
+            format!("{}, {star}", pairs.join(", ")),
+            format!("{star}, {}", pairs.join(", ")),
+        ] {
+            let d = parse_compact(&format!("{{<r : {model}> {empties}}}")).unwrap();
+            let v = verdict(&format!("x = SELECT X WHERE X:<r> {every}</r>"), &d);
+            assert_eq!(v, SatVerdict::Sat, "{model}");
+        }
         assert!(t.elapsed().as_secs() < 5, "took {:?}", t.elapsed());
     }
 

@@ -514,6 +514,14 @@ impl Mediator {
     /// [`DegradationReport`] naming each failed source, its last error,
     /// and its breaker state; only when *every* member fails does it
     /// error ([`MediatorError::AllSourcesFailed`]).
+    ///
+    /// `union_dtd_covers_survivors` takes a walk over the answer only when
+    /// some member was not served fresh. A clean report covers its answer
+    /// by the soundness of the Section 4 inference: every fetched document
+    /// was validated against its source DTD, every member answer is
+    /// `evaluate` of the member's normalized query (with fresh, hence
+    /// unique, IDs), and a member pruned as `Unsat` contributes exactly
+    /// the empty answer [`mix_infer::check_sat`] proves.
     pub fn materialize_with_report(
         &self,
         name: Name,
@@ -531,12 +539,16 @@ impl Mediator {
                 let (doc, outcome) = self.call_source(&view.source, &view.inferred.query)?;
                 match doc {
                     Some(document) => {
-                        let covers = mix_dtd::satisfies(&view.inferred.dtd, &document);
-                        let report = DegradationReport {
+                        let mut report = DegradationReport {
                             view: name.to_string(),
                             outcomes: vec![outcome],
-                            union_dtd_covers_survivors: covers,
+                            union_dtd_covers_survivors: true,
                         };
+                        // a clean report needs no walk (see above)
+                        if !report.is_clean() {
+                            report.union_dtd_covers_survivors =
+                                mix_dtd::satisfies(&view.inferred.dtd, &document);
+                        }
                         self.note_degraded(&report);
                         Ok((document, report))
                     }
@@ -571,21 +583,23 @@ impl Mediator {
                     id: ElemId::fresh(),
                     content: Content::Elements(members),
                 });
-                // Does the inferred union DTD still soundly describe the
-                // partial answer? (A failed member whose contribution the
-                // root model *requires* breaks coverage.) Kind-conflicted
-                // unions have no sound plain DTD, so the check runs on the
-                // specialized DTD instead.
-                let covers = if view.inferred.kind_conflicts.is_empty() {
-                    mix_dtd::satisfies(&view.inferred.dtd, &document)
-                } else {
-                    mix_dtd::sdtd_satisfies(&view.inferred.sdtd, &document)
-                };
-                let report = DegradationReport {
+                let mut report = DegradationReport {
                     view: name.to_string(),
                     outcomes,
-                    union_dtd_covers_survivors: covers,
+                    union_dtd_covers_survivors: true,
                 };
+                // Does the inferred union DTD still soundly describe the
+                // partial answer? A clean report needs no walk (see above).
+                // A failed member whose contribution the root model
+                // *requires* breaks coverage. Kind-conflicted unions have no
+                // sound plain DTD, so the check runs on the specialized DTD.
+                if !report.is_clean() {
+                    report.union_dtd_covers_survivors = if view.inferred.kind_conflicts.is_empty() {
+                        mix_dtd::satisfies(&view.inferred.dtd, &document)
+                    } else {
+                        mix_dtd::sdtd_satisfies(&view.inferred.sdtd, &document)
+                    };
+                }
                 self.note_degraded(&report);
                 Ok((document, report))
             }

@@ -31,16 +31,13 @@ pub struct ResiliencePolicy {
     /// Extra attempts after the first, for *transient* errors only.
     pub max_retries: u32,
     /// Virtual backoff before retry `n` is `backoff_base_ms << (n-1)`
-    /// milliseconds; recorded, never slept.
+    /// milliseconds, saturating at `u64::MAX`; recorded, never slept.
     pub backoff_base_ms: u64,
     /// Consecutive source faults that trip the breaker open.
     pub failure_threshold: u32,
     /// Calls rejected while open before the breaker half-opens and lets
     /// one probe through.
     pub cooldown_calls: u32,
-    /// Validate every fetched document against the wrapper's advertised
-    /// DTD; a violation is a [`SourceError::DtdInvalid`] failure.
-    pub validate_fetches: bool,
     /// On failure, serve the last-known-good snapshot (marked
     /// [`FetchStatus::Stale`]) instead of failing the member outright.
     pub serve_stale: bool,
@@ -53,7 +50,6 @@ impl Default for ResiliencePolicy {
             backoff_base_ms: 10,
             failure_threshold: 3,
             cooldown_calls: 2,
-            validate_fetches: true,
             serve_stale: true,
         }
     }
@@ -250,7 +246,9 @@ pub struct DegradationReport {
     /// Whether the inferred union view DTD still soundly covers the
     /// partial answer assembled from the surviving members. `false` means
     /// a consumer reasoning with the advertised view DTD could draw
-    /// unsound conclusions about this particular answer.
+    /// unsound conclusions about this particular answer. A clean report
+    /// is `true` by the inference's soundness, without a walk over the
+    /// answer (see `Mediator::materialize_with_report`).
     pub union_dtd_covers_survivors: bool,
 }
 
@@ -397,7 +395,7 @@ pub fn resilient_answer(
         let attempt = {
             let _span = obs.registry().span(obs.fetch_stage());
             let timer = obs.fetch_latency.start();
-            let r = checked_fetch(wrapper, policy);
+            let r = checked_fetch(wrapper);
             timer.stop();
             r
         };
@@ -421,7 +419,9 @@ pub fn resilient_answer(
                 last_err = e;
                 if retryable && outcome.retries < budget {
                     outcome.retries += 1;
-                    outcome.backoff_ms += policy.backoff_base_ms << (outcome.retries - 1);
+                    outcome.backoff_ms = outcome
+                        .backoff_ms
+                        .saturating_add(backoff_step(policy.backoff_base_ms, outcome.retries));
                     obs.retries.inc();
                     continue;
                 }
@@ -451,17 +451,24 @@ pub fn resilient_answer(
     serve_stale_or_fail(&Some(nq), &mut h, policy, outcome, obs)
 }
 
-/// Fetch once, optionally validating the document against the wrapper's
-/// advertised DTD.
-fn checked_fetch(
-    wrapper: &dyn Wrapper,
-    policy: &ResiliencePolicy,
-) -> Result<Document, SourceError> {
+/// Fetch once and validate the document against the wrapper's
+/// advertised DTD; a violation is a [`SourceError::DtdInvalid`] failure.
+/// Every served answer rests on this check, which is what lets a clean
+/// [`DegradationReport`] skip its coverage walk.
+fn checked_fetch(wrapper: &dyn Wrapper) -> Result<Document, SourceError> {
     let doc = wrapper.fetch()?;
-    if policy.validate_fetches {
-        mix_dtd::validate_document(wrapper.dtd(), &doc).map_err(|e| SourceError::invalid(&e))?;
-    }
+    mix_dtd::validate_document(wrapper.dtd(), &doc).map_err(|e| SourceError::invalid(&e))?;
     Ok(doc)
+}
+
+/// The virtual backoff before retry `n` (1-based): `base << (n-1)`,
+/// saturating at `u64::MAX` once a bit would shift out.
+fn backoff_step(base: u64, n: u32) -> u64 {
+    match base {
+        0 => 0,
+        _ if n - 1 > base.leading_zeros() => u64::MAX,
+        _ => base << (n - 1),
+    }
 }
 
 /// Degrade to the last-known-good snapshot when policy and state allow,

@@ -6,8 +6,15 @@
 //! simply `n`. Names are hot: every regex leaf, every automaton transition,
 //! every DTD lookup touches them, so we intern them once into a global table
 //! and pass around a `u32` index.
+//!
+//! Reading a name back ([`Name::as_str`], [`Name::stable_hash`], every
+//! `Display`) takes no lock: the table is append-only, in segments that
+//! never move, so serializers on many threads share nothing but
+//! read-only memory. Only [`Name::intern`] locks, to look up or extend
+//! the text-to-index map.
 
 use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -31,25 +38,34 @@ pub struct Sym {
     pub tag: Tag,
 }
 
-struct Interner {
-    names: Vec<&'static str>,
-    // FNV-1a of the string, computed once at intern time so fingerprinting
-    // a whole DTD/query costs one table lookup per name instead of a
-    // re-hash of its characters (intern indices themselves are not stable
-    // across processes, so they cannot serve as persistent cache keys).
-    stable_hashes: Vec<u64>,
-    index: std::collections::HashMap<&'static str, u32>,
+/// One interned name: its text and the FNV-1a hash of it. The hash is
+/// computed once at intern time so fingerprinting a whole DTD/query costs
+/// one table read per name instead of a re-hash of its characters (intern
+/// indices themselves are not stable across processes, so they cannot
+/// serve as persistent cache keys).
+type Entry = (&'static str, u64);
+
+/// Segments of the name table; segment `k` holds `2^k` slots, so the
+/// table has room for every `u32` index but the last.
+const SEGMENTS: usize = 32;
+
+/// The append-only name table, read without a lock: segment `k` holds
+/// the entries of indices `2^k - 1 .. 2^(k+1) - 1`. A segment is
+/// allocated once and never moves, and a slot is written once, before
+/// its index is published, so `Name::as_str` is two acquire loads.
+static TABLE: [OnceLock<Box<[OnceLock<Entry>]>>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
+
+/// The segment and offset of index `i` in [`TABLE`].
+fn slot_of(i: u32) -> (usize, usize) {
+    let j = i as usize + 1;
+    let k = j.ilog2() as usize;
+    (k, j - (1 << k))
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            names: Vec::new(),
-            stable_hashes: Vec::new(),
-            index: std::collections::HashMap::new(),
-        })
-    })
+/// Text to index; only `Name::intern` takes this lock.
+fn index() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INDEX: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INDEX.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -64,27 +80,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 impl Name {
     /// Interns `s` and returns its `Name`. Idempotent.
     pub fn intern(s: &str) -> Name {
-        {
-            let g = interner().read();
-            if let Some(&i) = g.index.get(s) {
-                return Name(i);
-            }
-        }
-        let mut g = interner().write();
-        if let Some(&i) = g.index.get(s) {
+        if let Some(&i) = index().read().get(s) {
             return Name(i);
         }
+        let mut g = index().write();
+        if let Some(&i) = g.get(s) {
+            return Name(i);
+        }
+        let i = u32::try_from(g.len())
+            .ok()
+            .filter(|&i| i < u32::MAX)
+            .expect("fewer than 2^32 - 1 interned names");
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let i = g.names.len() as u32;
-        g.names.push(leaked);
-        g.stable_hashes.push(fnv1a(leaked.as_bytes()));
-        g.index.insert(leaked, i);
+        let (k, off) = slot_of(i);
+        let segment = TABLE[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        // fill the slot before the index is published: a `Name` comes only
+        // from this map or this return, so every reader finds its slot full
+        segment[off]
+            .set((leaked, fnv1a(leaked.as_bytes())))
+            .expect("each index is assigned once");
+        g.insert(leaked, i);
         Name(i)
+    }
+
+    /// This name's table entry.
+    fn entry(self) -> &'static Entry {
+        let (k, off) = slot_of(self.0);
+        TABLE[k]
+            .get()
+            .and_then(|segment| segment[off].get())
+            .expect("a Name's slot is filled before the Name exists")
     }
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        interner().read().names[self.0 as usize]
+        self.entry().0
     }
 
     /// The raw intern index (useful as a dense array key).
@@ -108,7 +138,7 @@ impl Name {
     /// cache's stable fingerprints (the intern *index* is only stable
     /// within one process).
     pub fn stable_hash(self) -> u64 {
-        interner().read().stable_hashes[self.0 as usize]
+        self.entry().1
     }
 }
 
@@ -185,6 +215,7 @@ pub fn sym(s: &str) -> Sym {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn intern_is_idempotent() {
@@ -253,5 +284,41 @@ mod tests {
                 assert_eq!(Name::intern(n.as_str()), *n);
             }
         }
+    }
+
+    /// Threads released together intern overlapping new names (crossing
+    /// several table segments) and read earlier ones back while the
+    /// others insert: every `Name` keeps its own text and hash.
+    #[test]
+    fn names_read_back_while_others_intern() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 2_000;
+        let start = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut names = Vec::with_capacity(PER_THREAD);
+                    for k in 0..PER_THREAD {
+                        // neighbouring threads share half their names
+                        let text = format!("barrier-probe-{}", t * PER_THREAD / 2 + k);
+                        names.push((Name::intern(&text), text));
+                        let (n, text) = &names[k / 2];
+                        assert_eq!(n.as_str(), text);
+                        assert_eq!(n.stable_hash(), fnv1a(text.as_bytes()));
+                    }
+                    names
+                })
+            })
+            .collect();
+        let mut by_text: HashMap<String, Name> = HashMap::new();
+        for h in handles {
+            for (n, text) in h.join().unwrap() {
+                assert_eq!(n.as_str(), text);
+                assert_eq!(*by_text.entry(text).or_insert(n), n);
+            }
+        }
+        assert_eq!(by_text.len(), (THREADS + 1) * PER_THREAD / 2);
     }
 }

@@ -6,6 +6,8 @@
 //! content, and no entities.
 
 use mix_relang::symbol::Name;
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,12 +15,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Parsed documents carry their textual IDs; programmatically built
 /// elements get fresh `#N` IDs from a process-wide counter. Auto IDs are
-/// a plain number, **not** an interned string: [`ElemId::fresh`] is one
-/// relaxed atomic increment, so the id-refreshing walks that answer
-/// caches run per served copy ([`Element::refresh_auto_ids`]) cost
-/// nanoseconds per node instead of a symbol-table insertion — and the
-/// symbol table no longer accretes one dead `"#N"` entry per constructed
-/// element for the life of the process.
+/// a plain number, **not** an interned string: each thread takes a
+/// block of 4 096 numbers from the counter at once, so
+/// [`ElemId::fresh`] is a thread-local increment and threads that parse
+/// or clone in parallel share no counter. The id-refreshing walks that
+/// answer caches run per served copy ([`Element::refresh_auto_ids`])
+/// cost nanoseconds per node instead of a symbol-table insertion — and
+/// the symbol table does not accrete one dead `"#N"` entry per
+/// constructed element for the life of the process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ElemId {
     /// An ID written as `id="…"` in source text.
@@ -27,7 +31,16 @@ pub enum ElemId {
     Auto(u64),
 }
 
+/// Fresh IDs a thread takes from the process-wide counter at once.
+pub(crate) const FRESH_BLOCK: u64 = 4096;
+
+/// The first number of the next unclaimed block.
 static NEXT_AUTO_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's unused fresh IDs: `next..end` of its current block.
+    static FRESH: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 impl ElemId {
     /// An ID from explicit text (as written in `id="…"`). Text of the
@@ -42,7 +55,15 @@ impl ElemId {
 
     /// A fresh, process-unique ID.
     pub fn fresh() -> ElemId {
-        ElemId::Auto(NEXT_AUTO_ID.fetch_add(1, Ordering::Relaxed))
+        FRESH.with(|block| {
+            let (mut next, mut end) = block.get();
+            if next == end {
+                next = NEXT_AUTO_ID.fetch_add(FRESH_BLOCK, Ordering::Relaxed);
+                end = next + FRESH_BLOCK;
+            }
+            block.set((next + 1, end));
+            ElemId::Auto(next)
+        })
     }
 
     /// Whether this ID was auto-generated (or spelled in the `#…` form
@@ -237,9 +258,19 @@ impl Document {
     }
 
     /// Checks that no two elements share an ID (validity requirement 1 of
-    /// Appendix A). Returns the first duplicated ID if any.
+    /// Appendix A). Returns the first duplicated ID if any: the first
+    /// element, in document order, whose ID an earlier element has.
+    ///
+    /// Sorting the IDs and comparing neighbours settles the common,
+    /// duplicate-free case without hashing; only a document with a
+    /// duplicate is walked again to find the first one.
     pub fn duplicate_id(&self) -> Option<ElemId> {
-        let mut seen = std::collections::HashSet::new();
+        let mut ids: Vec<ElemId> = self.root.walk().map(|e| e.id).collect();
+        ids.sort_unstable();
+        if ids.windows(2).all(|w| w[0] != w[1]) {
+            return None;
+        }
+        let mut seen = HashSet::new();
         self.root.walk().find(|e| !seen.insert(e.id)).map(|e| e.id)
     }
 
@@ -257,6 +288,8 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::{Arc, Barrier};
 
     fn sample() -> Element {
         Element::new(
@@ -281,6 +314,32 @@ mod tests {
         let b = ElemId::fresh();
         assert_ne!(a, b);
         assert!(a.is_auto());
+    }
+
+    /// Threads released together each take more than one block of
+    /// fresh IDs: no ID is handed out twice.
+    #[test]
+    fn fresh_ids_from_racing_threads_are_distinct() {
+        const THREADS: usize = 4;
+        let per_thread = 2 * FRESH_BLOCK as usize + 7;
+        let start = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..per_thread).map(|_| ElemId::fresh()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut all = HashSet::new();
+        for h in handles {
+            for id in h.join().unwrap() {
+                assert!(id.is_auto());
+                assert!(all.insert(id), "{id} handed out twice");
+            }
+        }
+        assert_eq!(all.len(), THREADS * per_thread);
     }
 
     #[test]
@@ -373,6 +432,57 @@ mod tests {
         assert_eq!(doc.duplicate_id(), Some(ElemId::named("x")));
         let ok = Document::new(sample());
         assert!(ok.duplicate_id().is_none());
+    }
+
+    /// The first repeated ID in document order, by a recursive
+    /// pre-order walk with a hash set.
+    fn first_repeat(e: &Element, seen: &mut HashSet<ElemId>) -> Option<ElemId> {
+        if !seen.insert(e.id) {
+            return Some(e.id);
+        }
+        e.children().iter().find_map(|c| first_repeat(c, seen))
+    }
+
+    /// A random tree: each draw hangs one node under an earlier one, with
+    /// an ID that is fresh, one of a few names, one of a few auto
+    /// numbers, or a copy of an earlier node's ID.
+    fn random_tree(draws: &[u32]) -> Element {
+        let mut ids = vec![ElemId::fresh()];
+        let mut parent = vec![usize::MAX];
+        for (k, &x) in draws.iter().enumerate() {
+            let (pick, kind, v) = (x as usize / 40 % (k + 1), x / 4 % 10, x % 4);
+            parent.push(pick);
+            ids.push(match kind {
+                0..=5 => ElemId::fresh(),
+                6 | 7 => ElemId::named(&format!("n{v}")),
+                8 => ElemId::Auto(u64::from(v)),
+                _ => ids[pick],
+            });
+        }
+        fn build(k: usize, ids: &[ElemId], parent: &[usize]) -> Element {
+            let children = (k + 1..ids.len())
+                .filter(|&c| parent[c] == k)
+                .map(|c| build(c, ids, parent))
+                .collect();
+            Element {
+                name: Name::intern("e"),
+                id: ids[k],
+                content: Content::Elements(children),
+            }
+        }
+        build(0, &ids, &parent)
+    }
+
+    proptest! {
+        /// The sort-then-walk check reports exactly the ID a hash-set
+        /// walk in document order reports, duplicate or not.
+        #[test]
+        fn duplicate_id_matches_a_hash_set_walk(
+            draws in prop::collection::vec(0u32..40_000, 0..40)
+        ) {
+            let doc = Document::new(random_tree(&draws));
+            prop_assert_eq!(doc.duplicate_id(), first_repeat(&doc.root, &mut HashSet::new()));
+        }
     }
 
     #[test]

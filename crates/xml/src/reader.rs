@@ -24,9 +24,10 @@
 //! * elements nest at most [`MAX_NESTING_DEPTH`] deep.
 //!
 //! The reader rejects a repeated explicit `id="…"` where the second one
-//! occurs. The tree builder additionally checks uniqueness over the
-//! whole tree, auto-assigned IDs included: an explicit `id="#N"` folds
-//! onto [`ElemId::Auto`] and can collide with a fresh ID.
+//! occurs. Fresh IDs never collide with each other or with a named ID,
+//! so the tree builder checks uniqueness over the whole tree only when
+//! an explicit `id="#N"` folded onto [`ElemId::Auto`]: that one can
+//! collide with a fresh ID.
 
 use crate::element::{Content, Document, ElemId, Element};
 use crate::parser::{unescape, XmlError};
@@ -552,9 +553,14 @@ pub fn read_document<R: Read>(src: R) -> Result<Document, StreamError> {
     let mut open: Vec<(Name, Option<ElemId>, Vec<Element>)> = Vec::new();
     let mut text = None;
     let mut root = None;
+    // an explicit `#N` is the one ID that can equal a fresh one
+    let mut folded = false;
     loop {
         match reader.next_event()? {
-            XmlEvent::Open { name, id } => open.push((name, id, Vec::new())),
+            XmlEvent::Open { name, id } => {
+                folded |= matches!(id, Some(ElemId::Auto(_)));
+                open.push((name, id, Vec::new()));
+            }
             XmlEvent::Text(t) => text = Some(t),
             XmlEvent::Close { .. } => {
                 let (name, id, children) = open.pop().expect("the reader balances tags");
@@ -575,7 +581,7 @@ pub fn read_document<R: Read>(src: R) -> Result<Document, StreamError> {
         }
     }
     let doc = Document::new(root.expect("Eof follows the root's Close"));
-    match doc.duplicate_id() {
+    match folded.then(|| doc.duplicate_id()).flatten() {
         Some(id) => Err(err_at(0, format!("duplicate element id '{id}'"))),
         None => Ok(doc),
     }
@@ -837,6 +843,28 @@ mod tests {
                 Close { name: a },
             ]
             .map(Ok)
+        );
+    }
+
+    /// An explicit `id="#N"` folds onto `ElemId::Auto(N)`, and `N` can be
+    /// the fresh ID an earlier element of the same document received:
+    /// the whole-tree check still runs and rejects it.
+    #[test]
+    fn explicit_id_equal_to_an_earlier_fresh_id_is_rejected() {
+        // this thread's next fresh ID is one past the last one it took,
+        // unless that one ended its block
+        let next = loop {
+            if let ElemId::Auto(n) = ElemId::fresh() {
+                if n % crate::element::FRESH_BLOCK != 0 {
+                    break n + 1;
+                }
+            }
+        };
+        let src = format!(r##"<r><a/><b id="#{next}"/></r>"##);
+        let err = read_document(src.as_bytes()).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("duplicate element id '#{next}'")),
+            "{err}"
         );
     }
 

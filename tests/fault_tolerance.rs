@@ -254,3 +254,60 @@ fn stacked_mediator_survives_lower_level_outage() {
     assert_eq!(report.outcomes[0].status, FetchStatus::Stale);
     assert_eq!(doc.root.children().len(), 2);
 }
+
+/// A retry budget past 64 doublings saturates the virtual backoff at
+/// `u64::MAX` instead of overflowing inside the union worker.
+#[test]
+fn long_retry_budgets_saturate_the_virtual_backoff() {
+    let dtd = site_dtd();
+    let flaky = FaultInjector::new(
+        Arc::new(XmlSource::new(dtd.clone(), site_doc(0)).unwrap()),
+        FaultPlan::Script(vec![Some(Fault::Transient); 71]),
+    );
+    let mut m = Mediator::new();
+    m.set_resilience_policy(ResiliencePolicy {
+        max_retries: 70,
+        serve_stale: false,
+        ..ResiliencePolicy::default()
+    });
+    m.add_source("flaky", Arc::new(flaky));
+    m.add_source("ok", Arc::new(XmlSource::new(dtd, site_doc(1)).unwrap()));
+    m.register_union_view("u", &[("flaky", part_query()), ("ok", part_query())])
+        .unwrap();
+    let (doc, report) = m.materialize_with_report(name("u")).unwrap();
+    let o = &report.outcomes[0];
+    assert_eq!(o.status, FetchStatus::Failed);
+    assert_eq!(o.retries, 70);
+    assert_eq!(o.backoff_ms, u64::MAX);
+    assert_eq!(
+        doc.root.children().len(),
+        2,
+        "the healthy member still serves"
+    );
+}
+
+/// A report with a failed member keeps the coverage walk: here the root
+/// model needs an `a` from each member, and the survivor has one.
+#[test]
+fn failed_member_the_root_model_requires_breaks_coverage() {
+    let dtd = parse_compact("{<r : a+> <a : PCDATA>}").unwrap();
+    let doc = || parse_document("<r><a>only</a></r>").unwrap();
+    let down = FaultInjector::new(
+        Arc::new(XmlSource::new(dtd.clone(), doc()).unwrap()),
+        FaultPlan::Script(vec![Some(Fault::Unavailable); 8]),
+    );
+    let mut m = Mediator::new();
+    m.set_resilience_policy(ResiliencePolicy {
+        max_retries: 0,
+        serve_stale: false,
+        ..ResiliencePolicy::default()
+    });
+    m.add_source("down", Arc::new(down));
+    m.add_source("up", Arc::new(XmlSource::new(dtd, doc()).unwrap()));
+    m.register_union_view("u", &[("down", part_query()), ("up", part_query())])
+        .unwrap();
+    let (doc, report) = m.materialize_with_report(name("u")).unwrap();
+    assert_eq!(report.failed_sources(), ["down"]);
+    assert_eq!(doc.root.children().len(), 1);
+    assert!(!report.union_dtd_covers_survivors, "{report}");
+}

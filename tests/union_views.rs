@@ -231,26 +231,48 @@ fn union_views_are_sound_on_random_workloads() {
         let dtd = reg.inferred.dtd.clone();
         let sdtd = reg.inferred.sdtd.clone();
         let kind_conflicts = reg.inferred.kind_conflicts.clone();
-        let doc = m.materialize(name("u")).unwrap();
+        let (doc, report) = m.materialize_with_report(name("u")).unwrap();
+        assert!(report.is_clean(), "seed {seed}: {report}");
         // the s-DTD is sound unconditionally
+        let sdtd_covers = SAcceptor::new(&sdtd).document_satisfies(&doc);
         assert!(
-            SAcceptor::new(&sdtd).document_satisfies(&doc),
+            sdtd_covers,
             "seed {seed}: union materialization violates the s-DTD\n{sdtd}"
         );
         // the plain merged DTD is sound exactly when no name mixes PCDATA
         // and element content across the sites (see
         // InferredUnionView::kind_conflicts)
-        if kind_conflicts.is_empty() {
+        let covers = if kind_conflicts.is_empty() {
             assert!(
                 Validator::new(&dtd).validate_document(&doc).is_ok(),
                 "seed {seed}: union materialization violates the merged DTD\n{dtd}"
             );
-        } else if let Err(e) = Validator::new(&dtd).validate_document(&doc) {
-            // a violation, if any, must be at a conflicted name
-            let offender = e.path.last().copied().expect("nonempty path");
-            assert!(
-                kind_conflicts.contains(&offender),
-                "seed {seed}: merged-DTD violation at unconflicted name {offender}: {e}"
+            true
+        } else {
+            if let Err(e) = Validator::new(&dtd).validate_document(&doc) {
+                // a violation, if any, must be at a conflicted name
+                let offender = e.path.last().copied().expect("nonempty path");
+                assert!(
+                    kind_conflicts.contains(&offender),
+                    "seed {seed}: merged-DTD violation at unconflicted name {offender}: {e}"
+                );
+            }
+            sdtd_covers
+        };
+        // a clean report sets the coverage bit without walking the
+        // answer; it must equal the full check
+        assert_eq!(report.union_dtd_covers_survivors, covers, "seed {seed}");
+        // the same for a single-source view over each site
+        for (site, (label, q)) in parts.iter().enumerate() {
+            let mut q = q.clone();
+            q.view_name = name(&format!("single{site}"));
+            let view_dtd = m.register_view(label, &q).unwrap().inferred.dtd.clone();
+            let (doc, report) = m.materialize_with_report(q.view_name).unwrap();
+            assert!(report.is_clean(), "seed {seed} site {site}: {report}");
+            assert_eq!(
+                report.union_dtd_covers_survivors,
+                Validator::new(&view_dtd).validate_document(&doc).is_ok(),
+                "seed {seed} site {site}\n{view_dtd}"
             );
         }
     }
