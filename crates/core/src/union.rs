@@ -32,8 +32,9 @@ use std::sync::Arc;
 /// The inference result for a union view.
 #[derive(Debug, Clone)]
 pub struct InferredUnionView {
-    /// The normalized per-source queries, in union order.
-    pub queries: Vec<Query>,
+    /// The per-source inferences, in union order: each member's
+    /// normalized query, and the DTDs its answers must satisfy.
+    pub members: Vec<Arc<InferredView>>,
     /// The tight specialized view DTD of the union.
     pub sdtd: SDtd,
     /// The merged plain view DTD.
@@ -83,7 +84,7 @@ fn infer_union_view_dtd_with(
     parts: &[(&Query, &Dtd)],
     infer: &mut PartInfer<'_>,
 ) -> Result<InferredUnionView, NormalizeError> {
-    let mut queries = Vec::new();
+    let mut members = Vec::new();
     let mut root_parts: Vec<Regex> = Vec::new();
     let mut combined = SDtd::new(view_name.untagged());
     combined
@@ -115,7 +116,7 @@ fn infer_union_view_dtd_with(
             };
             combined.types.insert(retag(s), moved);
         }
-        queries.push(iv.query.clone());
+        members.push(iv);
     }
     let root_type = Regex::concat(root_parts);
     combined
@@ -144,7 +145,7 @@ fn infer_union_view_dtd_with(
     kind_conflicts.sort_by_key(|n| n.as_str());
     let Merged { dtd, merged_names } = merge(&sdtd);
     Ok(InferredUnionView {
-        queries,
+        members,
         sdtd,
         dtd,
         merged_names,

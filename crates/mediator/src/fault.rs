@@ -14,10 +14,10 @@
 //!   [`Fault::Unavailable`], [`Fault::MalformedXml`]) — the call fails
 //!   outright, like a dead or garbled site;
 //! * **corruptions** ([`Fault::Truncate`], [`Fault::DtdViolate`]) — the
-//!   call *succeeds* but returns a document that no longer validates
-//!   against the advertised DTD, like a site that silently changed its
-//!   schema. These are only caught by a consumer that validates fetches
-//!   (the resilience layer does).
+//!   call *succeeds* but returns a reply with children dropped or an
+//!   undeclared element appended, like a site that silently changed its
+//!   schema. These are only caught by a consumer that checks replies
+//!   (the resilience layer checks each one against the view DTD).
 
 use crate::error::SourceError;
 use crate::source::Wrapper;
@@ -40,11 +40,11 @@ pub enum Fault {
     /// The call errors with [`SourceError::MalformedXml`], as if the
     /// exported text stopped parsing.
     MalformedXml,
-    /// The call returns a document with the tail of the root's children
+    /// The call returns its reply with the tail of the root's children
     /// dropped — a truncated transfer that still happens to parse.
     Truncate,
-    /// The call returns the document with an undeclared `corrupted`
-    /// element appended to the root — well-formed, DTD-invalid.
+    /// The call returns its reply with an undeclared `corrupted` element
+    /// appended to the root — well-formed, DTD-invalid.
     DtdViolate,
 }
 
@@ -115,9 +115,11 @@ fn mix64(x: u64) -> u64 {
 /// A wrapper that injects faults from a [`FaultPlan`] in front of an
 /// inner wrapper.
 ///
-/// Only [`Wrapper::fetch`] is intercepted; `answer` goes through the
-/// default fetch-and-evaluate path, so corruptions flow into answers the
-/// same way they would for a real materializing wrapper.
+/// [`Wrapper::answer`] and [`Wrapper::fetch`] share one call counter and
+/// schedule. An error fault fails the call without reaching the inner
+/// wrapper; a corruption is applied to the reply the inner wrapper
+/// returns — the answer to the query, or the document on a fetch. A
+/// query that fails normalization is rejected before it takes a call.
 pub struct FaultInjector {
     inner: Arc<dyn Wrapper>,
     plan: FaultPlan,
@@ -143,7 +145,8 @@ impl FaultInjector {
         FaultInjector::new(inner, FaultPlan::Seeded { seed, rate })
     }
 
-    /// How many fetches have been attempted through this injector.
+    /// How many calls (answers and fetches) have been attempted through
+    /// this injector.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::SeqCst)
     }
@@ -151,6 +154,32 @@ impl FaultInjector {
     /// The schedule in force.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+
+    /// Takes the next call index and applies its scheduled fault: an
+    /// error instead of `reply`, or a corruption of what `reply` returns.
+    fn intercept(
+        &self,
+        reply: impl FnOnce() -> Result<Document, SourceError>,
+    ) -> Result<Document, SourceError> {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst);
+        match self.plan.fault_for(call) {
+            None => reply(),
+            Some(Fault::Timeout) => Err(SourceError::Timeout {
+                millis: 100 + (call % 7) * 50,
+            }),
+            Some(Fault::Transient) => Err(SourceError::Transient(format!(
+                "injected transient fault on call {call}"
+            ))),
+            Some(Fault::Unavailable) => Err(SourceError::Unavailable(format!(
+                "injected outage on call {call}"
+            ))),
+            Some(Fault::MalformedXml) => Err(SourceError::MalformedXml(format!(
+                "injected parse failure on call {call}"
+            ))),
+            Some(Fault::Truncate) => Ok(Self::corrupt_truncate(reply()?)),
+            Some(Fault::DtdViolate) => Ok(Self::corrupt_violate(reply()?)),
+        }
     }
 
     fn corrupt_truncate(doc: Document) -> Document {
@@ -205,33 +234,12 @@ impl Wrapper for FaultInjector {
     }
 
     fn fetch(&self) -> Result<Document, SourceError> {
-        let call = self.calls.fetch_add(1, Ordering::SeqCst);
-        match self.plan.fault_for(call) {
-            None => self.inner.fetch(),
-            Some(Fault::Timeout) => Err(SourceError::Timeout {
-                millis: 100 + (call % 7) * 50,
-            }),
-            Some(Fault::Transient) => Err(SourceError::Transient(format!(
-                "injected transient fault on call {call}"
-            ))),
-            Some(Fault::Unavailable) => Err(SourceError::Unavailable(format!(
-                "injected outage on call {call}"
-            ))),
-            Some(Fault::MalformedXml) => Err(SourceError::MalformedXml(format!(
-                "injected parse failure on call {call}"
-            ))),
-            Some(Fault::Truncate) => Ok(Self::corrupt_truncate(self.inner.fetch()?)),
-            Some(Fault::DtdViolate) => Ok(Self::corrupt_violate(self.inner.fetch()?)),
-        }
+        self.intercept(|| self.inner.fetch())
     }
 
-    // `answer` intentionally not overridden: the default trait
-    // implementation re-enters `fetch`, so every schedule applies to
-    // answers too.
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
         let nq = mix_xmas::normalize(q, self.dtd())?;
-        let doc = self.fetch()?;
-        Ok(mix_xmas::evaluate(&nq, &doc))
+        self.intercept(|| self.inner.answer(&nq))
     }
 }
 
@@ -300,6 +308,30 @@ mod tests {
             w.fetch().unwrap().root.children().len() == 2,
             "script ended"
         );
+    }
+
+    /// Answers and fetches share one schedule, and a corruption applies
+    /// to the answer returned, not to the document it was evaluated on.
+    #[test]
+    fn corruptions_apply_to_the_reply() {
+        let w = wrapped(FaultPlan::Script(vec![
+            Some(Fault::DtdViolate),
+            Some(Fault::Truncate),
+            Some(Fault::Timeout),
+        ]));
+        let q = mix_xmas::parse_query("ans = SELECT X WHERE <r> X:<a/> </r>").unwrap();
+        let violated = w.answer(&q).unwrap();
+        assert_eq!(violated.doc_type().as_str(), "ans");
+        assert_eq!(
+            violated.root.child_names(),
+            ["a", "a", "corrupted"].map(mix_relang::symbol::name)
+        );
+        assert_eq!(w.answer(&q).unwrap().root.children().len(), 1);
+        assert!(matches!(w.fetch(), Err(SourceError::Timeout { .. })));
+        // a query that fails normalization takes no call
+        let bad = mix_xmas::parse_query("ans = SELECT Z WHERE <r> X:<a/> </r>").unwrap();
+        assert!(matches!(w.answer(&bad), Err(SourceError::Query(_))));
+        assert_eq!(w.calls(), 3);
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! [`render_structure`] is the structure summary of the DTD-based query
 //! interface.
 //!
-//! The source layer is fallible and fault-tolerant: wrapper calls return
-//! [`SourceError`], the mediator wraps every call in a per-source
+//! The source layer is fallible and fault-tolerant: the mediator ships
+//! each normalized query to its wrapper ([`Wrapper::answer`]) and checks
+//! the reply against the view DTD it holds ([`ReplyCheck`]); wrapper
+//! calls return [`SourceError`], every call runs in a per-source
 //! resilience layer ([`ResiliencePolicy`]: bounded retries, a circuit
-//! breaker, last-known-good snapshots), union views degrade gracefully to
-//! partial answers with a [`DegradationReport`], and the deterministic
-//! seeded [`FaultInjector`] exercises all of it reproducibly.
+//! breaker, the last good answer per query), union views degrade
+//! gracefully to partial answers with a [`DegradationReport`], and the
+//! deterministic seeded [`FaultInjector`] exercises all of it
+//! reproducibly.
 //!
 //! The serving layer is concurrent and cache-aware: view registration and
 //! re-inference run through a shared `InferenceCache` (invalidated when a
@@ -71,7 +74,7 @@ pub use mediator::{Answer, AnswerPath, Mediator, MediatorError, ProcessorConfig,
 pub use obs::{ReplicaInstruments, SourceInstruments};
 pub use resilience::{
     resilient_answer, BreakerGate, BreakerState, DegradationReport, FetchStatus, Health,
-    ResiliencePolicy, SourceOutcome,
+    ReplyCheck, ResiliencePolicy, SourceOutcome, STALE_ANSWERS_CAP, STALE_ANSWERS_MAX_ELEMENTS,
 };
 pub use source::{LatencyWrapper, RemoteWrapper, Wrapper, XmlSource};
 pub use stack::ViewWrapper;

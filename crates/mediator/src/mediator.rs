@@ -5,8 +5,8 @@ use crate::compose::compose;
 use crate::error::SourceError;
 use crate::obs::{MediatorInstruments, SourceInstruments};
 use crate::resilience::{
-    resilient_answer, BreakerState, DegradationReport, FetchStatus, Health, ResiliencePolicy,
-    SourceOutcome,
+    resilient_answer, BreakerState, DegradationReport, FetchStatus, Health, ReplyCheck,
+    ResiliencePolicy, SourceOutcome,
 };
 use crate::source::Wrapper;
 use mix_infer::metrics::ServingMetrics;
@@ -190,8 +190,8 @@ pub struct Mediator {
     view_order: Vec<Name>,
     config: ProcessorConfig,
     policy: ResiliencePolicy,
-    /// Per-source health (breaker + snapshot), shared across the parallel
-    /// union materialization threads.
+    /// Per-source health (breaker + last good answers), shared across the
+    /// parallel union materialization threads.
     health: HashMap<String, Arc<Mutex<Health>>>,
     /// The serving layer's inference cache: registration, re-inference on
     /// source replacement, and every `answer_many` worker share it.
@@ -302,7 +302,7 @@ impl Mediator {
     }
 
     /// Registers a wrapper under a name, with fresh health (breaker
-    /// closed, no snapshot).
+    /// closed, no stale answers).
     pub fn add_source(&mut self, name: &str, wrapper: Arc<dyn Wrapper>) {
         self.sources.insert(name.to_owned(), wrapper);
         self.health
@@ -319,7 +319,7 @@ impl Mediator {
     }
 
     /// Replaces the resilience policy (retry budget, breaker thresholds,
-    /// stale serving). Existing breaker states and snapshots are kept.
+    /// stale serving). Existing breaker states and stale answers are kept.
     pub fn set_resilience_policy(&mut self, policy: ResiliencePolicy) {
         self.policy = policy;
     }
@@ -447,7 +447,7 @@ impl Mediator {
         }
         self.sources.insert(source.to_owned(), wrapper);
         // a replaced source is a new deployment: breaker closed, failure
-        // history and stale snapshot dropped
+        // history and stale answers dropped
         self.health
             .insert(source.to_owned(), Arc::new(Mutex::new(Health::new())));
         let mut changed = Vec::new();
@@ -508,7 +508,7 @@ impl Mediator {
     /// every member source fared.
     ///
     /// A single-source view fails ([`MediatorError::Source`]) only when
-    /// its one source fails with no snapshot to degrade to. A union view
+    /// its one source fails with no stale answer to degrade to. A union view
     /// degrades gracefully: as long as at least one member is served
     /// (fresh or stale) the partial answer is returned, with the
     /// [`DegradationReport`] naming each failed source, its last error,
@@ -517,11 +517,12 @@ impl Mediator {
     ///
     /// `union_dtd_covers_survivors` takes a walk over the answer only when
     /// some member was not served fresh. A clean report covers its answer
-    /// by the soundness of the Section 4 inference: every fetched document
-    /// was validated against its source DTD, every member answer is
-    /// `evaluate` of the member's normalized query (with fresh, hence
-    /// unique, IDs), and a member pruned as `Unsat` contributes exactly
-    /// the empty answer [`mix_infer::check_sat`] proves.
+    /// without one: every member reply passed the whole-view check
+    /// against its own member's inferred DTD (its s-DTD when the union
+    /// has kind conflicts), the union DTD is assembled from those member
+    /// DTDs, a member pruned as `Unsat` contributes exactly the empty
+    /// answer [`mix_infer::check_sat`] proves, and members of distinct
+    /// replies never share an auto ID.
     pub fn materialize_with_report(
         &self,
         name: Name,
@@ -536,7 +537,11 @@ impl Mediator {
             .ok_or(MediatorError::UnknownView(name))?
         {
             AnyView::Single(view) => {
-                let (doc, outcome) = self.call_source(&view.source, &view.inferred.query)?;
+                let (doc, outcome) = self.call_source(
+                    &view.source,
+                    &view.inferred.query,
+                    ReplyCheck::View(&view.inferred.dtd),
+                )?;
                 match doc {
                     Some(document) => {
                         let mut report = DegradationReport {
@@ -619,26 +624,36 @@ impl Mediator {
             Arc<dyn Wrapper>,
             Arc<Mutex<Health>>,
             &'a Query,
+            ReplyCheck<'a>,
             Arc<SourceInstruments>,
         );
         // Members the analyzer proves `Unsat` are answered here with the
         // synthesized empty contribution (`slots[i]` pre-filled); only
         // the rest are spawned. Slot order stays the registration order.
+        // Each reply is checked against its member's own view DTD, or its
+        // s-DTD when the union's plain DTD is unsound (kind conflicts).
+        let specialized = !view.inferred.kind_conflicts.is_empty();
         let mut slots: Vec<Option<(Option<Document>, SourceOutcome)>> = Vec::new();
         let mut live: Vec<(usize, Part<'_>)> = Vec::new();
-        for (source, q) in view.sources.iter().zip(&view.inferred.queries) {
+        for (source, member) in view.sources.iter().zip(&view.inferred.members) {
             let wrapper = self
                 .sources
                 .get(source)
                 .ok_or_else(|| MediatorError::UnknownSource(source.clone()))?;
             let health = Arc::clone(&self.health[source]);
             let obs = Arc::clone(&self.source_obs[source]);
+            let q = &member.query;
+            let check = if specialized {
+                ReplyCheck::SpecializedView(&member.sdtd)
+            } else {
+                ReplyCheck::View(&member.dtd)
+            };
             if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), &health, q) {
                 slots.push(Some(skipped));
             } else {
                 live.push((
                     slots.len(),
-                    (source.as_str(), Arc::clone(wrapper), health, q, obs),
+                    (source.as_str(), Arc::clone(wrapper), health, q, check, obs),
                 ));
                 slots.push(None);
             }
@@ -652,11 +667,14 @@ impl Mediator {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = live
                     .iter()
-                    .map(|(i, (s, w, h, q, obs))| {
+                    .map(|(i, (s, w, h, q, check, obs))| {
                         let i = *i;
                         scope.spawn(move || {
                             let _t = mix_obs::set_current_trace(trace);
-                            (i, resilient_answer(s, w.as_ref(), q, policy, h, obs))
+                            (
+                                i,
+                                resilient_answer(s, w.as_ref(), q, *check, policy, h, obs),
+                            )
                         })
                     })
                     .collect();
@@ -667,8 +685,11 @@ impl Mediator {
             })
         } else {
             live.iter()
-                .map(|(i, (s, w, h, q, obs))| {
-                    (*i, resilient_answer(s, w.as_ref(), q, policy, h, obs))
+                .map(|(i, (s, w, h, q, check, obs))| {
+                    (
+                        *i,
+                        resilient_answer(s, w.as_ref(), q, *check, policy, h, obs),
+                    )
                 })
                 .collect()
         };
@@ -745,11 +766,13 @@ impl Mediator {
         ))
     }
 
-    /// One resilient call to a registered source.
+    /// One resilient call to a registered source: ships `q` and serves
+    /// the reply only if it passes `check`.
     fn call_source(
         &self,
         source: &str,
         q: &Query,
+        check: ReplyCheck<'_>,
     ) -> Result<(Option<Document>, SourceOutcome), MediatorError> {
         let wrapper = self
             .sources
@@ -763,6 +786,7 @@ impl Mediator {
             source,
             wrapper.as_ref(),
             q,
+            check,
             &self.policy,
             health,
             &self.source_obs[source],
@@ -828,14 +852,19 @@ impl Mediator {
             }
         }
         // 2. composition with the view definition (single-source views).
-        //    The composed query goes through the resilience layer, which
-        //    fetches the source's document and evaluates it here, so
-        //    retries, the breaker, and the stale snapshot apply exactly as
-        //    on the materialization path.
+        //    The composed query is shipped to the source through the
+        //    resilience layer, so retries, the breaker, and stale answers
+        //    apply exactly as on the materialization path. Its reply is
+        //    checked member by member against the view DTD: no DTD is
+        //    ever inferred for a client's query.
         if self.config.use_composition {
             if let AnyView::Single(view) = any {
                 if let Some(composed) = compose(&view.inferred.query, q) {
-                    let (doc, outcome) = self.call_source(&view.source, &composed)?;
+                    let (doc, outcome) = self.call_source(
+                        &view.source,
+                        &composed,
+                        ReplyCheck::Members(&view.inferred.dtd),
+                    )?;
                     return match doc {
                         Some(document) => {
                             let degradation = if outcome.status == FetchStatus::Fresh {

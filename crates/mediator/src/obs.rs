@@ -28,9 +28,9 @@ pub struct SourceInstruments {
     source: String,
     /// Interned span stage, `fetch/<source>`.
     stage: String,
-    /// Members served from a live, validated fetch.
+    /// Members served from a live answer that passed the reply check.
     pub(crate) fresh: Counter,
-    /// Members served from the last-known-good snapshot.
+    /// Members served the last good answer to their query.
     pub(crate) stale: Counter,
     /// Members that contributed nothing.
     pub(crate) failed: Counter,
@@ -109,7 +109,7 @@ pub struct ReplicaInstruments {
     /// failure) before being served by a later one.
     pub(crate) failovers: Counter,
     /// Calls for which every replica failed — the outer resilience
-    /// layer's stale-snapshot fallback is all that's left.
+    /// layer's stale-answer fallback is all that's left.
     pub(crate) exhausted: Counter,
     /// Replicas whose breaker is currently closed (set after each call).
     pub(crate) healthy: Gauge,

@@ -1,5 +1,5 @@
-//! Per-source resilience: retries, circuit breakers, last-known-good
-//! snapshots, and the degradation report for partial union answers.
+//! Per-source resilience: retries, circuit breakers, last-good answers,
+//! and the degradation report for partial union answers.
 //!
 //! Everything here is deterministic. Retry backoff is *virtual* — the
 //! would-have-slept milliseconds are recorded in the outcome, never
@@ -10,18 +10,23 @@
 //! seed produces the same [`DegradationReport`] byte for byte, every
 //! time.
 //!
-//! The call path ([`resilient_answer`]) deliberately does *not* trust the
-//! wrapper's own `answer`: it fetches, validates the fetched document
-//! against the advertised DTD (catching silently-corrupted exports as
-//! [`SourceError::DtdInvalid`]), and evaluates the normalized query
-//! locally. That makes validation a property of the mediator's edge, not
-//! of each wrapper's good behavior.
+//! The call path ([`resilient_answer`]) ships the normalized query to the
+//! wrapper's own [`Wrapper::answer`] and checks the reply against the
+//! view DTD the mediator already holds ([`ReplyCheck`]); a reply that
+//! fails the check is [`SourceError::DtdInvalid`]. The check rejects
+//! every answer the inferred view DTD rules out, so validation stays a
+//! property of the mediator's edge, not of each wrapper's good behavior.
+//! It does not see the parts of a source the query does not return
+//! (DESIGN.md §7).
 
 use crate::error::SourceError;
 use crate::obs::SourceInstruments;
 use crate::source::Wrapper;
-use mix_xmas::{evaluate, normalize, Query};
-use mix_xml::Document;
+use mix_dtd::{Dtd, SDtd, Validator};
+use mix_infer::fingerprint_query;
+use mix_xmas::{normalize, Query};
+use mix_xml::{Content, Document};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -38,7 +43,7 @@ pub struct ResiliencePolicy {
     /// Calls rejected while open before the breaker half-opens and lets
     /// one probe through.
     pub cooldown_calls: u32,
-    /// On failure, serve the last-known-good snapshot (marked
+    /// On failure, serve the last good answer to the same query (marked
     /// [`FetchStatus::Stale`]) instead of failing the member outright.
     pub serve_stale: bool,
 }
@@ -84,7 +89,92 @@ pub struct Health {
     state: BreakerState,
     consecutive_failures: u32,
     rejected_while_open: u32,
-    snapshot: Option<Document>,
+    answers: StaleAnswers,
+}
+
+/// Last good answers a source's [`Health`] keeps for stale serving; past
+/// it the oldest is dropped. A source serves a bounded working set of
+/// normalized queries, and an evicted query only loses its stale
+/// fallback until it is next answered fresh.
+pub const STALE_ANSWERS_CAP: usize = 256;
+
+/// Element nodes the kept answers of one source may hold in total. An
+/// answer larger than this on its own is never kept.
+pub const STALE_ANSWERS_MAX_ELEMENTS: usize = 1 << 20;
+
+/// The last good answer to each normalized query one source answered
+/// fresh, keyed by the query's fingerprint and bounded by
+/// [`STALE_ANSWERS_CAP`] and [`STALE_ANSWERS_MAX_ELEMENTS`] (oldest out
+/// first).
+#[derive(Debug)]
+struct StaleAnswers {
+    map: HashMap<u64, (Document, usize)>,
+    /// Keys, oldest first.
+    order: VecDeque<u64>,
+    elements: usize,
+    cap: usize,
+    max_elements: usize,
+}
+
+impl Default for StaleAnswers {
+    fn default() -> Self {
+        StaleAnswers::with_bounds(STALE_ANSWERS_CAP, STALE_ANSWERS_MAX_ELEMENTS)
+    }
+}
+
+impl StaleAnswers {
+    fn with_bounds(cap: usize, max_elements: usize) -> StaleAnswers {
+        StaleAnswers {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            elements: 0,
+            cap,
+            max_elements,
+        }
+    }
+
+    /// Keeps `answer` as the last good answer to query `fp`. A repeat of
+    /// the kept content (up to auto IDs) is the common case and costs one
+    /// allocation-free comparison; only a changed answer is cloned in.
+    fn remember(&mut self, fp: u64, answer: &Document) {
+        if let Some((kept, _)) = self.map.get(&fp) {
+            if kept.root.same_up_to_auto_ids(&answer.root) {
+                return;
+            }
+            self.forget(fp);
+        }
+        let size = answer.size();
+        if size > self.max_elements {
+            return;
+        }
+        while self.map.len() >= self.cap || self.elements + size > self.max_elements {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some((_, n)) = self.map.remove(&oldest) {
+                self.elements -= n;
+            }
+        }
+        self.elements += size;
+        self.order.push_back(fp);
+        self.map.insert(fp, (answer.clone(), size));
+    }
+
+    fn forget(&mut self, fp: u64) {
+        if let Some((_, n)) = self.map.remove(&fp) {
+            self.elements -= n;
+            self.order.retain(|&k| k != fp);
+        }
+    }
+
+    /// A copy of the kept answer to query `fp`, with fresh auto IDs so
+    /// it never shares an ID with an earlier copy.
+    fn serve(&self, fp: u64) -> Option<Document> {
+        let (kept, _) = self.map.get(&fp)?;
+        let mut doc = kept.clone();
+        doc.refresh_auto_ids();
+        Some(doc)
+    }
 }
 
 /// What the breaker decided for one incoming call — the result of
@@ -106,13 +196,13 @@ pub enum BreakerGate {
 }
 
 impl Health {
-    /// A fresh, closed, snapshot-less health record.
+    /// A fresh, closed health record with no stale answers.
     pub fn new() -> Health {
         Health {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             rejected_while_open: 0,
-            snapshot: None,
+            answers: StaleAnswers::default(),
         }
     }
 
@@ -121,9 +211,9 @@ impl Health {
         self.state
     }
 
-    /// Whether a last-known-good snapshot is held.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
+    /// How many queries have a last good answer held for stale serving.
+    pub fn stale_answers(&self) -> usize {
+        self.answers.map.len()
     }
 
     /// Source faults recorded since the last success.
@@ -153,15 +243,11 @@ impl Health {
         }
     }
 
-    /// Records a successful call: failure accounting resets, the breaker
-    /// closes, and `snapshot` (when given) replaces the last-known-good
-    /// document. Returns `true` when this closed a previously non-closed
-    /// breaker — the caller's cue to emit its close event.
-    pub fn record_success(&mut self, snapshot: Option<Document>) -> bool {
+    /// Records a successful call: failure accounting resets and the
+    /// breaker closes. Returns `true` when this closed a previously
+    /// non-closed breaker — the caller's cue to emit its close event.
+    pub fn record_success(&mut self) -> bool {
         let reclosed = self.state != BreakerState::Closed;
-        if let Some(doc) = snapshot {
-            self.snapshot = Some(doc);
-        }
         self.consecutive_failures = 0;
         self.rejected_while_open = 0;
         self.state = BreakerState::Closed;
@@ -196,12 +282,12 @@ impl Default for Health {
 /// How a member's data was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchStatus {
-    /// Served from a live, validated fetch.
+    /// Served from a live answer that passed the reply check.
     Fresh,
-    /// The live call failed; served from the last-known-good snapshot.
+    /// The live call failed; served the last good answer to the query.
     Stale,
-    /// The live call failed and no snapshot was available: this member
-    /// contributed nothing.
+    /// The live call failed and no stale answer was available: this
+    /// member contributed nothing.
     Failed,
 }
 
@@ -310,11 +396,91 @@ impl fmt::Display for DegradationReport {
     }
 }
 
+/// How [`resilient_answer`] checks a reply against the view DTD the
+/// mediator already holds, before serving it. A reply that fails is
+/// [`SourceError::DtdInvalid`]. No variant infers anything: each checks
+/// against a DTD inferred when the view was registered (DESIGN.md §7).
+#[derive(Debug, Clone, Copy)]
+pub enum ReplyCheck<'a> {
+    /// The reply is a whole materialized view: it must be valid under
+    /// the view's inferred DTD (Definition 2.4, IDs unique).
+    View(&'a Dtd),
+    /// As [`ReplyCheck::View`], against the view's specialized DTD — for
+    /// the members of a union whose plain DTD has kind conflicts.
+    SpecializedView(&'a SDtd),
+    /// The reply answers a query composed with a view whose inferred DTD
+    /// this is. Every child of the reply root must satisfy that DTD as an
+    /// element (Definition 2.3) and have a name the query's pick test
+    /// admits, and no two elements may share an ID.
+    Members(&'a Dtd),
+}
+
+impl ReplyCheck<'_> {
+    /// Checks `reply`, the wrapper's answer to the normalized query `nq`.
+    pub fn check(&self, nq: &Query, reply: &Document) -> Result<(), SourceError> {
+        match *self {
+            ReplyCheck::View(dtd) => {
+                mix_dtd::validate_document(dtd, reply).map_err(|e| SourceError::invalid(&e))
+            }
+            ReplyCheck::SpecializedView(sdtd) => {
+                if mix_dtd::sdtd_satisfies(sdtd, reply) {
+                    Ok(())
+                } else {
+                    Err(SourceError::DtdInvalid(format!(
+                        "at /{}: answer does not satisfy the specialized view DTD",
+                        reply.root.name
+                    )))
+                }
+            }
+            ReplyCheck::Members(view_dtd) => check_members(view_dtd, nq, reply),
+        }
+    }
+}
+
+/// [`ReplyCheck::Members`]. Sound because composition equals
+/// materialize-then-evaluate: every member of a correct answer is a
+/// subtree of a view document valid under `view_dtd`, bound to the pick
+/// variable.
+fn check_members(view_dtd: &Dtd, nq: &Query, reply: &Document) -> Result<(), SourceError> {
+    let root = reply.root.name;
+    let invalid = |detail: String| Err(SourceError::DtdInvalid(format!("at /{root}{detail}")));
+    if root != nq.view_name {
+        return invalid(format!(": answer root is not '{}'", nq.view_name));
+    }
+    let members = match &reply.root.content {
+        Content::Elements(members) => members,
+        Content::Text(_) => return invalid(": answer root has string content".into()),
+    };
+    let pick = nq.pick_node().map(|c| &c.test);
+    let validator = Validator::new(view_dtd);
+    for member in members {
+        if !pick.is_some_and(|t| t.matches(member.name)) {
+            return invalid(format!("/{}: not a name the query picks", member.name));
+        }
+        validator.validate_element(member).map_err(|mut e| {
+            e.path.insert(0, root);
+            SourceError::invalid(&e)
+        })?;
+    }
+    match reply.duplicate_id() {
+        Some(id) => invalid(format!(": duplicate id '{id}'")),
+        None => Ok(()),
+    }
+}
+
 /// One resilient answer call: breaker check, bounded retry with virtual
-/// backoff, fetch validation, snapshot capture, and stale fallback.
+/// backoff, the reply check, last-good-answer capture, and stale
+/// fallback.
 ///
-/// Returns the answer document (when status is not [`FetchStatus::Failed`])
-/// plus the outcome record. `source` is only used to label the outcome.
+/// The query is normalized against the wrapper's DTD and shipped through
+/// [`Wrapper::answer`]; each reply must pass `check` to be served fresh.
+/// Returns the answer document (when status is not
+/// [`FetchStatus::Failed`]) plus the outcome record. `source` is only
+/// used to label the outcome.
+///
+/// Stale serving is per query: on failure the last good answer to the
+/// same normalized query (by fingerprint) is served, so a query never
+/// answered fresh has no stale answer.
 ///
 /// `obs` records what happened *as it happens*: per-attempt fetch
 /// latency (histogram + `fetch/<source>` span), retry and
@@ -327,6 +493,7 @@ pub fn resilient_answer(
     source: &str,
     wrapper: &dyn Wrapper,
     query: &Query,
+    check: ReplyCheck<'_>,
     policy: &ResiliencePolicy,
     health: &Mutex<Health>,
     obs: &SourceInstruments,
@@ -352,10 +519,11 @@ pub fn resilient_answer(
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             outcome.error = Some(SourceError::Query(e));
             outcome.breaker = h.state;
-            // no normalized form exists, so no snapshot evaluation either
-            return serve_stale_or_fail(&None, &mut h, policy, outcome, obs);
+            // no normalized form exists, so no stale answer either
+            return serve_stale_or_fail(None, &mut h, policy, outcome, obs);
         }
     };
+    let fp = fingerprint_query(&nq);
 
     // Breaker gate.
     {
@@ -374,7 +542,7 @@ pub fn resilient_answer(
                 outcome.breaker = h.state;
                 outcome.short_circuited = true;
                 obs.short_circuits.inc();
-                return serve_stale_or_fail(&Some(nq), &mut h, policy, outcome, obs);
+                return serve_stale_or_fail(Some(fp), &mut h, policy, outcome, obs);
             }
             BreakerGate::Pass | BreakerGate::Probe => {}
         }
@@ -395,20 +563,22 @@ pub fn resilient_answer(
         let attempt = {
             let _span = obs.registry().span(obs.fetch_stage());
             let timer = obs.fetch_latency.start();
-            let r = checked_fetch(wrapper);
+            let r = wrapper
+                .answer(&nq)
+                .and_then(|reply| check.check(&nq, &reply).map(|()| reply));
             timer.stop();
             r
         };
         match attempt {
-            Ok(doc) => {
-                let answer = evaluate(&nq, &doc);
+            Ok(answer) => {
                 let mut h = health
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if h.record_success(Some(doc)) {
+                if h.record_success() {
                     obs.breaker_closed.inc();
                     obs.event("breaker-close", "probe succeeded; breaker closed");
                 }
+                h.answers.remember(fp, &answer);
                 obs.fresh.inc();
                 outcome.status = FetchStatus::Fresh;
                 outcome.breaker = h.state;
@@ -431,7 +601,7 @@ pub fn resilient_answer(
     }
 
     // The call failed for good: account it against the breaker, then
-    // degrade to the snapshot if allowed.
+    // degrade to the last good answer if allowed.
     let mut h = health
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -448,17 +618,7 @@ pub fn resilient_answer(
     }
     outcome.error = Some(last_err);
     outcome.breaker = h.state;
-    serve_stale_or_fail(&Some(nq), &mut h, policy, outcome, obs)
-}
-
-/// Fetch once and validate the document against the wrapper's
-/// advertised DTD; a violation is a [`SourceError::DtdInvalid`] failure.
-/// Every served answer rests on this check, which is what lets a clean
-/// [`DegradationReport`] skip its coverage walk.
-fn checked_fetch(wrapper: &dyn Wrapper) -> Result<Document, SourceError> {
-    let doc = wrapper.fetch()?;
-    mix_dtd::validate_document(wrapper.dtd(), &doc).map_err(|e| SourceError::invalid(&e))?;
-    Ok(doc)
+    serve_stale_or_fail(Some(fp), &mut h, policy, outcome, obs)
 }
 
 /// The virtual backoff before retry `n` (1-based): `base << (n-1)`,
@@ -471,24 +631,24 @@ fn backoff_step(base: u64, n: u32) -> u64 {
     }
 }
 
-/// Degrade to the last-known-good snapshot when policy and state allow,
-/// otherwise report the member failed. Either way the degradation is
-/// recorded as an obs event *now* — at occurrence time — so a live
+/// Degrade to the last good answer to query `fp` when policy and state
+/// allow, otherwise report the member failed. Either way the degradation
+/// is recorded as an obs event *now* — at occurrence time — so a live
 /// `mixctl stats` sees it even if the eventual [`DegradationReport`] is
 /// dropped by the caller.
 fn serve_stale_or_fail(
-    nq: &Option<Query>,
+    fp: Option<u64>,
     h: &mut Health,
     policy: &ResiliencePolicy,
     mut outcome: SourceOutcome,
     obs: &SourceInstruments,
 ) -> (Option<Document>, SourceOutcome) {
     if policy.serve_stale {
-        if let (Some(nq), Some(snap)) = (nq, &h.snapshot) {
+        if let Some(answer) = fp.and_then(|fp| h.answers.serve(fp)) {
             outcome.status = FetchStatus::Stale;
             obs.stale.inc();
-            obs.event("stale-serve", "serving last-known-good snapshot");
-            return (Some(evaluate(nq, snap)), outcome);
+            obs.event("stale-serve", "serving the last good answer to this query");
+            return (Some(answer), outcome);
         }
     }
     outcome.status = FetchStatus::Failed;
@@ -496,7 +656,7 @@ fn serve_stale_or_fail(
     let cause = outcome.error.as_ref().map_or("unknown", |e| e.kind());
     obs.event(
         "source-failed",
-        &format!("no live answer and no snapshot; member failed ({cause})"),
+        &format!("no live answer and no stale answer; member failed ({cause})"),
     );
     (None, outcome)
 }
@@ -526,23 +686,28 @@ mod tests {
         policy: &ResiliencePolicy,
         health: &Mutex<Health>,
     ) -> (Option<Document>, SourceOutcome) {
-        resilient_answer(
-            "s",
-            w,
-            &query(),
-            policy,
-            health,
-            &SourceInstruments::noop("s"),
-        )
+        call_obs(w, policy, health, &SourceInstruments::noop("s"))
     }
 
+    /// Ships `query()` with the whole-view check against its DTD
+    /// inferred over `w`'s DTD, as a mediator materializing that view
+    /// does.
     fn call_obs(
         w: &dyn Wrapper,
         policy: &ResiliencePolicy,
         health: &Mutex<Health>,
         obs: &SourceInstruments,
     ) -> (Option<Document>, SourceOutcome) {
-        resilient_answer("s", w, &query(), policy, health, obs)
+        let view = mix_infer::infer_view_dtd(&query(), w.dtd()).unwrap();
+        resilient_answer(
+            "s",
+            w,
+            &query(),
+            ReplyCheck::View(&view.dtd),
+            policy,
+            health,
+            obs,
+        )
     }
 
     #[test]
@@ -554,7 +719,7 @@ mod tests {
         assert_eq!(o.breaker, BreakerState::Closed);
         assert_eq!(o.retries, 0);
         assert_eq!(doc.unwrap().root.children().len(), 2);
-        assert!(health.lock().unwrap().has_snapshot());
+        assert_eq!(health.lock().unwrap().stale_answers(), 1);
     }
 
     #[test]
@@ -593,6 +758,8 @@ mod tests {
         assert_eq!(w.calls(), 1, "must not have retried a permanent error");
     }
 
+    /// A `DtdViolate` fault appends an undeclared element to the reply,
+    /// which the whole-view check rejects.
     #[test]
     fn corrupted_fetch_is_caught_by_validation() {
         let w = FaultInjector::new(base(), FaultPlan::Script(vec![Some(Fault::DtdViolate)]));
@@ -680,7 +847,7 @@ mod tests {
 
     #[test]
     fn snapshot_serves_stale_answers_after_failure() {
-        // call 0 succeeds (captures the snapshot), everything after fails
+        // call 0 succeeds (keeps its answer), everything after fails
         let mut script = vec![None];
         script.extend(vec![Some(Fault::Unavailable); 10]);
         let w = FaultInjector::new(base(), FaultPlan::Script(script));
@@ -813,6 +980,7 @@ mod tests {
             "s",
             w.as_ref(),
             &bad,
+            ReplyCheck::View(w.dtd()),
             &ResiliencePolicy::default(),
             &health,
             &SourceInstruments::noop("s"),
@@ -822,5 +990,116 @@ mod tests {
         let h = health.lock().unwrap();
         assert_eq!(h.state(), BreakerState::Closed);
         assert_eq!(h.consecutive_failures, 0);
+    }
+
+    /// Stale serving is per query: after an outage begins, the query
+    /// answered fresh before it is served stale, and a query never
+    /// answered fresh fails.
+    #[test]
+    fn stale_answers_are_kept_per_query() {
+        let mut script = vec![None];
+        script.extend(vec![Some(Fault::Unavailable); 10]);
+        let w = FaultInjector::new(base(), FaultPlan::Script(script));
+        let health = Mutex::new(Health::new());
+        let policy = ResiliencePolicy::default();
+        let (fresh, o) = call(&w, &policy, &health);
+        assert_eq!(o.status, FetchStatus::Fresh);
+        let (stale, o) = call(&w, &policy, &health);
+        assert_eq!(o.status, FetchStatus::Stale);
+        let (fresh, stale) = (fresh.unwrap(), stale.unwrap());
+        assert!(fresh.root.same_up_to_auto_ids(&stale.root));
+        assert_ne!(fresh.root.id, stale.root.id, "stale copies get fresh ids");
+
+        let other = parse_query("other = SELECT X WHERE X:<r/>").unwrap();
+        let view = mix_infer::infer_view_dtd(&other, w.dtd()).unwrap();
+        let (doc, o) = resilient_answer(
+            "s",
+            &w,
+            &other,
+            ReplyCheck::View(&view.dtd),
+            &policy,
+            &health,
+            &SourceInstruments::noop("s"),
+        );
+        assert_eq!(o.status, FetchStatus::Failed);
+        assert!(doc.is_none());
+    }
+
+    #[test]
+    fn the_stale_table_is_bounded_oldest_out() {
+        // `n` children under the root: n + 1 elements
+        let doc = |n: usize| {
+            let kids = "<a>x</a>".repeat(n);
+            parse_document(&format!("<r>{kids}</r>")).unwrap()
+        };
+        let mut table = StaleAnswers::with_bounds(4, 20);
+        for fp in 0..6 {
+            table.remember(fp, &doc(1));
+        }
+        assert_eq!(table.order, [2, 3, 4, 5]);
+        assert!(table.serve(1).is_none() && table.serve(2).is_some());
+        assert_eq!(table.elements, 8);
+
+        // a repeat keeps the entry in place; a changed answer replaces it
+        // as the newest
+        let before = table.serve(3).unwrap();
+        table.remember(3, &doc(1));
+        assert_eq!(table.order, [2, 3, 4, 5]);
+        table.remember(3, &doc(2));
+        assert_eq!(table.order, [2, 4, 5, 3]);
+        assert!(!before
+            .root
+            .same_up_to_auto_ids(&table.serve(3).unwrap().root));
+        assert_eq!(table.elements, 9);
+
+        // the element budget evicts too, and an answer over it is not kept
+        table.remember(6, &doc(12));
+        assert_eq!(table.order, [4, 5, 3, 6]);
+        assert_eq!(table.elements, 20);
+        table.remember(7, &doc(20));
+        assert!(table.serve(7).is_none());
+        assert_eq!(table.elements, 20);
+
+        let defaults = StaleAnswers::default();
+        assert_eq!(
+            (defaults.cap, defaults.max_elements),
+            (STALE_ANSWERS_CAP, STALE_ANSWERS_MAX_ELEMENTS)
+        );
+    }
+
+    /// The member check of a composed answer: right root, picked names
+    /// only, each member valid as an element, unique IDs.
+    #[test]
+    fn composed_replies_are_checked_member_by_member() {
+        let view = parse_compact("{<v : a*> <a : b*> <b : PCDATA>}").unwrap();
+        let nq = normalize(
+            &parse_query("ans = SELECT X WHERE <v> X:<a/> </v>").unwrap(),
+            &view,
+        )
+        .unwrap();
+        let check =
+            |xml: &str| ReplyCheck::Members(&view).check(&nq, &parse_document(xml).unwrap());
+        assert_eq!(check("<ans/>"), Ok(()));
+        assert_eq!(check("<ans><a><b>1</b></a><a/></ans>"), Ok(()));
+        for bad in [
+            "<other><a/></other>",
+            "<ans>text</ans>",
+            "<ans><b>1</b></ans>",
+            "<ans><a><c/></a></ans>",
+            "<ans><a><b><b/></b></a></ans>",
+        ] {
+            assert!(
+                matches!(check(bad), Err(SourceError::DtdInvalid(_))),
+                "{bad} passed"
+            );
+        }
+        let mut twice = parse_document("<ans><a/></ans>").unwrap();
+        if let Content::Elements(v) = &mut twice.root.content {
+            v.push(v[0].clone());
+        }
+        assert!(matches!(
+            ReplyCheck::Members(&view).check(&nq, &twice),
+            Err(SourceError::DtdInvalid(msg)) if msg.contains("duplicate id")
+        ));
     }
 }

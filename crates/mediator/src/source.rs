@@ -8,11 +8,17 @@
 //! `Wrapper` for stacking ("mediators can be stacked on top of
 //! mediators").
 //!
+//! The mediator reaches a source only through [`Wrapper::answer`]: it
+//! ships the normalized query, as the paper's mediator sends XMAS queries
+//! to its wrappers, and checks the reply against the view DTD it already
+//! holds. [`Wrapper::fetch`] exports the whole document for callers that
+//! need the tree (the wire's fetch request, a streaming fallback).
+//!
 //! Both operations are fallible — real sources time out, emit malformed
-//! XML, or ship documents that stopped validating against their
-//! advertised DTD — and return [`SourceError`]. The mediator's resilience
-//! layer ([`crate::resilience`]) decides what a failure means for the
-//! overall answer.
+//! XML, or ship answers that stopped validating against their advertised
+//! DTD — and return [`SourceError`]. The mediator's resilience layer
+//! ([`crate::resilience`]) decides what a failure means for the overall
+//! answer.
 
 use crate::error::SourceError;
 use crate::wire::net_to_source_error;
@@ -32,12 +38,15 @@ pub trait Wrapper: Send + Sync {
 
     /// Answers a query whose condition is rooted at this source's document
     /// type. The default implementation evaluates over [`Wrapper::fetch`];
-    /// real wrappers would push the query to the underlying system.
+    /// [`XmlSource`] evaluates its document in place, and remote and
+    /// streaming wrappers push the query to the underlying system.
     ///
     /// A query that fails normalization is *rejected* (as
     /// [`SourceError::Query`]) rather than evaluated unnormalized: the
     /// unnormalized form has unexpanded wildcards and unassigned tags, so
-    /// "guessing" with it could silently return wrong members.
+    /// "guessing" with it could silently return wrong members. Answer
+    /// elements carry fresh auto IDs, as [`evaluate`] gives them, so two
+    /// answers never share an ID.
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
         let nq = normalize(q, self.dtd())?;
         let doc = self.fetch()?;
@@ -88,7 +97,7 @@ impl XmlSource {
 
     /// Replaces the document (sources are dynamic), re-validating. On
     /// failure the previous document — the last known good one — stays in
-    /// place and keeps serving fetches.
+    /// place and keeps serving.
     pub fn update(&mut self, document: Document) -> Result<(), ValidationError> {
         validate_document(&self.dtd, &document)?;
         self.document = document;
@@ -109,9 +118,15 @@ impl Wrapper for XmlSource {
     fn fetch(&self) -> Result<Document, SourceError> {
         Ok(self.document.clone())
     }
+
+    /// Evaluates over the held document in place, without a clone.
+    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
+        let nq = normalize(q, &self.dtd)?;
+        Ok(evaluate(&nq, &self.document))
+    }
 }
 
-/// A wrapper decorator that sleeps for a fixed duration on every fetch,
+/// A wrapper decorator that sleeps for a fixed duration on every call,
 /// simulating the round-trip latency of a remote source.
 ///
 /// The in-memory [`XmlSource`] answers in microseconds, which makes
@@ -126,12 +141,12 @@ pub struct LatencyWrapper<W> {
 }
 
 impl<W: Wrapper> LatencyWrapper<W> {
-    /// Wraps `inner`, adding `latency` to every fetch.
+    /// Wraps `inner`, adding `latency` to every call.
     pub fn new(inner: W, latency: std::time::Duration) -> LatencyWrapper<W> {
         LatencyWrapper { inner, latency }
     }
 
-    /// The simulated per-fetch round-trip latency.
+    /// The simulated per-call round-trip latency.
     pub fn latency(&self) -> std::time::Duration {
         self.latency
     }
@@ -150,6 +165,11 @@ impl<W: Wrapper> Wrapper for LatencyWrapper<W> {
     fn fetch(&self) -> Result<Document, SourceError> {
         std::thread::sleep(self.latency);
         self.inner.fetch()
+    }
+
+    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
+        std::thread::sleep(self.latency);
+        self.inner.answer(q)
     }
 }
 

@@ -7,10 +7,11 @@
 //! materialized view, and it answers queries through the lower mediator's
 //! query processor (emptiness pruning and composition included), so a
 //! query the view DTD proves empty is answered without touching the
-//! lower sources.
+//! lower sources. An upper mediator reaches a stacked view only through
+//! [`Wrapper::answer`].
 
 use crate::error::SourceError;
-use crate::mediator::{Mediator, MediatorError};
+use crate::mediator::{Answer, Mediator, MediatorError};
 use crate::source::Wrapper;
 use mix_dtd::Dtd;
 use mix_relang::symbol::Name;
@@ -58,21 +59,7 @@ impl Wrapper for ViewWrapper {
     }
 
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
-        match self.mediator.query(q) {
-            Ok(a) => Ok(a.document),
-            // lower-source failures propagate up as source faults of this
-            // wrapper, so a stacked mediator's own resilience layer can
-            // retry / trip / degrade on them
-            Err(e @ MediatorError::Source { .. }) | Err(e @ MediatorError::AllSourcesFailed(_)) => {
-                Err(as_source_error(e))
-            }
-            // queries the lower mediator cannot route (e.g. root test not
-            // naming the view) evaluate over the materialized document
-            Err(_) => {
-                let doc = self.fetch()?;
-                Ok(mix_xmas::evaluate(q, &doc))
-            }
-        }
+        self.settle(q, self.mediator.query(q))
     }
 
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
@@ -80,16 +67,33 @@ impl Wrapper for ViewWrapper {
             .answer_many(queries)
             .into_iter()
             .zip(queries)
-            .map(|(r, q)| match r {
-                Ok(a) => Ok(a.document),
-                Err(e @ MediatorError::Source { .. })
-                | Err(e @ MediatorError::AllSourcesFailed(_)) => Err(as_source_error(e)),
-                Err(_) => {
-                    let doc = self.fetch()?;
-                    Ok(mix_xmas::evaluate(q, &doc))
-                }
-            })
+            .map(|(r, q)| self.settle(q, r))
             .collect()
+    }
+}
+
+impl ViewWrapper {
+    /// Turns the lower mediator's result for `q` into this wrapper's.
+    /// Lower-source failures propagate up as source faults of this
+    /// wrapper, so a stacked mediator's own resilience layer can retry,
+    /// trip or degrade on them, and a query that fails normalization is
+    /// a [`SourceError::Query`]. Only a query the lower mediator cannot
+    /// route (its root test names no registered view, e.g. a wildcard)
+    /// is evaluated here — normalized against the view DTD — over the
+    /// materialized view.
+    fn settle(
+        &self,
+        q: &Query,
+        result: Result<Answer, MediatorError>,
+    ) -> Result<Document, SourceError> {
+        match result {
+            Ok(a) => Ok(a.document),
+            Err(MediatorError::UnknownView(_)) => {
+                let nq = mix_xmas::normalize(q, self.dtd())?;
+                Ok(mix_xmas::evaluate(&nq, &self.fetch()?))
+            }
+            Err(e) => Err(as_source_error(e)),
+        }
     }
 }
 
@@ -159,6 +163,23 @@ mod tests {
         let a = upper.query(&q).unwrap();
         assert_eq!(a.document.root.children().len(), 1);
         assert_eq!(a.document.root.children()[0].pcdata(), Some("Y"));
+    }
+
+    /// A query that fails normalization is rejected with the same
+    /// `Query` error an in-process source gives, not evaluated raw.
+    #[test]
+    fn unnormalizable_queries_are_rejected_not_evaluated() {
+        let wrapper = ViewWrapper::new(lower(), name("withJournals")).unwrap();
+        let q = parse_query("ans = SELECT Z WHERE <withJournals> X:<professor/> </>").unwrap();
+        let expected = Err(SourceError::Query(mix_xmas::NormalizeError::PickNotBound(
+            mix_xmas::Var::new("Z"),
+        )));
+        assert_eq!(wrapper.answer(&q), expected);
+        assert_eq!(wrapper.answer_batch(std::slice::from_ref(&q)), [expected]);
+        // a wildcard root names no view: evaluated over the materialized
+        // view, normalized against the view DTD
+        let any = parse_query("ans = SELECT X WHERE <*> X:<professor/> </>").unwrap();
+        assert_eq!(wrapper.answer(&any).unwrap().root.children().len(), 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   healthy replica, with one circuit breaker ([`Health`]) per replica:
 //!   open breakers are skipped, live failures fail over to the next
 //!   replica, and only when *every* replica is down does the error
-//!   surface — at which point the outer resilience layer's stale
-//!   snapshot is the last line of defense,
+//!   surface — at which point the outer resilience layer's last good
+//!   answer is the last line of defense,
 //! * [`DeadReplica`] — the stand-in for a replica that was unreachable
 //!   at start-up, so failover order matches the configuration.
 //!
@@ -233,10 +233,10 @@ impl Wrapper for DeadReplica {
 /// returns immediately: the query is the caller's fault and every
 /// replica would reject it identically.
 ///
-/// The set holds **no snapshots** of its own: when every replica is
+/// The set holds **no stale answers** of its own: when every replica is
 /// down the last error surfaces, and the outer
 /// [`crate::resilience::resilient_answer`] layer — which sees the
-/// replica set as one source — serves its stale snapshot. That division
+/// replica set as one source — serves its last good answer to the query. That division
 /// implements the tier's contract: stale data only when *all* replicas
 /// of a source are down.
 pub struct ReplicaSet {
@@ -345,7 +345,7 @@ impl ReplicaSet {
                     let reclosed = h
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .record_success(None);
+                        .record_success();
                     if reclosed {
                         self.obs
                             .event("replica-recover", &format!("replica {i} probe succeeded"));

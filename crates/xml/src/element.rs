@@ -201,6 +201,23 @@ impl Element {
         }
     }
 
+    /// Whether `self` and `other` are equal except for auto IDs: same
+    /// names, same explicit IDs, same text and same children in order.
+    /// Two answers that differ only in their fresh IDs serialize to the
+    /// same bytes, and this tells so without allocating.
+    pub fn same_up_to_auto_ids(&self, other: &Element) -> bool {
+        let ids_agree = self.id == other.id || (self.id.is_auto() && other.id.is_auto());
+        self.name == other.name
+            && ids_agree
+            && match (&self.content, &other.content) {
+                (Content::Text(a), Content::Text(b)) => a == b,
+                (Content::Elements(a), Content::Elements(b)) => {
+                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_up_to_auto_ids(y))
+                }
+                _ => false,
+            }
+    }
+
     /// Re-assigns a fresh ID to every *auto-identified* node in this
     /// subtree, keeping explicit `id="…"` attributes intact.
     ///
@@ -371,6 +388,33 @@ mod tests {
         assert_eq!(copy.children()[0].id, ElemId::named("fn1"));
         assert_eq!(copy.child_names(), original.child_names());
         assert!(Document::new(copy).duplicate_id().is_none());
+    }
+
+    #[test]
+    fn same_up_to_auto_ids_ignores_only_auto_ids() {
+        let original = sample();
+        assert!(original.same_up_to_auto_ids(&original.deep_clone_fresh()));
+        // text, names, child order and explicit ids all count
+        let mut text = original.clone();
+        if let Content::Elements(v) = &mut text.content {
+            v[0].content = Content::Text("Y".into());
+        }
+        assert!(!original.same_up_to_auto_ids(&text));
+        let mut shorter = original.clone();
+        if let Content::Elements(v) = &mut shorter.content {
+            v.pop();
+        }
+        assert!(!original.same_up_to_auto_ids(&shorter));
+        let mut reordered = original.clone();
+        if let Content::Elements(v) = &mut reordered.content {
+            v.swap(0, 1);
+        }
+        assert!(!original.same_up_to_auto_ids(&reordered));
+        let named = original.clone().with_id("p1");
+        assert!(!original.same_up_to_auto_ids(&named));
+        assert!(named.same_up_to_auto_ids(&named.clone()));
+        let leaf = Element::new("journal", vec![]);
+        assert!(!leaf.same_up_to_auto_ids(&Element::text("journal", "")));
     }
 
     #[test]

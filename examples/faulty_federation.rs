@@ -6,8 +6,8 @@
 //! deterministic, seeded [`FaultInjector`] sits in front of every site:
 //! some calls time out, some return garbage, some sites are simply down.
 //! The mediator's resilience layer retries transient faults, trips
-//! per-source circuit breakers, falls back to last-known-good snapshots,
-//! and returns the *partial* union answer together with a
+//! per-source circuit breakers, falls back to the last good answer to each
+//! member query, and returns the *partial* union answer together with a
 //! [`DegradationReport`] — the same seed reproduces the whole run, byte
 //! for byte.
 //!
@@ -63,13 +63,14 @@ fn main() {
     }
     mediator.register_union_view("books", &parts).unwrap();
 
-    println!("=== round 1: first materialization (no snapshots yet) ===\n");
+    println!("=== round 1: first materialization (no stale answers yet) ===\n");
     run_round(&mediator);
 
-    // A second round: sources that served round 1 now have last-known-good
-    // snapshots, so a site that fails *this* round degrades to stale data
-    // instead of dropping out; breakers tripped in round 1 short-circuit.
-    println!("\n=== round 2: snapshots and breakers in play ===\n");
+    // A second round: sources that served round 1 now hold the last good
+    // answer to their member query, so a site that fails *this* round
+    // degrades to stale data instead of dropping out; breakers tripped in
+    // round 1 short-circuit.
+    println!("\n=== round 2: stale answers and breakers in play ===\n");
     run_round(&mediator);
 
     println!("\nbreaker states after both rounds:");

@@ -302,7 +302,7 @@ fn version_mismatch_is_fatal_and_never_counts_against_the_breaker() {
     // the breaker contrast, through the resilience layer itself: a source
     // erroring Incompatible never opens the breaker, one erroring
     // Unavailable opens it at the threshold
-    use mix::mediator::{resilient_answer, Health, SourceInstruments};
+    use mix::mediator::{resilient_answer, Health, ReplyCheck, SourceInstruments};
     let policy = ResiliencePolicy {
         max_retries: 0,
         failure_threshold: 2,
@@ -310,6 +310,8 @@ fn version_mismatch_is_fatal_and_never_counts_against_the_breaker() {
         ..ResiliencePolicy::default()
     };
     let query = part_query();
+    let view = infer_view_dtd(&query, &parse_compact(SITE_DTD).unwrap()).unwrap();
+    let check = ReplyCheck::View(&view.dtd);
 
     let incompatible = ScriptedSource::new(
         site_source("i", 1),
@@ -321,6 +323,7 @@ fn version_mismatch_is_fatal_and_never_counts_against_the_breaker() {
             "inc",
             &incompatible,
             &query,
+            check,
             &policy,
             &health,
             &SourceInstruments::noop("inc"),
@@ -344,6 +347,7 @@ fn version_mismatch_is_fatal_and_never_counts_against_the_breaker() {
             "ref",
             &refused,
             &query,
+            check,
             &policy,
             &health,
             &SourceInstruments::noop("ref"),
