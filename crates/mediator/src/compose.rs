@@ -11,7 +11,9 @@
 //! member (its root has exactly one child condition); multi-member
 //! correlations fall back to materialization — they can relate picked
 //! elements from unrelated positions of the source and are not expressible
-//! as one tree condition over the source.
+//! as one tree condition over the source. A member condition whose name
+//! test shares no name with the view's pick test matches no member, so
+//! the answer is empty without asking the source ([`Composed::Empty`]).
 //!
 //! A second guard protects the distinct-sibling semantics (Section 4.2's
 //! "no two sibling conditions can bind to the same element"): merging the
@@ -20,18 +22,35 @@
 //! same child satisfy a view condition and a user condition. Composition
 //! therefore bails whenever a user condition's name test overlaps a view
 //! condition's name test at the pick level.
+//!
+//! The user query's variables that the view definition also uses are
+//! renamed apart first, since the merged tree must bind each variable
+//! once. The answer does not depend on variable names.
 
 use mix_relang::symbol::Name;
 use mix_xmas::{Body, Condition, NameTest, Query, Var};
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
-/// Composes `user` (a query over the view's exported document) with
-/// `view` (the view definition over the source), returning a source-level
-/// query equivalent to evaluating `user` over the materialized view.
-/// `None` when composition does not apply.
-pub fn compose(view: &Query, user: &Query) -> Option<Query> {
+/// What composing a user query with a view definition gives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Composed {
+    /// One query over the view's source, equivalent to evaluating the user
+    /// query over the materialized view.
+    Query(Query),
+    /// The user query's member test is disjoint from the view's pick
+    /// test: no view member can match, so the answer is provably empty
+    /// and the source need not be called.
+    Empty,
+}
+
+/// Composes `user` (a query over the document the view `view_name`
+/// exports) with `view` (the view definition over the source). The name
+/// comes from the caller, so a union member's definition composes under
+/// the union's name. `None` when composition does not apply.
+pub fn compose(view_name: Name, view: &Query, user: &Query) -> Option<Composed> {
     // the user query must address the view by name at its root
-    if !user.root.test.matches(view.view_name) {
+    if !user.root.test.matches(view_name) {
         return None;
     }
     // root-level constraints other than a single member condition defeat
@@ -39,33 +58,34 @@ pub fn compose(view: &Query, user: &Query) -> Option<Query> {
     if user.root.var == Some(user.pick) || user.root.id_var.is_some() {
         return None;
     }
-    let member_cond = match &user.root.body {
-        Body::Children(v) if v.len() == 1 => &v[0],
-        Body::Children(v) if v.is_empty() => return None, // picks the root
-        _ => return None,
+    let Body::Children(members) = &user.root.body else {
+        return None;
+    };
+    // exactly one member condition: with none the query picks the root,
+    // with several it may correlate members
+    let [member_cond] = members.as_slice() else {
+        return None;
     };
     // the pick must live inside the member condition
     member_cond.path_to_var(user.pick)?;
     let view_pick = view.pick_node()?;
     // intersect the name tests
-    let test = intersect(&view_pick.test, &member_cond.test)?;
-    // variables of the two queries must not collide (normalization would
-    // reject the merged tree); rename is possible but conservatively bail
-    let view_vars: HashSet<Var> = view.declared_vars().into_iter().collect();
-    if user
-        .declared_vars()
-        .into_iter()
-        .any(|v| view_vars.contains(&v))
-    {
-        return None;
-    }
+    let Some(test) = intersect(&view_pick.test, &member_cond.test) else {
+        return Some(Composed::Empty);
+    };
+    // the merged tree binds each variable once: rename the user's apart
+    let user = rename_apart(view, user);
+    let Body::Children(members) = &user.root.body else {
+        unreachable!("renaming keeps the body");
+    };
+    let member_cond = &members[0];
     // both sides must use children bodies on the pick/member node
     let (Body::Children(view_kids), Body::Children(member_kids)) =
         (&view_pick.body, &member_cond.body)
     else {
         // a Text body on either side: composable only if the other side
         // has no children constraints
-        return compose_text(view, user, member_cond);
+        return compose_text(view, &user, member_cond, test).map(Composed::Query);
     };
     // distinct-sibling guard: overlapping name tests at the merge level
     // would make the composed query stricter than the materialized plan
@@ -85,19 +105,58 @@ pub fn compose(view: &Query, user: &Query) -> Option<Query> {
         tag: 0,
         body: Body::Children(merged_kids),
     };
-    let root = replace_pick(&view.root, view.pick, &merged_pick)?;
-    let mut diseqs = view.diseqs.clone();
-    diseqs.extend(user.diseqs.iter().copied());
-    Some(Query {
-        view_name: user.view_name,
-        pick: user.pick,
-        root,
-        diseqs,
-    })
+    graft(view, &user, &merged_pick).map(Composed::Query)
+}
+
+/// `user` with every variable that `view` also uses renamed to a fresh
+/// name neither query uses, in conditions, ID variables, `!=` pairs and
+/// the pick.
+fn rename_apart<'q>(view: &Query, user: &'q Query) -> Cow<'q, Query> {
+    let view_vars: HashSet<Var> = view.declared_vars().into_iter().collect();
+    let user_vars: Vec<Var> = user
+        .declared_vars()
+        .into_iter()
+        .chain(user.diseqs.iter().flat_map(|&(a, b)| [a, b]))
+        .collect();
+    if !user_vars.iter().any(|v| view_vars.contains(v)) {
+        return Cow::Borrowed(user);
+    }
+    let mut taken: HashSet<Var> = view_vars.iter().chain(&user_vars).copied().collect();
+    let mut renamed: HashMap<Var, Var> = HashMap::new();
+    for &v in &user_vars {
+        if view_vars.contains(&v) && !renamed.contains_key(&v) {
+            let fresh = (1..)
+                .map(|k| Var::new(&format!("{v}_{k}")))
+                .find(|f| !taken.contains(f))
+                .expect("unbounded candidates");
+            taken.insert(fresh);
+            renamed.insert(v, fresh);
+        }
+    }
+    let to = |v: Var| renamed.get(&v).copied().unwrap_or(v);
+    fn rename(c: &mut Condition, to: &dyn Fn(Var) -> Var) {
+        c.var = c.var.map(to);
+        c.id_var = c.id_var.map(to);
+        if let Body::Children(kids) = &mut c.body {
+            kids.iter_mut().for_each(|k| rename(k, to));
+        }
+    }
+    let mut out = user.clone();
+    rename(&mut out.root, &to);
+    out.pick = to(out.pick);
+    for (a, b) in &mut out.diseqs {
+        (*a, *b) = (to(*a), to(*b));
+    }
+    Cow::Owned(out)
 }
 
 /// Text-body corner: the member condition requires string content.
-fn compose_text(view: &Query, user: &Query, member_cond: &Condition) -> Option<Query> {
+fn compose_text(
+    view: &Query,
+    user: &Query,
+    member_cond: &Condition,
+    test: NameTest,
+) -> Option<Query> {
     let view_pick = view.pick_node()?;
     let Body::Children(view_kids) = &view_pick.body else {
         return None;
@@ -108,7 +167,6 @@ fn compose_text(view: &Query, user: &Query, member_cond: &Condition) -> Option<Q
         // materialization which will return empty
         return None;
     }
-    let test = intersect(&view_pick.test, &member_cond.test)?;
     let merged_pick = Condition {
         test,
         var: member_cond.var.or(view_pick.var),
@@ -116,7 +174,13 @@ fn compose_text(view: &Query, user: &Query, member_cond: &Condition) -> Option<Q
         tag: 0,
         body: member_cond.body.clone(),
     };
-    let root = replace_pick(&view.root, view.pick, &merged_pick)?;
+    graft(view, user, &merged_pick)
+}
+
+/// The view definition with its pick node replaced by `merged_pick`, under
+/// the user query's name, pick and `!=` pairs (after the view's).
+fn graft(view: &Query, user: &Query, merged_pick: &Condition) -> Option<Query> {
+    let root = replace_pick(&view.root, view.pick, merged_pick)?;
     let mut diseqs = view.diseqs.clone();
     diseqs.extend(user.diseqs.iter().copied());
     Some(Query {
@@ -174,6 +238,7 @@ fn replace_pick(c: &Condition, pick: Var, replacement: &Condition) -> Option<Con
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mix_relang::symbol::name;
     use mix_xmas::parse_query;
 
     fn view() -> Query {
@@ -184,35 +249,41 @@ mod tests {
         .unwrap()
     }
 
+    /// Composes `user` with [`view`] under its own name.
+    fn composed(user: &str) -> Option<Composed> {
+        let user = parse_query(user).unwrap();
+        compose(name("withJournals"), &view(), &user)
+    }
+
+    fn query(c: Option<Composed>) -> Query {
+        match c {
+            Some(Composed::Query(q)) => q,
+            other => panic!("expected a composed query, got {other:?}"),
+        }
+    }
+
     #[test]
     fn grafts_member_condition_onto_pick() {
-        let user = parse_query(
+        let composed = query(composed(
             "ans = SELECT X WHERE <withJournals> X:<professor> <teaches/> </professor> </>",
-        )
-        .unwrap();
-        let composed = compose(&view(), &user).unwrap();
+        ));
         assert_eq!(composed.view_name.as_str(), "ans");
         assert_eq!(composed.pick, Var::new("X"));
         // composed root is over the source (department), pick narrowed to
         // professor, with both the view's publication condition and the
         // user's teaches condition
         let pick = composed.pick_node().unwrap();
-        assert_eq!(pick.test.names(), &[mix_relang::name("professor")]);
+        assert_eq!(pick.test.names(), &[name("professor")]);
         assert_eq!(pick.children().len(), 2);
-        assert_eq!(
-            composed.root.test.names(),
-            &[mix_relang::name("department")]
-        );
+        assert_eq!(composed.root.test.names(), &[name("department")]);
     }
 
     #[test]
     fn pick_deeper_than_member() {
-        let user = parse_query(
+        let composed = query(composed(
             "ans = SELECT T WHERE <withJournals> <professor | gradStudent> \
                T:<teaches/> </> </withJournals>",
-        )
-        .unwrap();
-        let composed = compose(&view(), &user).unwrap();
+        ));
         let path = composed.pick_path().unwrap();
         assert_eq!(path.len(), 3); // department / pick / teaches
     }
@@ -222,49 +293,118 @@ mod tests {
         // the view already constrains a publication child; a user
         // condition on publications would be forced onto a *different*
         // publication if merged — bail to materialization instead
-        let user = parse_query(
+        assert!(composed(
             "ans = SELECT T WHERE <withJournals> <professor | gradStudent> \
                <publication> T:<title/> </publication> </> </withJournals>",
         )
-        .unwrap();
-        assert!(compose(&view(), &user).is_none());
+        .is_none());
     }
 
+    /// No view member is a `course`, so the answer is empty without a
+    /// source call.
     #[test]
-    fn disjoint_name_tests_do_not_compose() {
-        let user =
-            parse_query("ans = SELECT X WHERE <withJournals> X:<course/> </withJournals>").unwrap();
-        assert!(compose(&view(), &user).is_none());
+    fn disjoint_name_tests_compose_to_empty() {
+        assert_eq!(
+            composed("ans = SELECT X WHERE <withJournals> X:<course/> </withJournals>"),
+            Some(Composed::Empty)
+        );
     }
 
     #[test]
     fn multi_member_queries_do_not_compose() {
-        let user = parse_query(
+        assert!(composed(
             "ans = SELECT X WHERE <withJournals> X:<professor/> <gradStudent/> </withJournals>",
         )
-        .unwrap();
-        assert!(compose(&view(), &user).is_none());
+        .is_none());
     }
 
     #[test]
     fn picking_the_view_root_does_not_compose() {
-        let user = parse_query("ans = SELECT W WHERE W:<withJournals/>").unwrap();
-        assert!(compose(&view(), &user).is_none());
+        assert!(composed("ans = SELECT W WHERE W:<withJournals/>").is_none());
     }
 
     #[test]
     fn wrong_view_name_does_not_compose() {
-        let user = parse_query("ans = SELECT X WHERE <other> X:<professor/> </other>").unwrap();
-        assert!(compose(&view(), &user).is_none());
+        assert!(composed("ans = SELECT X WHERE <other> X:<professor/> </other>").is_none());
     }
 
+    /// The view name comes from the caller: a union member's definition
+    /// (here named `withJournals`) composes under the union's name.
     #[test]
-    fn variable_collisions_do_not_compose() {
-        // the view also uses P
+    fn members_compose_under_the_callers_name() {
         let user =
-            parse_query("ans = SELECT P WHERE <withJournals> P:<professor/> </withJournals>")
-                .unwrap();
-        assert!(compose(&view(), &user).is_none());
+            parse_query("ans = SELECT X WHERE <everyone> X:<professor/> </everyone>").unwrap();
+        assert!(compose(name("withJournals"), &view(), &user).is_none());
+        let composed = query(compose(name("everyone"), &view(), &user));
+        assert_eq!(composed.root.test.names(), &[name("department")]);
+    }
+
+    /// A user query that reuses the view's `P` (and an ID variable of the
+    /// view's shape) is renamed apart everywhere — conditions, ID
+    /// variables, `!=` pairs and the pick.
+    #[test]
+    fn colliding_variables_are_renamed_apart() {
+        let v = parse_query(
+            "people = SELECT P WHERE <department> <name>CS</name> \
+               P:<professor | gradStudent> <firstName/> </> </>",
+        )
+        .unwrap();
+        let user = parse_query(
+            "ans = SELECT P WHERE <people> P:<professor> \
+               <publication id=P_1/> <publication id=B/> </professor> </> AND P_1 != B",
+        )
+        .unwrap();
+        let composed = query(compose(name("people"), &v, &user));
+        assert_eq!(composed.pick, Var::new("P_2"), "P_1 is the user's own");
+        let mut declared = composed.declared_vars();
+        declared.sort_by_key(|v| v.as_str());
+        assert_eq!(
+            declared,
+            ["B", "P_1", "P_2"].map(Var::new),
+            "the view's P merges into the pick node"
+        );
+        assert_eq!(composed.diseqs, [(Var::new("P_1"), Var::new("B"))]);
+        // nothing collides: the query is used as it is
+        let apart = parse_query("ans = SELECT X WHERE <people> X:<professor/> </>").unwrap();
+        assert!(matches!(rename_apart(&v, &apart), Cow::Borrowed(_)));
+    }
+
+    /// The view also uses `P`: the collision composes, and the composed
+    /// query answers exactly what evaluating the user query over the
+    /// materialized view does.
+    #[test]
+    fn variable_collisions_compose_and_answer_as_materialization() {
+        use mix_xmas::{evaluate, normalize};
+        use mix_xml::{parse_document, write_document, WriteConfig};
+        let source = mix_dtd::paper::d1_department();
+        let doc = parse_document(
+            "<department><name>CS</name>\
+               <professor><firstName>Y</firstName><lastName>P</lastName>\
+                 <publication><title>a</title><author>x</author><journal/></publication>\
+                 <teaches/></professor>\
+               <professor><firstName>V</firstName><lastName>W</lastName>\
+                 <publication><title>c</title><author>x</author><journal/></publication>\
+               </professor>\
+               <gradStudent><firstName>P</firstName><lastName>V</lastName>\
+                 <publication><title>d</title><author>x</author><journal/></publication>\
+               </gradStudent></department>",
+        )
+        .unwrap();
+        let view = normalize(&view(), &source).unwrap();
+        let user = parse_query(
+            "ans = SELECT P WHERE <withJournals> P:<professor> <teaches/> </professor> </>",
+        )
+        .unwrap();
+        let composed = query(compose(name("withJournals"), &view, &user));
+        let materialized = evaluate(&view, &doc);
+        let view_dtd = mix_infer::infer_view_dtd(&view, &source).unwrap().dtd;
+        let render = |d| write_document(d, WriteConfig::default());
+        let expected = evaluate(&normalize(&user, &view_dtd).unwrap(), &materialized);
+        assert_eq!(expected.root.children().len(), 1);
+        assert_eq!(
+            render(&evaluate(&normalize(&composed, &source).unwrap(), &doc)),
+            render(&expected)
+        );
     }
 
     #[test]
@@ -281,7 +421,7 @@ mod tests {
                <publication id=A/> <publication id=B/> </professor> </> AND A != B",
         )
         .unwrap();
-        let composed = compose(&v, &user).unwrap();
+        let composed = query(compose(name("people"), &v, &user));
         assert_eq!(composed.diseqs.len(), 1);
     }
 }

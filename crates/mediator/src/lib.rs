@@ -26,11 +26,11 @@
 //!
 //! The serving layer is concurrent and cache-aware: view registration and
 //! re-inference run through a shared `InferenceCache` (invalidated when a
-//! source's DTD changes), union members materialize in parallel, and
-//! [`Mediator::answer_many`] fans a query batch across scoped worker
-//! threads while preserving input order and per-query degradation
-//! reports. [`LatencyWrapper`] simulates remote-source round-trips for
-//! honest throughput experiments (X15).
+//! source's DTD changes), the members of a view are answered in
+//! parallel, and [`Mediator::answer_many`] fans a query batch across
+//! scoped worker threads while preserving input order and per-query
+//! degradation reports. [`LatencyWrapper`] simulates remote-source
+//! round-trips for honest throughput experiments (X15).
 //!
 //! The source layer is also *distributed*: [`WrapperService`] exports any
 //! local wrapper over the mix-net wire protocol (what `mixctl
@@ -66,7 +66,7 @@ pub mod topology;
 pub mod wire;
 
 pub use builder::{BuildError, Constraint, QueryBuilder};
-pub use compose::compose;
+pub use compose::{compose, Composed};
 pub use error::SourceError;
 pub use fault::{Fault, FaultInjector, FaultPlan};
 pub use interface::{occurs, render_structure, Occurs};

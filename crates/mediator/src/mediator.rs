@@ -1,7 +1,7 @@
 //! The MIX mediator: view registration with DTD inference, and query
 //! answering with DTD-based emptiness pruning and view–query composition.
 
-use crate::compose::compose;
+use crate::compose::{compose, Composed};
 use crate::error::SourceError;
 use crate::obs::{MediatorInstruments, SourceInstruments};
 use crate::resilience::{
@@ -18,6 +18,7 @@ use mix_obs::Registry;
 use mix_relang::symbol::Name;
 use mix_xmas::{evaluate, normalize, NormalizeError, Query};
 use mix_xml::{Content, Document, ElemId, Element};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,6 +77,79 @@ impl AnyView {
             AnyView::Union(v) => v.inferred.kind_conflicts.is_empty(),
         }
     }
+
+    /// Each member's source and inference, in union order; a single view
+    /// is its own one member.
+    fn members(&self) -> Vec<(&str, &InferredView)> {
+        match self {
+            AnyView::Single(v) => vec![(v.source.as_str(), &*v.inferred)],
+            AnyView::Union(v) => v
+                .sources
+                .iter()
+                .map(String::as_str)
+                .zip(v.inferred.members.iter().map(|m| &**m))
+                .collect(),
+        }
+    }
+
+    /// The calls that materialize the view: each member is shipped its
+    /// own definition, and its reply is checked as a whole document
+    /// against the member's inferred DTD (its s-DTD when the union's plain
+    /// DTD is unsound).
+    fn materialization(&self) -> Vec<MemberCall<'_>> {
+        let specialized = !self.plain_dtd_is_sound();
+        self.members()
+            .into_iter()
+            .map(|(source, member)| MemberCall::Ship {
+                source,
+                query: Cow::Borrowed(&member.query),
+                check: if specialized {
+                    ReplyCheck::SpecializedView(&member.sdtd)
+                } else {
+                    ReplyCheck::View(&member.dtd)
+                },
+            })
+            .collect()
+    }
+
+    /// The calls that answer `q`, addressed to this view as `name`,
+    /// without materializing it: each member is shipped `q` composed with
+    /// its own definition, and its reply is checked member by member
+    /// against the member's inferred DTD; a member whose pick test is
+    /// disjoint from `q`'s member test is not called. `None` when some
+    /// member does not compose, or the plain DTD is unsound (kind
+    /// conflicts): `q` is then evaluated over the materialized view.
+    fn composition(&self, name: Name, q: &Query) -> Option<Vec<MemberCall<'_>>> {
+        if !self.plain_dtd_is_sound() {
+            return None;
+        }
+        self.members()
+            .into_iter()
+            .map(|(source, member)| {
+                Some(match compose(name, &member.query, q)? {
+                    Composed::Query(composed) => MemberCall::Ship {
+                        source,
+                        query: Cow::Owned(composed),
+                        check: ReplyCheck::Members(&member.dtd),
+                    },
+                    Composed::Empty => MemberCall::Empty(source),
+                })
+            })
+            .collect()
+    }
+}
+
+/// One member of a view in a fan-out ([`Mediator::fan_out`]).
+enum MemberCall<'a> {
+    /// Ship `query` to `source` and serve the reply only if it passes
+    /// `check`.
+    Ship {
+        source: &'a str,
+        query: Cow<'a, Query>,
+        check: ReplyCheck<'a>,
+    },
+    /// Proven empty without a call to the source.
+    Empty(&'a str),
 }
 
 /// Errors surfaced by the mediator API.
@@ -134,9 +208,11 @@ pub enum AnswerPath {
     /// The emptiness decider proved the query unsatisfiable against the
     /// view DTD; no source was contacted.
     PrunedUnsatisfiable,
-    /// The query was composed with the view definition and answered as
-    /// one query against the source's document (no view
-    /// materialization).
+    /// The query was composed with the definition of each member of the
+    /// view (a single view is its one member) and each member's source
+    /// answered its own composed query; the replies were concatenated in
+    /// union order (no view materialization). Members proven empty were
+    /// not called.
     Composed,
     /// The view was materialized and the query evaluated over it.
     Materialized,
@@ -151,8 +227,9 @@ pub struct Answer {
     /// How the sources behind the answer fared. `Some` whenever sources
     /// were contacted through the resilience layer with something to
     /// report: always for materialized answers, and for composed answers
-    /// that had to degrade. `None` for pruned queries and clean composed
-    /// answers.
+    /// some member of which was not served fresh (one outcome per member,
+    /// in union order; members proven empty are `Fresh`). `None` for
+    /// pruned queries and clean composed answers.
     pub degradation: Option<DegradationReport>,
 }
 
@@ -191,7 +268,7 @@ pub struct Mediator {
     config: ProcessorConfig,
     policy: ResiliencePolicy,
     /// Per-source health (breaker + last good answers), shared across the
-    /// parallel union materialization threads.
+    /// parallel member fan-out threads.
     health: HashMap<String, Arc<Mutex<Health>>>,
     /// The serving layer's inference cache: registration, re-inference on
     /// source replacement, and every `answer_many` worker share it.
@@ -205,7 +282,7 @@ pub struct Mediator {
     /// Mediator-level instruments (query counts, answer latency).
     instruments: MediatorInstruments,
     /// Per-source instrument bundles, resolved once at registration and
-    /// shared with the parallel union-materialization threads.
+    /// shared with the parallel member fan-out threads.
     source_obs: HashMap<String, Arc<SourceInstruments>>,
 }
 
@@ -515,14 +592,16 @@ impl Mediator {
     /// and its breaker state; only when *every* member fails does it
     /// error ([`MediatorError::AllSourcesFailed`]).
     ///
-    /// `union_dtd_covers_survivors` takes a walk over the answer only when
-    /// some member was not served fresh. A clean report covers its answer
-    /// without one: every member reply passed the whole-view check
-    /// against its own member's inferred DTD (its s-DTD when the union
-    /// has kind conflicts), the union DTD is assembled from those member
-    /// DTDs, a member pruned as `Unsat` contributes exactly the empty
-    /// answer [`mix_infer::check_sat`] proves, and members of distinct
-    /// replies never share an auto ID.
+    /// `union_dtd_covers_survivors` never walks the member subtrees. Every
+    /// member reply passed the whole-view check against its own member's
+    /// inferred DTD (its s-DTD when the union has kind conflicts), a
+    /// stale reply passed it when it was fresh, the union DTD is
+    /// assembled from those member DTDs, a member pruned as `Unsat`
+    /// contributes exactly the empty answer [`mix_infer::check_sat`]
+    /// proves, and members of distinct replies never share an auto ID. So
+    /// a clean report covers its answer, and a degraded one does iff the
+    /// root's word of child names fits the view DTD's root model. Under
+    /// kind conflicts a degraded report is checked against the s-DTD.
     pub fn materialize_with_report(
         &self,
         name: Name,
@@ -531,150 +610,96 @@ impl Mediator {
         // inside `query()` the request's trace is already installed
         let _trace_scope = (mix_obs::current_trace() == 0).then(|| self.registry.begin_trace());
         let _span = self.registry.span("materialize");
-        match self
+        let view = self
             .views
             .get(&name)
-            .ok_or(MediatorError::UnknownView(name))?
-        {
-            AnyView::Single(view) => {
-                let (doc, outcome) = self.call_source(
-                    &view.source,
-                    &view.inferred.query,
-                    ReplyCheck::View(&view.inferred.dtd),
-                )?;
-                match doc {
-                    Some(document) => {
-                        let mut report = DegradationReport {
-                            view: name.to_string(),
-                            outcomes: vec![outcome],
-                            union_dtd_covers_survivors: true,
-                        };
-                        // a clean report needs no walk (see above)
-                        if !report.is_clean() {
-                            report.union_dtd_covers_survivors =
-                                mix_dtd::satisfies(&view.inferred.dtd, &document);
-                        }
-                        self.note_degraded(&report);
-                        Ok((document, report))
-                    }
-                    None => Err(MediatorError::Source {
-                        source: view.source.clone(),
-                        error: outcome
-                            .error
-                            .unwrap_or_else(|| SourceError::Unavailable("unknown".into())),
-                    }),
+            .ok_or(MediatorError::UnknownView(name))?;
+        let answers = self.fan_out(&view.materialization())?;
+        let (document, outcomes) = self.gather(view, name, name, answers)?;
+        let mut report = DegradationReport {
+            view: name.to_string(),
+            outcomes,
+            union_dtd_covers_survivors: true,
+        };
+        if !report.is_clean() {
+            report.union_dtd_covers_survivors = match view {
+                AnyView::Union(v) if !view.plain_dtd_is_sound() => {
+                    mix_dtd::sdtd_satisfies(&v.inferred.sdtd, &document)
                 }
-            }
-            AnyView::Union(view) => {
-                let answers = self.union_members(view)?;
-                let _merge_span = self.registry.span("union_merge");
-                let mut members = Vec::new();
-                let mut outcomes = Vec::new();
-                let mut served = 0usize;
-                for (doc, outcome) in answers {
-                    if let Some(part) = doc {
-                        served += 1;
-                        if let Content::Elements(kids) = part.root.content {
-                            members.extend(kids);
-                        }
-                    }
-                    outcomes.push(outcome);
-                }
-                if served == 0 {
-                    return Err(MediatorError::AllSourcesFailed(name));
-                }
-                let document = Document::new(Element {
-                    name,
-                    id: ElemId::fresh(),
-                    content: Content::Elements(members),
-                });
-                let mut report = DegradationReport {
-                    view: name.to_string(),
-                    outcomes,
-                    union_dtd_covers_survivors: true,
-                };
-                // Does the inferred union DTD still soundly describe the
-                // partial answer? A clean report needs no walk (see above).
-                // A failed member whose contribution the root model
-                // *requires* breaks coverage. Kind-conflicted unions have no
-                // sound plain DTD, so the check runs on the specialized DTD.
-                if !report.is_clean() {
-                    report.union_dtd_covers_survivors = if view.inferred.kind_conflicts.is_empty() {
-                        mix_dtd::satisfies(&view.inferred.dtd, &document)
-                    } else {
-                        mix_dtd::sdtd_satisfies(&view.inferred.sdtd, &document)
-                    };
-                }
-                self.note_degraded(&report);
-                Ok((document, report))
-            }
+                _ => root_word_fits(view.dtd(), &document),
+            };
         }
+        self.note_degraded(&report);
+        Ok((document, report))
     }
 
-    /// One resilient call per member of a union view, in parallel, in
-    /// union order.
-    fn union_members(
+    /// One resilient call per member, in parallel, in member order. A
+    /// member proven empty — by its call, or by the satisfiability
+    /// analyzer against its source DTD — contributes no document and a
+    /// clean outcome without contacting its source.
+    fn fan_out(
         &self,
-        view: &UnionView,
+        calls: &[MemberCall<'_>],
     ) -> Result<Vec<(Option<Document>, SourceOutcome)>, MediatorError> {
-        // resolve every wrapper (and its health record) up front so
-        // configuration errors surface before any work is spawned
         type Part<'a> = (
+            usize,
             &'a str,
-            Arc<dyn Wrapper>,
-            Arc<Mutex<Health>>,
+            &'a dyn Wrapper,
+            &'a Mutex<Health>,
             &'a Query,
             ReplyCheck<'a>,
-            Arc<SourceInstruments>,
+            &'a SourceInstruments,
         );
-        // Members the analyzer proves `Unsat` are answered here with the
-        // synthesized empty contribution (`slots[i]` pre-filled); only
-        // the rest are spawned. Slot order stays the registration order.
-        // Each reply is checked against its member's own view DTD, or its
-        // s-DTD when the union's plain DTD is unsound (kind conflicts).
-        let specialized = !view.inferred.kind_conflicts.is_empty();
-        let mut slots: Vec<Option<(Option<Document>, SourceOutcome)>> = Vec::new();
-        let mut live: Vec<(usize, Part<'_>)> = Vec::new();
-        for (source, member) in view.sources.iter().zip(&view.inferred.members) {
+        // resolve every wrapper up front so configuration errors surface
+        // before any work is spawned; answered members pre-fill their slot
+        let mut slots: Vec<Option<(Option<Document>, SourceOutcome)>> =
+            Vec::with_capacity(calls.len());
+        let mut live: Vec<Part<'_>> = Vec::new();
+        for call in calls {
+            let (MemberCall::Ship { source, .. } | MemberCall::Empty(source)) = *call;
             let wrapper = self
                 .sources
                 .get(source)
-                .ok_or_else(|| MediatorError::UnknownSource(source.clone()))?;
-            let health = Arc::clone(&self.health[source]);
-            let obs = Arc::clone(&self.source_obs[source]);
-            let q = &member.query;
-            let check = if specialized {
-                ReplyCheck::SpecializedView(&member.sdtd)
-            } else {
-                ReplyCheck::View(&member.dtd)
+                .ok_or_else(|| MediatorError::UnknownSource(source.to_owned()))?;
+            let health = &*self.health[source];
+            let MemberCall::Ship { query, check, .. } = call else {
+                slots.push(Some((None, uncalled(source, health))));
+                continue;
             };
-            if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), &health, q) {
-                slots.push(Some(skipped));
-            } else {
-                live.push((
-                    slots.len(),
-                    (source.as_str(), Arc::clone(wrapper), health, q, check, obs),
-                ));
-                slots.push(None);
+            if let Some(outcome) = self.sat_skip(source, wrapper.as_ref(), health, query) {
+                slots.push(Some((None, outcome)));
+                continue;
             }
+            live.push((
+                slots.len(),
+                source,
+                wrapper.as_ref(),
+                health,
+                query,
+                *check,
+                &self.source_obs[source],
+            ));
+            slots.push(None);
         }
         // query the surviving sources in parallel (wrappers are Send +
         // Sync). The caller's trace id is propagated into each worker so
         // every `fetch/<source>` span joins the request's trace.
         let policy = &self.policy;
-        let trace = mix_obs::current_trace();
+        let answer = |&(i, source, wrapper, health, q, check, obs): &Part<'_>| {
+            (
+                i,
+                resilient_answer(source, wrapper, q, check, policy, health, obs),
+            )
+        };
         let answered: Vec<(usize, (Option<Document>, SourceOutcome))> = if live.len() > 1 {
+            let trace = mix_obs::current_trace();
             std::thread::scope(|scope| {
                 let handles: Vec<_> = live
                     .iter()
-                    .map(|(i, (s, w, h, q, check, obs))| {
-                        let i = *i;
+                    .map(|part| {
                         scope.spawn(move || {
                             let _t = mix_obs::set_current_trace(trace);
-                            (
-                                i,
-                                resilient_answer(s, w.as_ref(), q, *check, policy, h, obs),
-                            )
+                            answer(part)
                         })
                     })
                     .collect();
@@ -684,14 +709,7 @@ impl Mediator {
                     .collect()
             })
         } else {
-            live.iter()
-                .map(|(i, (s, w, h, q, check, obs))| {
-                    (
-                        *i,
-                        resilient_answer(s, w.as_ref(), q, *check, policy, h, obs),
-                    )
-                })
-                .collect()
+            live.iter().map(answer).collect()
         };
         for (i, answer) in answered {
             slots[i] = Some(answer);
@@ -700,6 +718,50 @@ impl Mediator {
             .into_iter()
             .map(|slot| slot.expect("every member slot was filled"))
             .collect())
+    }
+
+    /// Concatenates the children of the members' answers, in member
+    /// order, under a root named `root` (a `union_merge` span for a
+    /// union). With no member served it fails: a single view with its
+    /// source's error, a union `view` with
+    /// [`MediatorError::AllSourcesFailed`].
+    fn gather(
+        &self,
+        any: &AnyView,
+        view: Name,
+        root: Name,
+        answers: Vec<(Option<Document>, SourceOutcome)>,
+    ) -> Result<(Document, Vec<SourceOutcome>), MediatorError> {
+        let _span = matches!(any, AnyView::Union(_)).then(|| self.registry.span("union_merge"));
+        let mut members = Vec::new();
+        let mut outcomes = Vec::with_capacity(answers.len());
+        for (doc, outcome) in answers {
+            if let Some(Content::Elements(kids)) = doc.map(|d| d.root.content) {
+                if members.is_empty() {
+                    members = kids;
+                } else {
+                    members.extend(kids);
+                }
+            }
+            outcomes.push(outcome);
+        }
+        if outcomes.iter().all(|o| o.status == FetchStatus::Failed) {
+            return Err(match (any, outcomes.pop()) {
+                (AnyView::Single(_), Some(o)) => MediatorError::Source {
+                    source: o.source,
+                    error: o
+                        .error
+                        .unwrap_or_else(|| SourceError::Unavailable("unknown".into())),
+                },
+                _ => MediatorError::AllSourcesFailed(view),
+            });
+        }
+        let document = Document::new(Element {
+            name: root,
+            id: ElemId::fresh(),
+            content: Content::Elements(members),
+        });
+        Ok((document, outcomes))
     }
 
     /// Records a degraded (non-clean) report as an obs event, at the
@@ -731,66 +793,24 @@ impl Mediator {
         );
     }
 
-    /// Consults the satisfiability analyzer before a fetch-shaped call:
-    /// when pruning is enabled and the per-source query is provably
-    /// `Unsat` against the source DTD, returns the empty contribution
-    /// (and a clean outcome) the source would have produced — without
-    /// contacting it. `Sat` and `Unknown` return `None`: the fetch
-    /// proceeds exactly as before, which is what keeps pruning sound.
+    /// Consults the satisfiability analyzer before a call: when pruning
+    /// is enabled and the per-source query is provably `Unsat` against the
+    /// source DTD, returns the clean outcome of the empty contribution the
+    /// source would have produced — without contacting it. `Sat` and
+    /// `Unknown` return `None`: the call proceeds exactly as before, which
+    /// is what keeps pruning sound.
     fn sat_skip(
         &self,
         source: &str,
         wrapper: &dyn Wrapper,
-        health: &Arc<Mutex<Health>>,
+        health: &Mutex<Health>,
         q: &Query,
-    ) -> Option<(Option<Document>, SourceOutcome)> {
+    ) -> Option<SourceOutcome> {
         if !self.config.use_sat_pruning || !self.sat.verdict(q, wrapper.dtd()).is_unsat() {
             return None;
         }
         self.instruments.sat_pruned.inc();
-        let breaker = health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .state();
-        Some((
-            Some(empty_answer(q.view_name)),
-            SourceOutcome {
-                source: source.to_owned(),
-                status: FetchStatus::Fresh,
-                retries: 0,
-                backoff_ms: 0,
-                error: None,
-                breaker,
-                short_circuited: false,
-            },
-        ))
-    }
-
-    /// One resilient call to a registered source: ships `q` and serves
-    /// the reply only if it passes `check`.
-    fn call_source(
-        &self,
-        source: &str,
-        q: &Query,
-        check: ReplyCheck<'_>,
-    ) -> Result<(Option<Document>, SourceOutcome), MediatorError> {
-        let wrapper = self
-            .sources
-            .get(source)
-            .ok_or_else(|| MediatorError::UnknownSource(source.to_owned()))?;
-        let health = &self.health[source];
-        if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), health, q) {
-            return Ok(skipped);
-        }
-        Ok(resilient_answer(
-            source,
-            wrapper.as_ref(),
-            q,
-            check,
-            &self.policy,
-            health,
-            &self.source_obs[source],
-        ))
+        Some(uncalled(source, health))
     }
 
     /// Answers a user query whose condition is rooted at a view name,
@@ -851,47 +871,40 @@ impl Mediator {
                 });
             }
         }
-        // 2. composition with the view definition (single-source views).
-        //    The composed query is shipped to the source through the
-        //    resilience layer, so retries, the breaker, and stale answers
-        //    apply exactly as on the materialization path. Its reply is
-        //    checked member by member against the view DTD: no DTD is
-        //    ever inferred for a client's query.
+        // 2. composition with the definition of each member (a single
+        //    view is its one member). Each composed query is shipped to
+        //    its source through the resilience layer, so retries, the
+        //    breaker, and stale answers apply exactly as on the
+        //    materialization path, and stale answers are kept per composed
+        //    query. Each reply is checked member by member against its
+        //    member's view DTD: no DTD is ever inferred for a client's
+        //    query. The replies are concatenated in union order.
         if self.config.use_composition {
-            if let AnyView::Single(view) = any {
-                if let Some(composed) = compose(&view.inferred.query, q) {
-                    let (doc, outcome) = self.call_source(
-                        &view.source,
-                        &composed,
-                        ReplyCheck::Members(&view.inferred.dtd),
-                    )?;
-                    return match doc {
-                        Some(document) => {
-                            let degradation = if outcome.status == FetchStatus::Fresh {
-                                None
-                            } else {
-                                let report = DegradationReport {
-                                    view: view_name.to_string(),
-                                    outcomes: vec![outcome],
-                                    union_dtd_covers_survivors: true,
-                                };
-                                self.note_degraded(&report);
-                                Some(report)
-                            };
-                            Ok(Answer {
-                                document,
-                                path: AnswerPath::Composed,
-                                degradation,
-                            })
-                        }
-                        None => Err(MediatorError::Source {
-                            source: view.source.clone(),
-                            error: outcome
-                                .error
-                                .unwrap_or_else(|| SourceError::Unavailable("unknown".into())),
-                        }),
+            if let Some(calls) = any.composition(view_name, q) {
+                let answers = self.fan_out(&calls)?;
+                let (document, outcomes) = self.gather(any, view_name, q.view_name, answers)?;
+                let degradation = if outcomes.iter().all(|o| o.status == FetchStatus::Fresh) {
+                    None
+                } else {
+                    // served members passed their checks, so the view DTD
+                    // covers the survivors when the root model can do
+                    // without each failed member's contribution
+                    let covers = any.members().iter().zip(&outcomes).all(|((_, m), o)| {
+                        o.status != FetchStatus::Failed || m.list_type.nullable()
+                    });
+                    let report = DegradationReport {
+                        view: view_name.to_string(),
+                        outcomes,
+                        union_dtd_covers_survivors: covers,
                     };
-                }
+                    self.note_degraded(&report);
+                    Some(report)
+                };
+                return Ok(Answer {
+                    document,
+                    path: AnswerPath::Composed,
+                    degradation,
+                });
             }
         }
         // 3. fall back to materialize-then-evaluate.
@@ -968,6 +981,38 @@ fn empty_answer(name: Name) -> Document {
         id: ElemId::fresh(),
         content: Content::Elements(vec![]),
     })
+}
+
+/// The outcome of a member answered without a call: fresh, with the
+/// breaker as it stands.
+fn uncalled(source: &str, health: &Mutex<Health>) -> SourceOutcome {
+    let breaker = health
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .state();
+    SourceOutcome {
+        source: source.to_owned(),
+        status: FetchStatus::Fresh,
+        retries: 0,
+        backoff_ms: 0,
+        error: None,
+        breaker,
+        short_circuited: false,
+    }
+}
+
+/// Does the word of the root's child names fit the root model of `dtd`?
+fn root_word_fits(dtd: &mix_dtd::Dtd, doc: &Document) -> bool {
+    let word: Vec<mix_relang::Sym> = doc
+        .root
+        .children()
+        .iter()
+        .map(|c| c.name.untagged())
+        .collect();
+    match dtd.get(dtd.doc_type) {
+        Some(mix_dtd::ContentModel::Elements(r)) => mix_relang::matches(r, &word),
+        _ => false,
+    }
 }
 
 #[cfg(test)]

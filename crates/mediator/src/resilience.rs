@@ -333,8 +333,12 @@ pub struct DegradationReport {
     /// partial answer assembled from the surviving members. `false` means
     /// a consumer reasoning with the advertised view DTD could draw
     /// unsound conclusions about this particular answer. A clean report
-    /// is `true` by the inference's soundness, without a walk over the
-    /// answer (see `Mediator::materialize_with_report`).
+    /// is `true` by the inference's soundness, a degraded materialization
+    /// checks only the root's word of child names (the whole answer
+    /// against the s-DTD under kind conflicts; see
+    /// `Mediator::materialize_with_report`), and a degraded composed
+    /// answer is `true` iff every failed member's inferred list type
+    /// accepts the empty word.
     pub union_dtd_covers_survivors: bool,
 }
 

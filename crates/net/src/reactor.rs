@@ -283,6 +283,13 @@ impl<S: WireService> Reactor<S> {
             self.apply_completions();
             self.evict_stalled();
         }
+        // A wake can still be pending: the loop leaves on the stop flag
+        // without polling again, and a worker whose completion was applied
+        // in the iteration that dispatched it may wake only afterwards.
+        // Count it, so every wake the waker took is accounted for.
+        if self.waker.drain() > 0 {
+            self.obs.reactor_wakeups.inc();
+        }
         // drain-then-exit for workers: anything still queued is answered,
         // then the (detached) threads leave
         self.queue.stop.store(true, Ordering::SeqCst);

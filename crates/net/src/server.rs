@@ -269,6 +269,10 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         let Some(join) = self.join.take() else { return };
+        // a wake lands before the flag, so a reactor that sees the flag at
+        // the top of its loop still finds one to drain (and count) on
+        // exit; the wake after it rouses a reactor blocked in poll
+        self.waker.wake();
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
         let _ = join.join();

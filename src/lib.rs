@@ -69,7 +69,7 @@ pub mod prelude {
         SatVerdict, Verdict, WarmStore,
     };
     pub use mix_mediator::{
-        compose, render_structure, Answer, AnswerPath, BreakerState, DeadReplica,
+        compose, render_structure, Answer, AnswerPath, BreakerState, Composed, DeadReplica,
         DegradationReport, Fault, FaultInjector, FaultPlan, FetchStatus, LatencyWrapper, Mediator,
         MediatorError, ProcessorConfig, RemoteWrapper, ReplicaInstruments, ReplicaPolicy,
         ReplicaSet, ResiliencePolicy, ServedBy, SourceError, SourceOutcome, SourceSpec,

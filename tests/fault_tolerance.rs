@@ -204,11 +204,12 @@ fn replace_source_resets_health() {
 }
 
 /// A query through `Mediator::query` over a union view carries the
-/// degradation report on the materialized path.
+/// degradation report on the materialized path. Picking the view root
+/// does not compose, so the union is materialized.
 #[test]
 fn query_answers_carry_the_degradation_report() {
     let m = federation(42, 0.6);
-    let q = parse_query("ans = SELECT X WHERE <u> X:<a/> </u>").unwrap();
+    let q = parse_query("ans = SELECT W WHERE W:<u/>").unwrap();
     let a = m.query(&q).unwrap();
     assert_eq!(a.path, AnswerPath::Materialized);
     let report = a
@@ -310,4 +311,111 @@ fn failed_member_the_root_model_requires_breaks_coverage() {
     assert_eq!(report.failed_sources(), ["down"]);
     assert_eq!(doc.root.children().len(), 1);
     assert!(!report.union_dtd_covers_survivors, "{report}");
+}
+
+/// A union `u` of a member that is down for good, a healthy member, both
+/// picking the `a`s of `dtd`, and a member picking `b`s that is down too.
+/// Stale serving is off, so the down members can only fail.
+fn down_up_and_disjoint(dtd: &str, config: ProcessorConfig) -> (Mediator, Arc<FaultInjector>) {
+    let dtd = parse_compact(dtd).unwrap();
+    let doc = || parse_document("<r><a>one</a><a>two</a></r>").unwrap();
+    let down = FaultInjector::new(
+        Arc::new(XmlSource::new(dtd.clone(), doc()).unwrap()),
+        FaultPlan::Script(vec![Some(Fault::Unavailable); 8]),
+    );
+    let bs = parse_compact("{<r : b*> <b : PCDATA>}").unwrap();
+    let disjoint = Arc::new(FaultInjector::new(
+        Arc::new(XmlSource::new(bs, parse_document("<r><b>x</b></r>").unwrap()).unwrap()),
+        FaultPlan::Script(vec![Some(Fault::Unavailable); 8]),
+    ));
+    let mut m = Mediator::with_config(config);
+    m.set_resilience_policy(ResiliencePolicy {
+        max_retries: 0,
+        serve_stale: false,
+        ..ResiliencePolicy::default()
+    });
+    m.add_source("down", Arc::new(down));
+    m.add_source("up", Arc::new(XmlSource::new(dtd, doc()).unwrap()));
+    m.add_source("bs", Arc::clone(&disjoint) as Arc<dyn Wrapper>);
+    let picks_b = parse_query("u = SELECT X WHERE <r> X:<b/> </r>").unwrap();
+    m.register_union_view(
+        "u",
+        &[
+            ("down", part_query()),
+            ("up", part_query()),
+            ("bs", picks_b),
+        ],
+    )
+    .unwrap();
+    (m, disjoint)
+}
+
+fn member_query() -> Query {
+    parse_query("ans = SELECT Y WHERE <u> Y:<a/> </u>").unwrap()
+}
+
+/// A composed union answer with a failed member that the root model
+/// requires: one outcome per member in union order, the member whose
+/// pick test is disjoint from the query `Fresh` and never called, and
+/// coverage lost — decided from the failed member's list type `a+`, not
+/// by a walk.
+#[test]
+fn composed_union_with_a_required_failed_member_loses_coverage() {
+    let (m, disjoint) = down_up_and_disjoint("{<r : a+> <a : PCDATA>}", ProcessorConfig::default());
+    let a = m.query(&member_query()).unwrap();
+    assert_eq!(a.path, AnswerPath::Composed);
+    assert_eq!(a.document.root.children().len(), 2);
+    let report = a.degradation.expect("a failed member degrades the answer");
+    let statuses: Vec<(&str, FetchStatus)> = report
+        .outcomes
+        .iter()
+        .map(|o| (o.source.as_str(), o.status))
+        .collect();
+    assert_eq!(
+        statuses,
+        [
+            ("down", FetchStatus::Failed),
+            ("up", FetchStatus::Fresh),
+            ("bs", FetchStatus::Fresh)
+        ]
+    );
+    assert_eq!(disjoint.calls(), 0, "the disjoint member was called");
+    assert!(!report.union_dtd_covers_survivors, "{report}");
+}
+
+/// The same with `a*`: the root model does without the failed member's
+/// contribution, so the view DTD still covers the survivors.
+#[test]
+fn composed_union_with_a_nullable_failed_member_keeps_coverage() {
+    let (m, _) = down_up_and_disjoint("{<r : a*> <a : PCDATA>}", ProcessorConfig::default());
+    let a = m.query(&member_query()).unwrap();
+    assert_eq!(a.path, AnswerPath::Composed);
+    let report = a.degradation.expect("a failed member degrades the answer");
+    assert_eq!(report.failed_sources(), ["down"]);
+    assert!(report.union_dtd_covers_survivors, "{report}");
+}
+
+/// A degraded composed union answers what materialize-then-evaluate over
+/// the surviving members answers, byte for byte.
+#[test]
+fn degraded_composed_union_equals_materialize_then_evaluate() {
+    let (composing, _) =
+        down_up_and_disjoint("{<r : a*> <a : PCDATA>}", ProcessorConfig::default());
+    let (materializing, _) = down_up_and_disjoint(
+        "{<r : a*> <a : PCDATA>}",
+        ProcessorConfig {
+            use_composition: false,
+            ..ProcessorConfig::default()
+        },
+    );
+    let render = |a: &Answer| write_document(&a.document, WriteConfig::default());
+    let composed = composing.query(&member_query()).unwrap();
+    let materialized = materializing.query(&member_query()).unwrap();
+    assert_eq!(composed.path, AnswerPath::Composed);
+    assert_eq!(materialized.path, AnswerPath::Materialized);
+    assert_eq!(render(&composed), render(&materialized));
+    assert_eq!(
+        materialized.degradation.unwrap().failed_sources(),
+        ["down", "bs"]
+    );
 }

@@ -233,11 +233,11 @@ fn answer_many_over_remote_sources_is_order_preserving_and_byte_identical() {
     }
 }
 
-/// One remote source contributing *twice* to a union: both member
-/// queries produce byte-identical reply text over the same
-/// `RemoteWrapper`, so the second answer is served from its parse memo as
-/// a clone of the first (the warm-up below makes that deterministic even
-/// though members materialize in parallel). Element ids thread through
+/// One remote source contributing *twice* to a union: both members are
+/// shipped the same composed query and produce byte-identical reply text
+/// over the same `RemoteWrapper`, so the second answer is served from its
+/// parse memo as a clone of the first (the warm-up below makes that
+/// deterministic even though members are answered in parallel). Element ids thread through
 /// binding and diseq semantics, so memoized clones must be
 /// indistinguishable from independent parses end to end: the union keeps
 /// both copies' members and the final answer stays id-unique. (The
@@ -248,9 +248,15 @@ fn union_of_byte_identical_members_keeps_both_copies() {
     let daemon = spawn_site("twin", 3);
     let remote =
         Arc::new(RemoteWrapper::connect(&daemon.addr().to_string()).expect("daemon reachable"));
-    // warm the parse memo so both (parallel) member calls below are
-    // served as clones of the same memoized parse
-    remote.answer(&member_query()).expect("warm-up answer");
+    // warm the parse memo with the composed query's reply so both
+    // (parallel) member calls below are served as clones of the same
+    // memoized parse
+    let member = normalize(&member_query(), remote.dtd()).unwrap();
+    let Some(Composed::Query(composed)) = compose(name("both"), &member, &view_query("both"))
+    else {
+        panic!("the view query composes with the member definition");
+    };
+    remote.answer(&composed).expect("warm-up answer");
     let mut m = Mediator::new();
     m.add_source("alpha", Arc::clone(&remote) as Arc<dyn Wrapper>);
     m.register_union_view(

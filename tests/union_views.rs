@@ -198,7 +198,10 @@ fn union_errors() {
 
 /// Union views are sound on random workloads: every materialization
 /// satisfies both inferred union DTDs, across random per-site schemas,
-/// queries, and documents.
+/// queries, and documents. The coverage bit of a report, clean or
+/// degraded by seeded member failures (with stale serving on and off),
+/// equals the full check of the answer against the union DTD — the
+/// s-DTD when the union has kind conflicts.
 #[test]
 fn union_views_are_sound_on_random_workloads() {
     use mix::dtd::generate::{seeded_dtd, DtdGenConfig};
@@ -207,19 +210,24 @@ fn union_views_are_sound_on_random_workloads() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    let (mut degraded, mut uncovered) = (0usize, 0usize);
     for seed in 0..20u64 {
         let mut m = Mediator::new();
         let mut parts = Vec::new();
         let n_sites = 2 + (seed % 3) as usize;
-        for site in 0..n_sites {
+        let source = |site: usize| {
             let dtd = seeded_dtd(seed * 10 + site as u64, &DtdGenConfig::default());
             let doc = sample_documents(&dtd, 1, seed + site as u64, DocConfig::default())
                 .pop()
                 .expect("one document");
+            Arc::new(XmlSource::new(dtd, doc).unwrap())
+        };
+        for site in 0..n_sites {
+            let source = source(site);
             let mut rng = StdRng::seed_from_u64(seed * 31 + site as u64);
-            let q = random_query(&dtd, &mut rng, &QueryGenConfig::default());
+            let q = random_query(source.dtd(), &mut rng, &QueryGenConfig::default());
             let label = format!("site{site}");
-            m.add_source(&label, Arc::new(XmlSource::new(dtd, doc).unwrap()));
+            m.add_source(&label, source);
             parts.push((label, q));
         }
         let part_refs: Vec<(&str, Query)> =
@@ -262,6 +270,40 @@ fn union_views_are_sound_on_random_workloads() {
         // a clean report sets the coverage bit without walking the
         // answer; it must equal the full check
         assert_eq!(report.union_dtd_covers_survivors, covers, "seed {seed}");
+        // the same under seeded member failures: every member keeps its
+        // own fault schedule, and a few rounds let stale answers build up
+        for serve_stale in [true, false] {
+            let mut faulty = Mediator::new();
+            faulty.set_resilience_policy(ResiliencePolicy {
+                max_retries: 0,
+                serve_stale,
+                ..ResiliencePolicy::default()
+            });
+            for (site, (label, _)) in parts.iter().enumerate() {
+                let fault_seed = seed * 100 + site as u64 + u64::from(serve_stale) * 7;
+                faulty.add_source(
+                    label,
+                    Arc::new(FaultInjector::seeded(source(site), fault_seed, 0.4)),
+                );
+            }
+            faulty.register_union_view("u", &part_refs).unwrap();
+            for round in 0..4 {
+                let Ok((doc, report)) = faulty.materialize_with_report(name("u")) else {
+                    continue; // every member failed
+                };
+                degraded += usize::from(!report.is_clean());
+                uncovered += usize::from(!report.union_dtd_covers_survivors);
+                let full = if kind_conflicts.is_empty() {
+                    Validator::new(&dtd).validate_document(&doc).is_ok()
+                } else {
+                    SAcceptor::new(&sdtd).document_satisfies(&doc)
+                };
+                assert_eq!(
+                    report.union_dtd_covers_survivors, full,
+                    "seed {seed}, stale serving {serve_stale}, round {round}\n{report}"
+                );
+            }
+        }
         // the same for a single-source view over each site
         for (site, (label, q)) in parts.iter().enumerate() {
             let mut q = q.clone();
@@ -276,4 +318,7 @@ fn union_views_are_sound_on_random_workloads() {
             );
         }
     }
+    eprintln!("{degraded} degraded reports ({uncovered} not covered)");
+    assert!(degraded >= 20, "only {degraded} degraded reports");
+    assert!(uncovered > 0, "no degraded report lost coverage");
 }
