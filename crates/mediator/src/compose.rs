@@ -26,6 +26,13 @@
 //! The user query's variables that the view definition also uses are
 //! renamed apart first, since the merged tree must bind each variable
 //! once. The answer does not depend on variable names.
+//!
+//! `!=` pairs compare the elements two variables bind. The merged pick
+//! node keeps one element variable and one ID variable; a variable it
+//! drops binds the same element as the one it keeps, so the pairs of both
+//! queries name the kept one instead. The user's root binds the view's
+//! root element, which no member condition binds: a pair with one side on
+//! it always holds and is left out.
 
 use mix_relang::symbol::Name;
 use mix_xmas::{Body, Condition, NameTest, Query, Var};
@@ -53,9 +60,8 @@ pub fn compose(view_name: Name, view: &Query, user: &Query) -> Option<Composed> 
     if !user.root.test.matches(view_name) {
         return None;
     }
-    // root-level constraints other than a single member condition defeat
-    // composition
-    if user.root.var == Some(user.pick) || user.root.id_var.is_some() {
+    // picking the view root defeats composition
+    if user.root.var == Some(user.pick) {
         return None;
     }
     let Body::Children(members) = &user.root.body else {
@@ -79,33 +85,77 @@ pub fn compose(view_name: Name, view: &Query, user: &Query) -> Option<Composed> 
         unreachable!("renaming keeps the body");
     };
     let member_cond = &members[0];
-    // both sides must use children bodies on the pick/member node
-    let (Body::Children(view_kids), Body::Children(member_kids)) =
-        (&view_pick.body, &member_cond.body)
-    else {
-        // a Text body on either side: composable only if the other side
-        // has no children constraints
-        return compose_text(view, &user, member_cond, test).map(Composed::Query);
-    };
-    // distinct-sibling guard: overlapping name tests at the merge level
-    // would make the composed query stricter than the materialized plan
-    for vk in view_kids {
-        for mk in member_kids {
-            if overlaps(&vk.test, &mk.test) {
-                return None;
+    let body = match (&view_pick.body, &member_cond.body) {
+        (Body::Children(view_kids), Body::Children(member_kids)) => {
+            // distinct-sibling guard: overlapping name tests at the merge
+            // level would make the composed query stricter than the
+            // materialized plan
+            for vk in view_kids {
+                for mk in member_kids {
+                    if overlaps(&vk.test, &mk.test) {
+                        return None;
+                    }
+                }
             }
+            let mut merged_kids = view_kids.clone();
+            merged_kids.extend(member_kids.iter().cloned());
+            Body::Children(merged_kids)
         }
+        // a text member condition merges only with a pick node without
+        // children conditions; otherwise materialization decides
+        (Body::Children(view_kids), Body::Text(_)) if view_kids.is_empty() => {
+            member_cond.body.clone()
+        }
+        _ => return None,
+    };
+    // the merged node keeps one element variable and one ID variable; a
+    // dropped one is the same element as the kept one, so it is renamed to
+    // it in every `!=` pair
+    let mut kept: HashMap<Var, Var> = HashMap::new();
+    if let (Some(dropped), Some(var)) = (view_pick.var, member_cond.var) {
+        kept.insert(dropped, var);
     }
-    let mut merged_kids = view_kids.clone();
-    merged_kids.extend(member_kids.iter().cloned());
+    if let (Some(id_var), Some(dropped)) = (view_pick.id_var, member_cond.id_var) {
+        kept.insert(dropped, id_var);
+    }
     let merged_pick = Condition {
         test,
         var: member_cond.var.or(view_pick.var),
         id_var: view_pick.id_var.or(member_cond.id_var),
         tag: 0,
-        body: Body::Children(merged_kids),
+        body,
     };
-    graft(view, &user, &merged_pick).map(Composed::Query)
+    let diseqs = composed_diseqs(view, &user, &kept)?;
+    Some(Composed::Query(Query {
+        view_name: user.view_name,
+        pick: user.pick,
+        root: replace_pick(&view.root, view.pick, &merged_pick)?,
+        diseqs,
+    }))
+}
+
+/// The `!=` pairs of the composed query: the view's, then the user's,
+/// each variable the merged pick node dropped renamed to the one it kept.
+/// The user's root binds the view's root element, which is none of the
+/// elements a member condition binds, so a pair with one side on it always
+/// holds and is left out. `None` for a pair with both sides on it (it
+/// never holds), which materialization answers.
+fn composed_diseqs(
+    view: &Query,
+    user: &Query,
+    kept: &HashMap<Var, Var>,
+) -> Option<Vec<(Var, Var)>> {
+    let on_root = |v: Var| user.root.var == Some(v) || user.root.id_var == Some(v);
+    let to = |v: Var| kept.get(&v).copied().unwrap_or(v);
+    let mut out = Vec::with_capacity(view.diseqs.len() + user.diseqs.len());
+    for &(a, b) in view.diseqs.iter().chain(&user.diseqs) {
+        match (on_root(a), on_root(b)) {
+            (false, false) => out.push((to(a), to(b))),
+            (true, true) => return None,
+            _ => {}
+        }
+    }
+    Some(out)
 }
 
 /// `user` with every variable that `view` also uses renamed to a fresh
@@ -148,47 +198,6 @@ fn rename_apart<'q>(view: &Query, user: &'q Query) -> Cow<'q, Query> {
         (*a, *b) = (to(*a), to(*b));
     }
     Cow::Owned(out)
-}
-
-/// Text-body corner: the member condition requires string content.
-fn compose_text(
-    view: &Query,
-    user: &Query,
-    member_cond: &Condition,
-    test: NameTest,
-) -> Option<Query> {
-    let view_pick = view.pick_node()?;
-    let Body::Children(view_kids) = &view_pick.body else {
-        return None;
-    };
-    if !view_kids.is_empty() {
-        // the view requires element children; a text member can't match
-        // — composition would need an unsatisfiable condition; bail to
-        // materialization which will return empty
-        return None;
-    }
-    let merged_pick = Condition {
-        test,
-        var: member_cond.var.or(view_pick.var),
-        id_var: view_pick.id_var.or(member_cond.id_var),
-        tag: 0,
-        body: member_cond.body.clone(),
-    };
-    graft(view, user, &merged_pick)
-}
-
-/// The view definition with its pick node replaced by `merged_pick`, under
-/// the user query's name, pick and `!=` pairs (after the view's).
-fn graft(view: &Query, user: &Query, merged_pick: &Condition) -> Option<Query> {
-    let root = replace_pick(&view.root, view.pick, merged_pick)?;
-    let mut diseqs = view.diseqs.clone();
-    diseqs.extend(user.diseqs.iter().copied());
-    Some(Query {
-        view_name: user.view_name,
-        pick: user.pick,
-        root,
-        diseqs,
-    })
 }
 
 fn overlaps(a: &NameTest, b: &NameTest) -> bool {
@@ -423,5 +432,69 @@ mod tests {
         .unwrap();
         let composed = query(compose(name("people"), &v, &user));
         assert_eq!(composed.diseqs.len(), 1);
+    }
+
+    /// `user` evaluated over the view `view` materialized from `doc`, and
+    /// the composition of the two evaluated over `doc` itself, rendered.
+    fn both_ways(view: &str, user: &str) -> (String, String) {
+        use mix_xmas::{evaluate, normalize};
+        use mix_xml::{parse_document, write_document, WriteConfig};
+        let source = mix_dtd::parse_compact("{<r : a*> <a : PCDATA>}").unwrap();
+        let doc = parse_document("<r><a>x</a><a>y</a><a>z</a></r>").unwrap();
+        let (view, user) = (parse_query(view).unwrap(), parse_query(user).unwrap());
+        let view = normalize(&view, &source).unwrap();
+        let view_dtd = mix_infer::infer_view_dtd(&view, &source).unwrap().dtd;
+        let materialized = evaluate(&view, &doc);
+        let composed = query(compose(view.view_name, &view, &user));
+        mix_xmas::well_formed(&composed).unwrap_or_else(|e| panic!("{e} in\n{composed}"));
+        let render = |d| write_document(d, WriteConfig::default());
+        (
+            render(&evaluate(
+                &normalize(&user, &view_dtd).unwrap(),
+                &materialized,
+            )),
+            render(&evaluate(&normalize(&composed, &source).unwrap(), &doc)),
+        )
+    }
+
+    /// The merged pick node drops the view's pick variable (the user's
+    /// binds the same element) and the user's ID variable (the view's
+    /// binds the same element): their `!=` pairs name the kept ones.
+    #[test]
+    fn pairs_on_a_dropped_variable_name_the_kept_one() {
+        let v = parse_query("u = SELECT X WHERE <r> X:<a/> Y:<a/> </r> AND X != Y").unwrap();
+        let user = parse_query("ans = SELECT Z WHERE <u> Z:<a/> </u>").unwrap();
+        let composed = query(compose(name("u"), &v, &user));
+        assert_eq!(composed.diseqs, [(Var::new("Z"), Var::new("Y"))]);
+        let (materialized, composed) = both_ways(
+            "u = SELECT X WHERE <r> X:<a/> Y:<a/> </r> AND X != Y",
+            "ans = SELECT Z WHERE <u> Z:<a/> </u>",
+        );
+        assert_eq!(composed, materialized);
+        assert!(materialized.contains('z'), "{materialized}");
+        // `Z != A` relates one element with itself on both sides, so both
+        // answers are empty
+        let (materialized, composed) = both_ways(
+            "u = SELECT X WHERE <r> X:<a id=I/> Y:<a id=J/> </r> AND I != J",
+            "ans = SELECT Z WHERE <u> Z:<a id=A/> </u> AND Z != A",
+        );
+        assert_eq!(composed, materialized);
+        assert!(!materialized.contains('x'), "{materialized}");
+    }
+
+    /// A pair with one side on the user's root always holds and is left
+    /// out; a pair with both sides on it never holds, and is left to
+    /// materialization.
+    #[test]
+    fn pairs_on_the_user_root() {
+        let (materialized, composed) = both_ways(
+            "u = SELECT X WHERE <r> X:<a/> </r>",
+            "ans = SELECT X WHERE W:<u> X:<a/> </u> AND W != X",
+        );
+        assert_eq!(composed, materialized);
+        assert!(materialized.contains('x'), "{materialized}");
+        let v = parse_query("u = SELECT X WHERE <r> X:<a/> </r>").unwrap();
+        let user = parse_query("ans = SELECT X WHERE W:<u id=V> X:<a/> </u> AND W != V").unwrap();
+        assert!(compose(name("u"), &v, &user).is_none());
     }
 }

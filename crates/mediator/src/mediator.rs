@@ -16,7 +16,7 @@ use mix_infer::{
 };
 use mix_obs::Registry;
 use mix_relang::symbol::Name;
-use mix_xmas::{evaluate, normalize, NormalizeError, Query};
+use mix_xmas::{evaluate, normalize, well_formed, NormalizeError, Query};
 use mix_xml::{Content, Document, ElemId, Element};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -117,8 +117,10 @@ impl AnyView {
     /// its own definition, and its reply is checked member by member
     /// against the member's inferred DTD; a member whose pick test is
     /// disjoint from `q`'s member test is not called. `None` when some
-    /// member does not compose, or the plain DTD is unsound (kind
-    /// conflicts): `q` is then evaluated over the materialized view.
+    /// member does not compose, the plain DTD is unsound (kind conflicts),
+    /// or a composed query is not well formed — a defect of composition,
+    /// which a source would otherwise report as its own failure: `q` is
+    /// then evaluated over the materialized view.
     fn composition(&self, name: Name, q: &Query) -> Option<Vec<MemberCall<'_>>> {
         if !self.plain_dtd_is_sound() {
             return None;
@@ -127,11 +129,14 @@ impl AnyView {
             .into_iter()
             .map(|(source, member)| {
                 Some(match compose(name, &member.query, q)? {
-                    Composed::Query(composed) => MemberCall::Ship {
-                        source,
-                        query: Cow::Owned(composed),
-                        check: ReplyCheck::Members(&member.dtd),
-                    },
+                    Composed::Query(composed) => {
+                        well_formed(&composed).ok()?;
+                        MemberCall::Ship {
+                            source,
+                            query: Cow::Owned(composed),
+                            check: ReplyCheck::Members(&member.dtd),
+                        }
+                    }
                     Composed::Empty => MemberCall::Empty(source),
                 })
             })
@@ -854,22 +859,23 @@ impl Mediator {
             })?;
         let any = &self.views[&view_name];
         let view_dtd = any.dtd();
-        let dtd_sound = any.plain_dtd_is_sound();
+        // a malformed query is the client's error, before any source call
+        let nq = {
+            let _s = self.registry.span("normalize");
+            normalize(q, view_dtd)?
+        };
         // 1. DTD-based simplification: prune certainly-empty queries with
         //    the emptiness decider. It runs uncached here: the sat cache
         //    and its counters belong to the per-source fetch prune.
-        if self.config.use_simplifier && dtd_sound {
-            let nq = {
-                let _s = self.registry.span("normalize");
-                normalize(q, view_dtd)?
-            };
-            if check_sat_normalized(&nq, view_dtd).is_unsat() {
-                return Ok(Answer {
-                    document: empty_answer(q.view_name),
-                    path: AnswerPath::PrunedUnsatisfiable,
-                    degradation: None,
-                });
-            }
+        if self.config.use_simplifier
+            && any.plain_dtd_is_sound()
+            && check_sat_normalized(&nq, view_dtd).is_unsat()
+        {
+            return Ok(Answer {
+                document: empty_answer(q.view_name),
+                path: AnswerPath::PrunedUnsatisfiable,
+                degradation: None,
+            });
         }
         // 2. composition with the definition of each member (a single
         //    view is its one member). Each composed query is shipped to
@@ -909,10 +915,6 @@ impl Mediator {
         }
         // 3. fall back to materialize-then-evaluate.
         let (materialized, report) = self.materialize_with_report(view_name)?;
-        let nq = {
-            let _s = self.registry.span("normalize");
-            normalize(q, view_dtd)?
-        };
         Ok(Answer {
             document: evaluate(&nq, &materialized),
             path: AnswerPath::Materialized,
@@ -1043,7 +1045,11 @@ mod tests {
     }
 
     fn mediator() -> Mediator {
-        let mut m = Mediator::new();
+        mediator_with(ProcessorConfig::default())
+    }
+
+    fn mediator_with(config: ProcessorConfig) -> Mediator {
+        let mut m = Mediator::with_config(config);
         let src = XmlSource::new(d1_department(), dept_doc()).unwrap();
         m.add_source("cs-dept", Arc::new(src));
         let v = parse_query(
@@ -1098,6 +1104,27 @@ mod tests {
             a.document.root.children()[0].children()[0].pcdata(),
             Some("Y")
         );
+    }
+
+    /// A malformed client query is the client's error on every path; it
+    /// never reaches a source, which would report it as its own failure.
+    #[test]
+    fn malformed_queries_are_normalize_errors() {
+        let q = parse_query(
+            "ans = SELECT X WHERE <withJournals> X:<professor/> </withJournals> AND X != Q",
+        )
+        .unwrap();
+        for use_simplifier in [true, false] {
+            let m = mediator_with(ProcessorConfig {
+                use_simplifier,
+                ..ProcessorConfig::default()
+            });
+            let unknown = NormalizeError::UnknownDiseqVar(mix_xmas::Var::new("Q"));
+            assert!(
+                matches!(m.query(&q), Err(MediatorError::Normalize(e)) if e == unknown),
+                "use_simplifier: {use_simplifier}"
+            );
+        }
     }
 
     #[test]

@@ -261,12 +261,14 @@ impl<S: WireService> Reactor<S> {
                 break;
             }
             self.obs.reactor_polls.inc();
+            let mut woken = false;
             for ev in &events {
                 match ev.token {
                     LISTENER => self.accept_ready(),
                     WAKER => {
                         self.waker.drain();
                         self.obs.reactor_wakeups.inc();
+                        woken = true;
                     }
                     t => {
                         let idx = t - CONN_BASE;
@@ -280,15 +282,13 @@ impl<S: WireService> Reactor<S> {
                     }
                 }
             }
-            self.apply_completions();
+            // completions are applied only after a wake: a worker wakes
+            // after pushing its completion, so none is left behind, and
+            // every answer delivered follows a counted wakeup
+            if woken {
+                self.apply_completions();
+            }
             self.evict_stalled();
-        }
-        // A wake can still be pending: the loop leaves on the stop flag
-        // without polling again, and a worker whose completion was applied
-        // in the iteration that dispatched it may wake only afterwards.
-        // Count it, so every wake the waker took is accounted for.
-        if self.waker.drain() > 0 {
-            self.obs.reactor_wakeups.inc();
         }
         // drain-then-exit for workers: anything still queued is answered,
         // then the (detached) threads leave

@@ -20,5 +20,5 @@ pub mod parser;
 pub use ast::{Body, Condition, NameTest, Query, Var};
 pub use eval::{any_match, evaluate, pick_bindings};
 pub use gen::{random_query, random_view_query, QueryGenConfig};
-pub use normalize::{normalize, NormalizeError};
+pub use normalize::{normalize, well_formed, NormalizeError};
 pub use parser::{parse_query, QueryError};

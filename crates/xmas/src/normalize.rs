@@ -52,7 +52,23 @@ impl std::error::Error for NormalizeError {}
 
 /// Normalizes `q` against the source DTD. Idempotent.
 pub fn normalize(q: &Query, source: &Dtd) -> Result<Query, NormalizeError> {
-    // checks
+    well_formed(q)?;
+    // rewrite
+    let all_names: Vec<_> = source.names();
+    let mut next_tag = 1u32;
+    let root = rewrite(&q.root, &all_names, &mut next_tag);
+    Ok(Query {
+        view_name: q.view_name,
+        pick: q.pick,
+        root,
+        diseqs: q.diseqs.clone(),
+    })
+}
+
+/// The well-formedness checks of [`normalize`], which do not depend on a
+/// DTD: no variable is bound twice, the pick variable is bound, and every
+/// `!=` pair relates two distinct bound variables.
+pub fn well_formed(q: &Query) -> Result<(), NormalizeError> {
     let mut seen: HashSet<Var> = HashSet::new();
     for v in q.declared_vars() {
         if !seen.insert(v) {
@@ -72,16 +88,7 @@ pub fn normalize(q: &Query, source: &Dtd) -> Result<Query, NormalizeError> {
             }
         }
     }
-    // rewrite
-    let all_names: Vec<_> = source.names();
-    let mut next_tag = 1u32;
-    let root = rewrite(&q.root, &all_names, &mut next_tag);
-    Ok(Query {
-        view_name: q.view_name,
-        pick: q.pick,
-        root,
-        diseqs: q.diseqs.clone(),
-    })
+    Ok(())
 }
 
 fn rewrite(c: &Condition, all_names: &[mix_relang::Name], next_tag: &mut u32) -> Condition {

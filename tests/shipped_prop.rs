@@ -572,6 +572,262 @@ fn union_queries_that_do_not_compose_are_materialized() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// `!=` pairs on the variables composition merges away: the definition's
+// pick variable, the member condition's ID variable, and the client's
+// root variable.
+// ---------------------------------------------------------------------------
+
+/// The condition in `c`'s subtree that binds `v` as its element variable.
+fn node_mut(c: &mut Condition, v: Var) -> Option<&mut Condition> {
+    if c.var == Some(v) {
+        return Some(c);
+    }
+    match &mut c.body {
+        Body::Children(kids) => kids.iter_mut().find_map(|k| node_mut(k, v)),
+        Body::Text(_) => None,
+    }
+}
+
+/// Every element and ID variable bound in `c`'s subtree.
+fn bound(c: &Condition) -> Vec<Var> {
+    c.walk()
+        .iter()
+        .flat_map(|n| [n.var, n.id_var])
+        .flatten()
+        .collect()
+}
+
+/// Puts the definition's pick variable in a `!=` pair with a variable off
+/// the pick node (the root's `R` when there is none), and sometimes gives
+/// the pick node the ID variable `IdP`. Composition drops the pick
+/// variable when the client's member condition binds its own.
+fn pair_the_pick(def: &mut Query, rng: &mut StdRng) {
+    let pick = def.pick;
+    let on_pick = bound(def.pick_node().expect("the pick is bound"));
+    let others: Vec<Var> = bound(&def.root)
+        .into_iter()
+        .filter(|v| !on_pick.contains(v))
+        .collect();
+    let other = match others.as_slice() {
+        [] if def.root.var == Some(pick) => return,
+        [] => *def.root.var.insert(Var::new("R")),
+        vs => vs[rng.gen_range(0..vs.len())],
+    };
+    def.diseqs.push(if rng.gen_bool(0.5) {
+        (pick, other)
+    } else {
+        (other, pick)
+    });
+    if rng.gen_bool(0.5) {
+        let node = node_mut(&mut def.root, pick).expect("the pick is bound");
+        node.id_var.get_or_insert(Var::new("IdP"));
+    }
+}
+
+/// Sometimes gives the client's member condition the ID variable `IdP`
+/// and the root the variable `R` — the names `pair_the_pick` gives the
+/// definitions, so they collide too — each in a `!=` pair with another
+/// variable of the query. A pair of the member's ID and element
+/// variables never holds. Composition drops the member's ID variable
+/// when the definition's pick node has one, and the root always.
+fn pair_the_root_and_member(user: &mut Query, rng: &mut StdRng) {
+    let Body::Children(kids) = &mut user.root.body else {
+        return;
+    };
+    let member = &mut kids[0];
+    if rng.gen_bool(0.5) {
+        let id = *member.id_var.get_or_insert(Var::new("IdP"));
+        let others: Vec<Var> = bound(member).into_iter().filter(|&v| v != id).collect();
+        if !others.is_empty() {
+            user.diseqs
+                .push((id, others[rng.gen_range(0..others.len())]));
+        }
+    }
+    if rng.gen_bool(0.5) {
+        let others = bound(&user.root);
+        let root = *user.root.var.insert(Var::new("R"));
+        let other = others[rng.gen_range(0..others.len())];
+        user.diseqs.push(if rng.gen_bool(0.5) {
+            (root, other)
+        } else {
+            (other, root)
+        });
+    }
+}
+
+/// Does a `!=` pair of `user` or of `def` name a variable that composing
+/// the two drops?
+fn pairs_a_dropped_variable(def: &Query, user: &Query) -> bool {
+    let named = |q: &Query, v: Option<Var>| {
+        v.is_some_and(|v| q.diseqs.iter().any(|&(a, b)| a == v || b == v))
+    };
+    let member = &user.root.children()[0];
+    let pick = def.pick_node().expect("the pick is bound");
+    named(user, user.root.var)
+        || (member.var.is_some() && named(def, Some(def.pick)))
+        || (pick.id_var.is_some() && named(user, member.id_var))
+}
+
+/// A `!=` pair on the definition's pick variable, which the client's
+/// member condition replaces, and one on the client's root variable, over
+/// a union with a member proven empty and over a single view: each query
+/// is composed, and answers what `evaluate` over the materialized view
+/// does.
+#[test]
+fn pairs_on_merged_variables_compose() {
+    let dtd_a = parse_compact("{<r : a*> <a : PCDATA>}").unwrap();
+    let dtd_b = parse_compact("{<r : b*> <b : PCDATA>}").unwrap();
+    let doc = |xml: &str| parse_document(xml).unwrap();
+    let all_bs = parse_query("m = SELECT X WHERE <r> X:<b/> </r>").unwrap();
+    let cases = [
+        (
+            "u = SELECT X WHERE <r> X:<a/> Y:<a/> </r> AND X != Y",
+            "ans = SELECT Z WHERE <un> Z:<a/> </un>",
+        ),
+        (
+            "u = SELECT X WHERE <r> X:<a/> </r>",
+            "ans = SELECT X WHERE W:<un> X:<a/> </un> AND W != X",
+        ),
+    ];
+    for (definition, user) in cases {
+        let definition = parse_query(definition).unwrap();
+        let user = parse_query(user).unwrap();
+        let members: Vec<Member> = vec![
+            (
+                dtd_a.clone(),
+                doc("<r><a>x</a><a>y</a></r>"),
+                definition.clone(),
+            ),
+            (dtd_b.clone(), doc("<r><b>z</b></r>"), all_bs.clone()),
+            (dtd_a.clone(), doc("<r><a>w</a></r>"), definition.clone()),
+        ];
+        let (in_process, remote, servers) = union_mediators(&members);
+        let view_dtd = in_process.view_dtd(name("un")).unwrap().clone();
+        let expected = evaluate(
+            &normalize(&user, &view_dtd).unwrap(),
+            &materialized_union(&members),
+        );
+        let expected = render(&expected);
+        assert!(expected.contains('x'), "{user}: {expected}");
+        let path = answer_all(
+            &[("in-process", &in_process), ("remote", &remote)],
+            &user,
+            &expected,
+            &format!("union, {user}"),
+        );
+        assert_eq!(path, AnswerPath::Composed, "{user}");
+        for server in servers {
+            server.shutdown();
+        }
+        // the same query over a single view `un` of the first member
+        let mut single = definition.clone();
+        single.view_name = name("un");
+        let mut m = Mediator::new();
+        m.add_source(
+            "s",
+            Arc::new(XmlSource::new(dtd_a.clone(), doc("<r><a>x</a><a>y</a></r>")).unwrap()),
+        );
+        let view_dtd = m.register_view("s", &single).unwrap().inferred.dtd.clone();
+        let materialized = evaluate(
+            &normalize(&single, &dtd_a).unwrap(),
+            &doc("<r><a>x</a><a>y</a></r>"),
+        );
+        let expected = render(&evaluate(
+            &normalize(&user, &view_dtd).unwrap(),
+            &materialized,
+        ));
+        let path = answer_all(
+            &[("single", &m)],
+            &user,
+            &expected,
+            &format!("single, {user}"),
+        );
+        assert_eq!(path, AnswerPath::Composed, "{user}");
+    }
+}
+
+/// Random unions of 1–3 members whose definitions put their pick
+/// variable in a `!=` pair, queried by clients whose root and member
+/// condition are in pairs too: every answer is byte-identical to
+/// `evaluate` over the materialized union, and composed exactly when
+/// every member composes.
+#[test]
+fn pairs_on_merged_variables_answer_as_materialization() {
+    let (mut answered, mut composed, mut dropped, mut nonempty) = (0usize, 0usize, 0usize, 0usize);
+    for seed in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let Some(mut members) = random_members(seed, 1 + (seed % 3) as usize, &mut rng) else {
+            continue;
+        };
+        for (dtd, _, def) in &mut members {
+            pair_the_pick(def, &mut rng);
+            normalize(def, dtd).expect("the paired definition normalizes");
+        }
+        let expected_union = materialized_union(&members);
+        let (in_process, remote, servers) = union_mediators(&members);
+        let inferred = &in_process.union_view(name("un")).unwrap().inferred;
+        let view_dtd = inferred.dtd.clone();
+        let conflicts = !inferred.kind_conflicts.is_empty();
+        let definitions: Vec<Query> = inferred.members.iter().map(|m| m.query.clone()).collect();
+        for k in 0..6 {
+            let Some(mut user) = user_query(&view_dtd, &mut rng, k % 2 == 1) else {
+                continue;
+            };
+            pair_the_root_and_member(&mut user, &mut rng);
+            let Ok(nuser) = normalize(&user, &view_dtd) else {
+                continue;
+            };
+            let expected = evaluate(&nuser, &expected_union);
+            nonempty += usize::from(!expected.root.children().is_empty());
+            let path = answer_all(
+                &[("in-process", &in_process), ("remote", &remote)],
+                &user,
+                &render(&expected),
+                &format!("seed {seed}"),
+            );
+            answered += 1;
+            let plans: Option<Vec<Composed>> = definitions
+                .iter()
+                .map(|def| compose(name("un"), def, &user))
+                .collect();
+            if plans.is_some() && !conflicts {
+                assert_ne!(path, AnswerPath::Materialized, "seed {seed}\n{user}");
+                if path == AnswerPath::Composed {
+                    composed += 1;
+                    dropped += usize::from(
+                        definitions
+                            .iter()
+                            .any(|def| pairs_a_dropped_variable(def, &user)),
+                    );
+                }
+            } else {
+                assert_ne!(path, AnswerPath::Composed, "seed {seed}\n{user}");
+            }
+        }
+        for server in servers {
+            server.shutdown();
+        }
+    }
+    eprintln!(
+        "{answered} answers: {composed} composed ({dropped} with a pair on a dropped \
+         variable), {nonempty} non-empty"
+    );
+    assert!(answered >= 200, "only {answered} cases answered");
+    assert!(
+        composed * 3 >= answered,
+        "only {composed} of {answered} composed"
+    );
+    assert!(
+        dropped >= 50,
+        "only {dropped} composed answers paired a dropped variable"
+    );
+    assert!(
+        nonempty * 5 >= answered,
+        "only {nonempty} answers non-empty"
+    );
+}
+
 /// A view stacked over a union view composes at both layers: the upper
 /// mediator ships its composed query to a `ViewWrapper` of the lower
 /// union view, whose mediator composes it with each member definition.
