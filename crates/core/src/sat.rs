@@ -5,14 +5,14 @@
 //!
 //! [`check_sat`] walks a normalized pattern top-down against the DTD
 //! graph and returns a [`SatVerdict`]: `Sat` (some valid document of the
-//! DTD matches, id-inequalities aside), `Unsat(reason)` (**provably** no
+//! DTD matches), `Unsat(reason)` (**provably** no
 //! valid document matches — the reason is the witness path), or
 //! `Unknown` (the query does not normalize, or a sibling check gave up
 //! at its bound; fall back to fetching).
 //!
-//! **Exactness.** Ignoring `!=` constraints, the walk decides emptiness
-//! exactly, for every content model, unless a sibling check exceeds
-//! [`MAX_SIBLING_FRONTIER`]. Every `Unsat` branch below is justified
+//! **Exactness.** The walk decides emptiness exactly, for every content
+//! model, unless a sibling check exceeds [`MAX_SIBLING_FRONTIER`]. Every
+//! `Unsat` branch below is justified
 //! against the evaluator's semantics (`mix_xmas::evaluate`) plus
 //! document validity (Definition 2.3), and every `Sat` is realized by
 //! some valid document:
@@ -42,10 +42,12 @@
 //! *query* tree, and DTD-side recursion is already folded into the
 //! [`mix_dtd::productive`] reachability fixpoint.
 //!
-//! Id-inequalities (`P1 != P2`) are deliberately ignored — dropping a
-//! constraint can only make the analyzer *more* willing to say `Sat`,
-//! which is the sound direction. The one exception, `X != X`, is folded
-//! into `Unsat` before normalization can reject it.
+//! Id-inequalities (`P1 != P2`) are decided from the query alone, as the
+//! evaluator decides them ([`mix_xmas::unsatisfiable_diseq`]): distinct
+//! conditions always bind distinct elements, so a pair on one condition's
+//! element and ID variable is `Unsat` and every other pair holds in every
+//! match and is dropped, exactly. `X != X` is folded into `Unsat` before
+//! normalization can reject it.
 //!
 //! Figure 2's `tighten` stays the paper's inference algorithm (view
 //! registration, InferList); it is not an emptiness oracle on the query
@@ -63,7 +65,7 @@ use mix_dtd::{productive, restrict, ContentModel, Dtd};
 use mix_obs::{Counter, Histogram, Registry};
 use mix_relang::pool::{self, ReId, ReNode};
 use mix_relang::symbol::Name;
-use mix_xmas::{normalize, Body, Condition, NameTest, NormalizeError, Query};
+use mix_xmas::{normalize, unsatisfiable_diseq, Body, Condition, NameTest, NormalizeError, Query};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -77,8 +79,8 @@ pub const SAT_CACHE_CAPACITY: usize = 4096;
 /// The verdict of the emptiness decider.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatVerdict {
-    /// Some valid document of the DTD matches the pattern. (Not a proof
-    /// that the answer is non-empty: id-inequalities are ignored.)
+    /// Some valid document of the DTD matches the pattern, `!=` pairs
+    /// included.
     Sat,
     /// **Provably** no valid document of the DTD matches; the string is
     /// the witness path explaining why. Callers may skip the fetch and
@@ -160,6 +162,11 @@ pub fn check_sat(q: &Query, dtd: &Dtd) -> SatVerdict {
 /// `Sat` or `Unsat`, or `Unknown` if a sibling check gave up at
 /// [`MAX_SIBLING_FRONTIER`].
 pub fn check_sat_normalized(nq: &Query, dtd: &Dtd) -> SatVerdict {
+    if let Some((a, b)) = unsatisfiable_diseq(nq) {
+        return SatVerdict::Unsat(format!(
+            "constraint '{a} != {b}' can never hold: one condition binds both"
+        ));
+    }
     if !nq.root.test.matches(dtd.doc_type) {
         return SatVerdict::Unsat(format!(
             "root step <{}> never matches document type <{}>",
@@ -974,15 +981,33 @@ mod tests {
     }
 
     #[test]
-    fn diseqs_are_ignored_soundly() {
+    fn pairs_on_distinct_conditions_always_hold() {
         let d = d1_department();
-        // two distinct professors may exist — and even if they could
-        // not, ignoring the constraint only errs toward Sat
+        // two sibling conditions bind two distinct professors, so the
+        // pair holds whenever both conditions match
         let q = parse_query(
             "x = SELECT P WHERE <department> P:<professor id=A/> <professor id=B/> </> AND A != B",
         )
         .unwrap();
         assert_eq!(check_sat(&q, &d), SatVerdict::Sat);
+        // and so does a pair on conditions at different depths
+        let q = parse_query(
+            "x = SELECT P WHERE <department> P:<professor> <publication id=B/> </> </> AND P != B",
+        )
+        .unwrap();
+        assert_eq!(check_sat(&q, &d), SatVerdict::Sat);
+    }
+
+    #[test]
+    fn a_pair_on_one_conditions_two_variables_is_unsat() {
+        let d = d1_department();
+        let q = parse_query("x = SELECT P WHERE <department> P:<professor id=A/> </> AND P != A")
+            .unwrap();
+        let v = check_sat(&q, &d);
+        assert!(
+            v.reason().unwrap().contains("'P != A' can never hold"),
+            "{v}"
+        );
     }
 
     #[test]

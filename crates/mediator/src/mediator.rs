@@ -977,7 +977,8 @@ impl Mediator {
     }
 }
 
-fn empty_answer(name: Name) -> Document {
+/// The answer document with no members, under the root `name`.
+pub(crate) fn empty_answer(name: Name) -> Document {
     Document::new(Element {
         name,
         id: ElemId::fresh(),
@@ -1133,6 +1134,19 @@ mod tests {
         // view DTD knows a withJournals member has no 'course' children
         let q = parse_query(
             "ans = SELECT C WHERE <withJournals> <professor> C:<course/> </> </withJournals>",
+        )
+        .unwrap();
+        let a = m.query(&q).unwrap();
+        assert_eq!(a.path, AnswerPath::PrunedUnsatisfiable);
+        assert_eq!(a.document.root.children().len(), 0);
+    }
+
+    #[test]
+    fn a_pair_on_one_conditions_two_variables_is_pruned_at_the_view() {
+        let m = mediator();
+        // X and I bind one element, so X != I never holds
+        let q = parse_query(
+            "ans = SELECT X WHERE <withJournals> X:<professor id=I/> </withJournals> AND X != I",
         )
         .unwrap();
         let a = m.query(&q).unwrap();

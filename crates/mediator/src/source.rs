@@ -192,8 +192,8 @@ impl<W: Wrapper> Wrapper for LatencyWrapper<W> {
 ///
 /// Repeated answers are hash-consed: the parse of each distinct reply
 /// body is memoized, and a repeat serves a clone with
-/// [`Document::refresh_auto_ids`] applied so ID-based deduplication in
-/// downstream evaluation still sees distinct nodes. The memo is keyed by
+/// [`Document::refresh_auto_ids`] applied, so two copies of one reply
+/// placed in one answer never share an ID. The memo is keyed by
 /// the *full reply text*, so a source that starts answering differently
 /// simply misses — cached entries can never go stale, only cold.
 pub struct RemoteWrapper {

@@ -8,14 +8,20 @@
 //! over the bytes, so the resident state is bounded by document depth
 //! and pattern size rather than document size.
 //!
-//! Not every XMAS query is streamable — `!=` constraints need the
-//! in-memory join. The wrapper *falls back* transparently: unsupported
-//! queries materialize the document through [`Wrapper::fetch`] and run
-//! the ordinary evaluator, producing byte-identical answers either way.
-//! Both paths are observable: `stream_queries_streamed_total` and
-//! `stream_queries_fallback_total` count which path served each query.
+//! Not every XMAS query is streamable — a condition with more than
+//! [`mix_stream::MAX_SIBLING_CONDS`] child conditions overflows the
+//! matcher's per-element bitsets. The wrapper *falls back* transparently:
+//! unsupported queries materialize the document through
+//! [`Wrapper::fetch`] and run the ordinary evaluator, producing
+//! byte-identical answers either way. Both paths are observable:
+//! `stream_queries_streamed_total` and `stream_queries_fallback_total`
+//! count which path served each query. A compiled pattern that admits
+//! nothing (a `!=` pair that never holds, or a root the DTD makes
+//! infeasible) is answered with the empty view document without opening
+//! the stream.
 
 use crate::error::SourceError;
+use crate::mediator::empty_answer;
 use crate::source::Wrapper;
 use mix_dtd::Dtd;
 use mix_stream::{stream_answer, CompiledQuery, StreamError, StreamStats};
@@ -87,6 +93,11 @@ impl StreamingWrapper {
     pub fn answer_traced(&self, q: &Query) -> Result<(Document, ServedBy), SourceError> {
         let nq = normalize(q, &self.dtd)?;
         match CompiledQuery::compile(&nq, Some(&self.dtd)) {
+            Ok(cq) if cq.admits_nothing() => {
+                self.streamed.inc();
+                let empty = empty_answer(cq.view_name);
+                Ok((empty, ServedBy::Streamed(StreamStats::default())))
+            }
             Ok(cq) => {
                 let src = (self.open)()?;
                 let (doc, stats) = stream_answer(src, &cq).map_err(stream_to_source_error)?;
@@ -167,27 +178,57 @@ mod tests {
     }
 
     #[test]
-    fn diseq_queries_fall_back_with_identical_answers() {
+    fn diseq_queries_stream_with_identical_answers() {
         let w = wrapper();
-        let before = mix_obs::global()
-            .counter("stream_queries_fallback_total")
-            .get();
         let q = parse_query(
             "multi = SELECT P WHERE <department> P:<professor> \
                <publication id=A/> <publication id=B/> </> </department> AND A != B",
         )
         .unwrap();
         let (doc, served) = w.answer_traced(&q).unwrap();
+        assert!(matches!(served, ServedBy::Streamed(_)), "got {served:?}");
+        let reference = evaluate(&normalize(&q, w.dtd()).unwrap(), &w.fetch().unwrap());
+        assert_eq!(xml(&doc), xml(&reference));
+        assert_eq!(doc.root.children().len(), 1);
+
+        // a pair on one condition's two variables never holds: the empty
+        // answer, without opening the stream
+        let q = parse_query(
+            "none = SELECT P WHERE <department> P:<professor id=A/> </department> AND P != A",
+        )
+        .unwrap();
+        let (doc, served) = w.answer_traced(&q).unwrap();
+        let ServedBy::Streamed(stats) = served else {
+            panic!("expected the streaming path, got {served:?}");
+        };
+        assert_eq!(stats.bytes_read, 0);
+        let reference = evaluate(&normalize(&q, w.dtd()).unwrap(), &w.fetch().unwrap());
+        assert_eq!(xml(&doc), xml(&reference));
+        assert!(doc.root.children().is_empty());
+    }
+
+    #[test]
+    fn wide_queries_fall_back_with_identical_answers() {
+        let w = wrapper();
+        let before = mix_obs::global()
+            .counter("stream_queries_fallback_total")
+            .get();
+        // seven sibling conditions, one past the streaming cap
+        let q = parse_query(
+            "wide = SELECT P WHERE <department> P:<professor> <firstName/> <lastName/> \
+               <publication/> <publication/> <teaches/> <teaches/> <teaches/> </> </department>",
+        )
+        .unwrap();
+        let (doc, served) = w.answer_traced(&q).unwrap();
         assert!(
             matches!(
                 served,
-                ServedBy::Fallback(mix_stream::Unsupported::Diseqs(1))
+                ServedBy::Fallback(mix_stream::Unsupported::WideSiblings(7))
             ),
             "got {served:?}"
         );
         let reference = evaluate(&normalize(&q, w.dtd()).unwrap(), &w.fetch().unwrap());
         assert_eq!(xml(&doc), xml(&reference));
-        assert_eq!(doc.root.children().len(), 1);
         let after = mix_obs::global()
             .counter("stream_queries_fallback_total")
             .get();

@@ -1,9 +1,13 @@
 //! Compilation of normalized XMAS queries into a streamable pattern.
 //!
-//! The supported fragment is the non-`!=`-constrained subset of the
-//! pick-element language: `!=` joins need two bindings side by side, which
-//! is exactly what a bounded-state one-pass evaluator cannot hold. For
-//! everything else the condition tree flattens into an array of pattern
+//! The supported fragment is the pick-element language with at most
+//! [`MAX_SIBLING_CONDS`] sibling conditions per node. `!=` pairs need no
+//! bindings side by side: distinct conditions always bind distinct
+//! elements, so a pair holds in every match unless it names one
+//! condition's element and ID variable, and then none matches
+//! ([`mix_xmas::unsatisfiable_diseq`]). Compilation drops the pairs that
+//! hold and compiles a pattern that admits nothing for one that never
+//! does. The condition tree flattens into an array of pattern
 //! nodes with parent links, a designated root-to-pick path, and per-node
 //! **feasibility sets** derived from the source DTD: an element name is
 //! kept only if, per the hash-consed pool's emptiness/first/alphabet
@@ -23,22 +27,21 @@ use mix_dtd::{ContentModel, Dtd};
 use mix_relang::pool;
 use mix_relang::symbol::Name;
 use mix_xmas::ast::{Body, Condition, NameTest, Query};
+use mix_xmas::unsatisfiable_diseq;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Sibling-condition width cap: per-element matcher state is a bitset
-/// over subsets of one node's child conditions, kept machine-word sized.
-/// Realistic pick-element queries have 2–4 sibling conditions; the
-/// in-memory evaluator backtracks over them factorially, so anything
-/// wider is out of reach for *both* evaluators.
+/// over subsets of one node's child conditions (`reach` has one bit per
+/// subset), kept machine-word sized. Realistic pick-element queries have
+/// 2–4 sibling conditions; a wider query is answered by the in-memory
+/// evaluator, which matches a group of any width in polynomial time.
 pub const MAX_SIBLING_CONDS: usize = 6;
 
 /// Why a query is outside the streamable fragment (the
 /// `StreamingWrapper` falls back to the in-memory evaluator).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Unsupported {
-    /// The query has `!=` constraints (`A != B` joins two bindings).
-    Diseqs(usize),
     /// A condition node has more than [`MAX_SIBLING_CONDS`] children.
     WideSiblings(usize),
     /// The pick variable is not bound in the condition tree (normalized
@@ -49,9 +52,6 @@ pub enum Unsupported {
 impl fmt::Display for Unsupported {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Unsupported::Diseqs(n) => {
-                write!(f, "{n} id-inequality constraint(s) need the in-memory join")
-            }
             Unsupported::WideSiblings(n) => write!(
                 f,
                 "a condition has {n} sibling conditions (streaming cap {MAX_SIBLING_CONDS})"
@@ -112,12 +112,12 @@ pub struct CompiledQuery {
 
 impl CompiledQuery {
     /// Compiles a (normalized) query, with `dtd` enabling feasibility
-    /// pruning. Queries with `!=` constraints, unbound picks, or
-    /// over-wide sibling lists are rejected as [`Unsupported`].
+    /// pruning. Its `!=` pairs are decided here: the ones that always hold
+    /// are dropped, and one that never holds leaves a pattern whose root
+    /// admits no element ([`CompiledQuery::admits_nothing`]). Queries with
+    /// unbound picks or over-wide sibling lists are rejected as
+    /// [`Unsupported`].
     pub fn compile(q: &Query, dtd: Option<&Dtd>) -> Result<CompiledQuery, Unsupported> {
-        if !q.diseqs.is_empty() {
-            return Err(Unsupported::Diseqs(q.diseqs.len()));
-        }
         let path = q.pick_path().ok_or(Unsupported::PickUnbound)?;
         let path_ptrs: Vec<*const Condition> = path.iter().map(|c| *c as *const _).collect();
 
@@ -138,6 +138,9 @@ impl CompiledQuery {
         if let Some(dtd) = dtd {
             compute_feasibility(&mut nodes, dtd);
         }
+        if unsatisfiable_diseq(q).is_some() {
+            nodes[0].feasible = Some(HashSet::new());
+        }
 
         Ok(CompiledQuery {
             view_name: q.view_name,
@@ -155,6 +158,16 @@ impl CompiledQuery {
     /// Number of pattern nodes.
     pub fn pattern_size(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Does the root node admit no element name, so the answer is empty
+    /// whatever the document? True when a `!=` pair never holds, and when
+    /// the DTD leaves no feasible name for the root.
+    pub fn admits_nothing(&self) -> bool {
+        self.nodes[0]
+            .feasible
+            .as_ref()
+            .is_some_and(HashSet::is_empty)
     }
 
     pub(crate) fn pick_node(&self) -> u16 {
@@ -282,14 +295,24 @@ mod tests {
     }
 
     #[test]
-    fn diseqs_are_unsupported() {
-        let err = compiled(
+    fn pairs_are_decided_at_compile_time() {
+        // a pair on two conditions always holds and is dropped
+        let cq = compiled(
             "v = SELECT P WHERE <department> P:<professor> \
                <publication id=A/> <publication id=B/> </> </> AND A != B",
             None,
         )
-        .unwrap_err();
-        assert!(matches!(err, Unsupported::Diseqs(1)));
+        .unwrap();
+        assert!(!cq.admits_nothing());
+        assert!(cq.admits(0, name("department")));
+        // a pair on one condition's two variables never holds
+        let cq = compiled(
+            "v = SELECT P WHERE <department> P:<professor id=A/> </> AND P != A",
+            None,
+        )
+        .unwrap();
+        assert!(cq.admits_nothing());
+        assert!(!cq.admits(0, name("department")));
     }
 
     #[test]

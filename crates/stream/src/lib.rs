@@ -3,7 +3,8 @@
 //! The in-memory pipeline (`mix-xml` parse → `mix-xmas` evaluate) holds
 //! the whole source document resident, which caps the mediator at
 //! documents that fit in RAM. This crate evaluates the streamable
-//! fragment of XMAS — pick-element queries without `!=` constraints —
+//! fragment of XMAS — pick-element queries with at most
+//! [`MAX_SIBLING_CONDS`] sibling conditions per node, `!=` pairs included —
 //! in one pass over the raw XML bytes:
 //!
 //! * `mix-xml`'s [`EventReader`] pulls open/text/close events from any
@@ -13,7 +14,8 @@
 //! * [`compile`] flattens a normalized query into pattern nodes plus
 //!   per-node DTD feasibility sets — the hash-consed content-model
 //!   pool's emptiness/first/alphabet attributes prune descents that
-//!   could never satisfy the pattern in a DTD-valid document;
+//!   could never satisfy the pattern in a DTD-valid document — and
+//!   decides its `!=` pairs from the query alone;
 //! * [`matcher`] runs a stack of active pattern states over the events,
 //!   emitting answer elements incrementally in document order with
 //!   `O(depth × pattern)` live state (plus any answers whose ancestor

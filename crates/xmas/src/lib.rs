@@ -14,11 +14,13 @@ mod display;
 pub mod eval;
 pub mod gen;
 pub mod normalize;
+#[cfg(test)]
+mod oracle;
 pub mod paper;
 pub mod parser;
 
 pub use ast::{Body, Condition, NameTest, Query, Var};
-pub use eval::{any_match, evaluate, pick_bindings};
+pub use eval::{evaluate, pick_bindings, unsatisfiable_diseq};
 pub use gen::{random_query, random_view_query, QueryGenConfig};
 pub use normalize::{normalize, well_formed, NormalizeError};
 pub use parser::{parse_query, QueryError};

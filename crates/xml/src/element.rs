@@ -223,10 +223,10 @@ impl Element {
     ///
     /// A plain [`Clone`] shares its IDs with the original, so two clones
     /// of one parsed answer placed side by side in a constructed document
-    /// would collide — and query evaluation deduplicates picked elements
-    /// by ID, so the collision silently drops members. Answer caches
-    /// that hand out clones of a memoized parse call this on every copy
-    /// they release.
+    /// would collide, and the document would break ID uniqueness
+    /// (validity requirement 1 of Appendix A, which
+    /// [`Document::duplicate_id`] checks). Answer caches that hand out
+    /// clones of a memoized parse call this on every copy they release.
     pub fn refresh_auto_ids(&mut self) {
         if self.id.is_auto() {
             self.id = ElemId::fresh();

@@ -864,7 +864,7 @@ fn serve_bench_json_carries_the_obs_snapshot() {
 fn eval_stream_matches_in_memory_output() {
     let dtd = fixture("st.dtd", D1);
     let doc = fixture("st.xml", DOC);
-    // A streamable query (no !=) …
+    // A streamable query …
     let q = fixture(
         "st.xmas",
         "profs = SELECT P WHERE <department> <name>CS</name> P:<professor/> </department>",
@@ -891,8 +891,7 @@ fn eval_stream_matches_in_memory_output() {
     let report = String::from_utf8_lossy(&streamed.stderr);
     assert!(report.contains("peak state"), "{report}");
 
-    // … and a query outside the fragment (Q2 uses !=) falls back with
-    // identical output and a note.
+    // … a query with != pairs (Q2) streams too, with identical output …
     let q2 = fixture("st2.xmas", Q2);
     let args2 = [
         "eval",
@@ -909,5 +908,31 @@ fn eval_stream_matches_in_memory_output() {
     let streamed2 = mixctl(&streamed_args2);
     assert!(streamed2.status.success());
     assert_eq!(plain2.stdout, streamed2.stdout);
-    assert!(String::from_utf8_lossy(&streamed2.stderr).contains("not streamable"));
+    let report2 = String::from_utf8_lossy(&streamed2.stderr);
+    assert!(report2.contains("peak state"), "{report2}");
+
+    // … and a query outside the fragment (seven sibling conditions, one
+    // past the cap) falls back with identical output and a note.
+    let q3 = fixture(
+        "st3.xmas",
+        "wide = SELECT P WHERE <department> P:<professor> <firstName/> <lastName/> \
+           <publication/> <publication/> <publication/> <publication/> <teaches/> </> \
+         </department>",
+    );
+    let args3 = [
+        "eval",
+        "--dtd",
+        dtd.to_str().unwrap(),
+        "--doc",
+        doc.to_str().unwrap(),
+        "--query",
+        q3.to_str().unwrap(),
+    ];
+    let plain3 = mixctl(&args3);
+    let mut streamed_args3 = args3.to_vec();
+    streamed_args3.push("--stream");
+    let streamed3 = mixctl(&streamed_args3);
+    assert!(streamed3.status.success());
+    assert_eq!(plain3.stdout, streamed3.stdout);
+    assert!(String::from_utf8_lossy(&streamed3.stderr).contains("not streamable"));
 }

@@ -533,6 +533,102 @@ fn composed_client_queries_are_answered_without_inference() {
     assert_eq!(misses(), before, "a client query was inferred");
 }
 
+/// Evaluates `q` over `doc` and fails if it takes a second or more.
+fn evaluate_within_1s(q: &str, doc: &Document) -> Document {
+    let q = parse_query(q).unwrap();
+    let start = std::time::Instant::now();
+    let answer = evaluate(&q, doc);
+    let took = start.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "{took:?}: {q}");
+    answer
+}
+
+/// Identical sibling conditions are matched to distinct children, not
+/// enumerated: 8 `<a/>` conditions over 14 `<a>` children (26.5 s when
+/// every assignment was listed) and 64 over 64 are evaluated within 1 s.
+/// Over loopback daemons, through a single view and a union view, the
+/// composed query with 8 or 64 `<publication/>` siblings is evaluated at
+/// each daemon for a professor with 14 publications within 10 s.
+#[test]
+fn identical_sibling_conditions_are_evaluated_promptly() {
+    for (conds, children) in [(8, 14), (64, 64)] {
+        let doc = parse_document(&format!("<r>{}</r>", "<a/>".repeat(children))).unwrap();
+        let siblings = "<a/> ".repeat(conds);
+        let answer = evaluate_within_1s(&format!("v = SELECT X WHERE X:<r> {siblings}</r>"), &doc);
+        assert_eq!(answer.root.children().len(), 1, "{conds} over {children}");
+        let siblings = "<a/> ".repeat(conds - 1);
+        let q = format!("v = SELECT X WHERE <r> X:<a/> {siblings}</r>");
+        let answer = evaluate_within_1s(&q, &doc);
+        assert_eq!(
+            answer.root.children().len(),
+            children,
+            "{conds} over {children}"
+        );
+    }
+
+    let d1 = mix::dtd::paper::d1_department();
+    let publications: String = (0..14)
+        .map(|p| {
+            format!("<publication><title>t{p}</title><author>a</author><journal/></publication>")
+        })
+        .collect();
+    let doc = parse_document(&format!(
+        "<department><name>CS</name>\
+           <professor><firstName>f</firstName><lastName>l</lastName>{publications}<teaches/></professor>\
+           <professor><firstName>g</firstName><lastName>m</lastName>\
+             <publication><title>u</title><author>a</author><journal/></publication><teaches/>\
+           </professor>\
+           <gradStudent><firstName>s</firstName><lastName>n</lastName>\
+             <publication><title>v</title><author>a</author><conference/></publication>\
+           </gradStudent>\
+         </department>"
+    ))
+    .unwrap();
+    let daemons: Vec<_> = ["cs", "ee"]
+        .iter()
+        .map(|_| {
+            let source = XmlSource::new(d1.clone(), doc.clone()).unwrap();
+            Server::bind(
+                "127.0.0.1:0",
+                Arc::new(WrapperService::new(source)),
+                ServerConfig::default(),
+            )
+            .unwrap()
+            .spawn()
+            .unwrap()
+        })
+        .collect();
+    let mut m = Mediator::new();
+    for (site, daemon) in ["cs", "ee"].iter().zip(&daemons) {
+        let remote = RemoteWrapper::connect(&daemon.addr().to_string()).unwrap();
+        m.add_source(site, Arc::new(remote));
+    }
+    let view = "SELECT X WHERE <department> X:<professor/> </>";
+    m.register_view("cs", &parse_query(&format!("view = {view}")).unwrap())
+        .unwrap();
+    let member = parse_query(&format!("union = {view}")).unwrap();
+    m.register_union_view("union", &[("cs", member.clone()), ("ee", member)])
+        .unwrap();
+    let m = Arc::new(m);
+    for (view, copies) in [("view", 1), ("union", 2)] {
+        for (siblings, picked) in [(8, copies), (64, 0)] {
+            let pubs = "<publication/> ".repeat(siblings);
+            let q =
+                format!("ans = SELECT X WHERE <{view}> X:<professor> {pubs}</professor> </{view}>");
+            let answer = answer_within_10s(&m, &q);
+            assert_eq!(answer.path, AnswerPath::Composed, "<{view}> {siblings}");
+            assert_eq!(
+                answer.document.root.children().len(),
+                picked,
+                "<{view}> {siblings}"
+            );
+        }
+    }
+    for daemon in daemons {
+        daemon.shutdown();
+    }
+}
+
 /// The subset-construction s-DTD counter agrees with brute force:
 /// enumerate every document of the *merged* DTD and count how many the
 /// s-DTD accepts.

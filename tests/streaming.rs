@@ -1,7 +1,8 @@
 //! PR 8 property suite: the streaming evaluator is *byte-identical* to
 //! the in-memory evaluator on the supported fragment, over random DTDs,
-//! random queries, and random valid documents — with and without DTD
-//! pruning — and the `!=` fallback path is exercised explicitly.
+//! random queries (`!=` pairs included), and random valid documents —
+//! with and without DTD pruning — and the fallback path for over-wide
+//! sibling groups is exercised explicitly.
 
 use mix::dtd::generate::{seeded_dtd, write_sized_document, ChunkedDocConfig, DtdGenConfig};
 use mix::dtd::sample::{DocConfig, DocSampler};
@@ -12,12 +13,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Read;
 
-/// The supported fragment: no `!=` constraints.
+/// Random queries duplicate a sibling condition under a `!=` pair with
+/// `dup_prob`; with at most two child conditions per node and one
+/// duplicate each, every query fits the streaming sibling cap.
 fn query_cfg() -> QueryGenConfig {
-    QueryGenConfig {
-        dup_prob: 0.0,
-        ..QueryGenConfig::default()
-    }
+    QueryGenConfig::default()
 }
 
 fn doc_cfg() -> DocConfig {
@@ -97,42 +97,83 @@ proptest! {
     }
 }
 
-/// `!=` queries are outside the fragment: the wrapper must *fall back*
-/// (observably) and still produce the in-memory answer bit-for-bit.
-#[test]
-fn diseq_queries_take_the_fallback_path() {
+fn d1_sample_xml() -> String {
     let dtd = mix::dtd::paper::d1_department();
     let doc = DocSampler::new(&dtd, doc_cfg())
         .unwrap()
         .sample(&mut StdRng::seed_from_u64(7));
-    let xml = write_document(
+    write_document(
         &doc,
         WriteConfig {
             indent: None,
             ..WriteConfig::default()
         },
-    );
+    )
+}
+
+fn wrapper_over(dtd: &Dtd, xml: &str) -> StreamingWrapper {
+    let bytes = xml.to_owned();
+    StreamingWrapper::new(
+        dtd.clone(),
+        Box::new(move || {
+            Ok(Box::new(std::io::Cursor::new(bytes.clone().into_bytes())) as Box<dyn Read + Send>)
+        }),
+    )
+}
+
+/// `!=` queries are in the fragment: a pair on two conditions always
+/// holds, so the wrapper streams and produces the in-memory answer
+/// bit-for-bit.
+#[test]
+fn diseq_queries_take_the_streaming_path() {
+    let dtd = mix::dtd::paper::d1_department();
+    let xml = d1_sample_xml();
     let q = parse_query(
         "multi = SELECT P WHERE <department> P:<professor> \
            <publication id=A/> <publication id=B/> </> </department> AND A != B",
     )
     .unwrap();
     let nq = normalize(&q, &dtd).unwrap();
+    let cq = CompiledQuery::compile(&nq, Some(&dtd)).expect("pairs compile");
+    assert!(!cq.admits_nothing());
+
+    let streamed = mix::obs::global().counter("stream_queries_streamed_total");
+    let before = streamed.get();
+    let (answer, served) = wrapper_over(&dtd, &xml).answer_traced(&q).unwrap();
+    assert!(matches!(served, ServedBy::Streamed(_)), "got {served:?}");
+    assert!(
+        streamed.get() > before,
+        "the streamed query must be counted"
+    );
+    let reference = evaluate(&nq, &parse_document(&xml).unwrap());
+    assert_eq!(
+        write_document(&answer, WriteConfig::default()),
+        write_document(&reference, WriteConfig::default()),
+    );
+}
+
+/// A condition with seven child conditions is one past the streaming
+/// cap: the wrapper must *fall back* (observably) and still produce the
+/// in-memory answer bit-for-bit.
+#[test]
+fn wide_queries_take_the_fallback_path() {
+    let dtd = mix::dtd::paper::d1_department();
+    let xml = d1_sample_xml();
+    let q = parse_query(
+        "wide = SELECT P WHERE <department> P:<professor> <firstName/> <lastName/> \
+           <publication/> <publication/> <publication/> <publication/> <teaches/> </> \
+         </department>",
+    )
+    .unwrap();
+    let nq = normalize(&q, &dtd).unwrap();
     match CompiledQuery::compile(&nq, Some(&dtd)) {
-        Err(mix::stream::Unsupported::Diseqs(1)) => {}
-        other => panic!("expected a Diseqs rejection, got {other:?}"),
+        Err(mix::stream::Unsupported::WideSiblings(7)) => {}
+        other => panic!("expected a WideSiblings rejection, got {other:?}"),
     }
 
     let fallbacks = mix::obs::global().counter("stream_queries_fallback_total");
     let before = fallbacks.get();
-    let bytes = xml.clone();
-    let w = StreamingWrapper::new(
-        dtd.clone(),
-        Box::new(move || {
-            Ok(Box::new(std::io::Cursor::new(bytes.clone().into_bytes())) as Box<dyn Read + Send>)
-        }),
-    );
-    let (answer, served) = w.answer_traced(&q).unwrap();
+    let (answer, served) = wrapper_over(&dtd, &xml).answer_traced(&q).unwrap();
     assert!(matches!(served, ServedBy::Fallback(_)), "got {served:?}");
     assert!(fallbacks.get() > before, "fallback must be counted");
     let reference = evaluate(&nq, &parse_document(&xml).unwrap());
