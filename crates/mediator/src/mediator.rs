@@ -9,6 +9,7 @@ use crate::resilience::{
     ResiliencePolicy, SourceOutcome,
 };
 use crate::source::Wrapper;
+use mix_dtd::Validator;
 use mix_infer::metrics::ServingMetrics;
 use mix_infer::{
     check_sat_normalized, infer_union_view_dtd_cached, InferenceCache, InferredUnionView,
@@ -22,7 +23,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A registered view: its definition, its source, and its inferred DTDs.
 pub struct View {
@@ -36,6 +37,9 @@ pub struct View {
     /// s-DTD, merged DTD, verdict) — shared with the mediator's
     /// [`InferenceCache`], so re-registration and batch serving reuse it.
     pub inferred: Arc<InferredView>,
+    /// The reply validator of the view DTD, compiled when the view is
+    /// first queried (see [`Member::validator`]).
+    validator: OnceLock<Validator>,
 }
 
 /// A registered *union* view over several sources (the intro's "union the
@@ -49,6 +53,28 @@ pub struct UnionView {
     pub definitions: Vec<Query>,
     /// The union inference result (s-DTD, merged DTD, verdict).
     pub inferred: InferredUnionView,
+    /// Each member's reply validator, in union order, compiled when the
+    /// member is first queried (see [`Member::validator`]).
+    validators: Vec<OnceLock<Validator>>,
+}
+
+/// One member of a view: its source, its inference and its reply
+/// validator's cell.
+struct Member<'a> {
+    source: &'a str,
+    inferred: &'a InferredView,
+    validator: &'a OnceLock<Validator>,
+}
+
+impl<'a> Member<'a> {
+    /// The validator of the member's inferred DTD, compiled the first
+    /// time a query plans a call to the member, not at registration or
+    /// in `replace_source`: a view that is only re-inferred never pays
+    /// for it.
+    fn validator(&self) -> &'a Validator {
+        self.validator
+            .get_or_init(|| Validator::new(&self.inferred.dtd))
+    }
 }
 
 // Views are few and stored once in the registry map, so the size skew
@@ -78,16 +104,24 @@ impl AnyView {
         }
     }
 
-    /// Each member's source and inference, in union order; a single view
-    /// is its own one member.
-    fn members(&self) -> Vec<(&str, &InferredView)> {
+    /// The members, in union order; a single view is its own one member.
+    fn members(&self) -> Vec<Member<'_>> {
         match self {
-            AnyView::Single(v) => vec![(v.source.as_str(), &*v.inferred)],
+            AnyView::Single(v) => vec![Member {
+                source: &v.source,
+                inferred: &v.inferred,
+                validator: &v.validator,
+            }],
             AnyView::Union(v) => v
                 .sources
                 .iter()
-                .map(String::as_str)
-                .zip(v.inferred.members.iter().map(|m| &**m))
+                .zip(&v.inferred.members)
+                .zip(&v.validators)
+                .map(|((source, inferred), validator)| Member {
+                    source,
+                    inferred,
+                    validator,
+                })
                 .collect(),
         }
     }
@@ -100,13 +134,13 @@ impl AnyView {
         let specialized = !self.plain_dtd_is_sound();
         self.members()
             .into_iter()
-            .map(|(source, member)| MemberCall::Ship {
-                source,
-                query: Cow::Borrowed(&member.query),
+            .map(|member| MemberCall::Ship {
+                source: member.source,
+                query: Cow::Borrowed(&member.inferred.query),
                 check: if specialized {
-                    ReplyCheck::SpecializedView(&member.sdtd)
+                    ReplyCheck::SpecializedView(&member.inferred.sdtd)
                 } else {
-                    ReplyCheck::View(&member.dtd)
+                    ReplyCheck::View(member.validator())
                 },
             })
             .collect()
@@ -127,17 +161,17 @@ impl AnyView {
         }
         self.members()
             .into_iter()
-            .map(|(source, member)| {
-                Some(match compose(name, &member.query, q)? {
+            .map(|member| {
+                Some(match compose(name, &member.inferred.query, q)? {
                     Composed::Query(composed) => {
                         well_formed(&composed).ok()?;
                         MemberCall::Ship {
-                            source,
+                            source: member.source,
                             query: Cow::Owned(composed),
-                            check: ReplyCheck::Members(&member.dtd),
+                            check: ReplyCheck::Members(member.validator()),
                         }
                     }
-                    Composed::Empty => MemberCall::Empty(source),
+                    Composed::Empty => MemberCall::Empty(member.source),
                 })
             })
             .collect()
@@ -433,6 +467,7 @@ impl Mediator {
                 source: source.to_owned(),
                 definition: q.clone(),
                 inferred,
+                validator: OnceLock::new(),
             }),
         );
         match &self.views[&q.view_name] {
@@ -470,6 +505,7 @@ impl Mediator {
             AnyView::Union(UnionView {
                 sources: parts.iter().map(|(s, _)| (*s).to_owned()).collect(),
                 definitions: parts.iter().map(|(_, q)| q.clone()).collect(),
+                validators: parts.iter().map(|_| OnceLock::new()).collect(),
                 inferred,
             }),
         );
@@ -550,6 +586,7 @@ impl Mediator {
                         source: v.source.clone(),
                         definition: v.definition.clone(),
                         inferred,
+                        validator: OnceLock::new(),
                     })
                 }
                 AnyView::Union(v) => {
@@ -563,6 +600,7 @@ impl Mediator {
                     AnyView::Union(UnionView {
                         sources: v.sources.clone(),
                         definitions: v.definitions.clone(),
+                        validators: v.sources.iter().map(|_| OnceLock::new()).collect(),
                         inferred,
                     })
                 }
@@ -895,8 +933,8 @@ impl Mediator {
                     // served members passed their checks, so the view DTD
                     // covers the survivors when the root model can do
                     // without each failed member's contribution
-                    let covers = any.members().iter().zip(&outcomes).all(|((_, m), o)| {
-                        o.status != FetchStatus::Failed || m.list_type.nullable()
+                    let covers = any.members().iter().zip(&outcomes).all(|(m, o)| {
+                        o.status != FetchStatus::Failed || m.inferred.list_type.nullable()
                     });
                     let report = DegradationReport {
                         view: view_name.to_string(),

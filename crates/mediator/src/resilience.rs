@@ -22,7 +22,7 @@
 use crate::error::SourceError;
 use crate::obs::SourceInstruments;
 use crate::source::Wrapper;
-use mix_dtd::{Dtd, SDtd, Validator};
+use mix_dtd::{SDtd, Validator};
 use mix_infer::fingerprint_query;
 use mix_xmas::{normalize, Query};
 use mix_xml::{Content, Document};
@@ -403,29 +403,31 @@ impl fmt::Display for DegradationReport {
 /// How [`resilient_answer`] checks a reply against the view DTD the
 /// mediator already holds, before serving it. A reply that fails is
 /// [`SourceError::DtdInvalid`]. No variant infers anything: each checks
-/// against a DTD inferred when the view was registered (DESIGN.md §7).
+/// against a DTD inferred when the view was registered, and the plain
+/// ones through that DTD's [`Validator`], which the mediator compiles
+/// once per member (DESIGN.md §7).
 #[derive(Debug, Clone, Copy)]
 pub enum ReplyCheck<'a> {
     /// The reply is a whole materialized view: it must be valid under
     /// the view's inferred DTD (Definition 2.4, IDs unique).
-    View(&'a Dtd),
+    View(&'a Validator),
     /// As [`ReplyCheck::View`], against the view's specialized DTD — for
     /// the members of a union whose plain DTD has kind conflicts.
     SpecializedView(&'a SDtd),
     /// The reply answers a query composed with a view whose inferred DTD
-    /// this is. Every child of the reply root must satisfy that DTD as an
-    /// element (Definition 2.3) and have a name the query's pick test
-    /// admits, and no two elements may share an ID.
-    Members(&'a Dtd),
+    /// this validates. Every child of the reply root must satisfy that
+    /// DTD as an element (Definition 2.3) and have a name the query's
+    /// pick test admits, and no two elements may share an ID.
+    Members(&'a Validator),
 }
 
 impl ReplyCheck<'_> {
     /// Checks `reply`, the wrapper's answer to the normalized query `nq`.
     pub fn check(&self, nq: &Query, reply: &Document) -> Result<(), SourceError> {
         match *self {
-            ReplyCheck::View(dtd) => {
-                mix_dtd::validate_document(dtd, reply).map_err(|e| SourceError::invalid(&e))
-            }
+            ReplyCheck::View(validator) => validator
+                .validate_document(reply)
+                .map_err(|e| SourceError::invalid(&e)),
             ReplyCheck::SpecializedView(sdtd) => {
                 if mix_dtd::sdtd_satisfies(sdtd, reply) {
                     Ok(())
@@ -436,16 +438,16 @@ impl ReplyCheck<'_> {
                     )))
                 }
             }
-            ReplyCheck::Members(view_dtd) => check_members(view_dtd, nq, reply),
+            ReplyCheck::Members(validator) => check_members(validator, nq, reply),
         }
     }
 }
 
 /// [`ReplyCheck::Members`]. Sound because composition equals
 /// materialize-then-evaluate: every member of a correct answer is a
-/// subtree of a view document valid under `view_dtd`, bound to the pick
-/// variable.
-fn check_members(view_dtd: &Dtd, nq: &Query, reply: &Document) -> Result<(), SourceError> {
+/// subtree of a view document valid under the view DTD `validator`
+/// checks, bound to the pick variable.
+fn check_members(validator: &Validator, nq: &Query, reply: &Document) -> Result<(), SourceError> {
     let root = reply.root.name;
     let invalid = |detail: String| Err(SourceError::DtdInvalid(format!("at /{root}{detail}")));
     if root != nq.view_name {
@@ -456,7 +458,6 @@ fn check_members(view_dtd: &Dtd, nq: &Query, reply: &Document) -> Result<(), Sou
         Content::Text(_) => return invalid(": answer root has string content".into()),
     };
     let pick = nq.pick_node().map(|c| &c.test);
-    let validator = Validator::new(view_dtd);
     for member in members {
         if !pick.is_some_and(|t| t.matches(member.name)) {
             return invalid(format!("/{}: not a name the query picks", member.name));
@@ -707,7 +708,7 @@ mod tests {
             "s",
             w,
             &query(),
-            ReplyCheck::View(&view.dtd),
+            ReplyCheck::View(&Validator::new(&view.dtd)),
             policy,
             health,
             obs,
@@ -984,7 +985,7 @@ mod tests {
             "s",
             w.as_ref(),
             &bad,
-            ReplyCheck::View(w.dtd()),
+            ReplyCheck::View(&Validator::new(w.dtd())),
             &ResiliencePolicy::default(),
             &health,
             &SourceInstruments::noop("s"),
@@ -1020,7 +1021,7 @@ mod tests {
             "s",
             &w,
             &other,
-            ReplyCheck::View(&view.dtd),
+            ReplyCheck::View(&Validator::new(&view.dtd)),
             &policy,
             &health,
             &SourceInstruments::noop("s"),
@@ -1081,8 +1082,9 @@ mod tests {
             &view,
         )
         .unwrap();
+        let validator = Validator::new(&view);
         let check =
-            |xml: &str| ReplyCheck::Members(&view).check(&nq, &parse_document(xml).unwrap());
+            |xml: &str| ReplyCheck::Members(&validator).check(&nq, &parse_document(xml).unwrap());
         assert_eq!(check("<ans/>"), Ok(()));
         assert_eq!(check("<ans><a><b>1</b></a><a/></ans>"), Ok(()));
         for bad in [
@@ -1102,7 +1104,7 @@ mod tests {
             v.push(v[0].clone());
         }
         assert!(matches!(
-            ReplyCheck::Members(&view).check(&nq, &twice),
+            ReplyCheck::Members(&validator).check(&nq, &twice),
             Err(SourceError::DtdInvalid(msg)) if msg.contains("duplicate id")
         ));
     }

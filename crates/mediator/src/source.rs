@@ -24,8 +24,8 @@ use crate::error::SourceError;
 use crate::wire::net_to_source_error;
 use mix_dtd::{validate_document, Dtd, ValidationError};
 use mix_net::{ClientConfig, Msg, Pool};
-use mix_xmas::{evaluate, normalize, Query};
-use mix_xml::Document;
+use mix_xmas::{evaluate, normalize, pick_bindings, Query};
+use mix_xml::{write_answer, write_document, Document, WriteConfig};
 
 /// Anything that exports XML data typed by a DTD and answers pick-element
 /// queries about it.
@@ -61,6 +61,15 @@ pub trait Wrapper: Send + Sync {
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
         queries.iter().map(|q| self.answer(q)).collect()
     }
+
+    /// The text of [`Wrapper::answer`]'s document, as a daemon ships it
+    /// ([`WriteConfig::default`]). [`XmlSource`] overrides it to write
+    /// the picks straight from its document, without copying them;
+    /// wrappers that change or delay answers keep this default, so their
+    /// faults and sleeps reach the wire.
+    fn answer_text(&self, q: &Query) -> Result<String, SourceError> {
+        Ok(write_document(&self.answer(q)?, WriteConfig::default()))
+    }
 }
 
 impl Wrapper for std::sync::Arc<dyn Wrapper> {
@@ -78,6 +87,10 @@ impl Wrapper for std::sync::Arc<dyn Wrapper> {
 
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
         (**self).answer_batch(queries)
+    }
+
+    fn answer_text(&self, q: &Query) -> Result<String, SourceError> {
+        (**self).answer_text(q)
     }
 }
 
@@ -123,6 +136,19 @@ impl Wrapper for XmlSource {
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
         let nq = normalize(q, &self.dtd)?;
         Ok(evaluate(&nq, &self.document))
+    }
+
+    /// Writes the picks from the held document: the bytes of
+    /// [`Wrapper::answer`]'s document, whose copies carry only auto IDs,
+    /// which are never written.
+    fn answer_text(&self, q: &Query) -> Result<String, SourceError> {
+        let nq = normalize(q, &self.dtd)?;
+        let picks = pick_bindings(&nq, &self.document);
+        let cfg = WriteConfig {
+            write_ids: false,
+            ..WriteConfig::default()
+        };
+        Ok(write_answer(nq.view_name, &picks, cfg))
     }
 }
 
@@ -327,10 +353,21 @@ impl RemoteWrapper {
     /// Parses an answer body through the hash-consing memo: a repeat of a
     /// reply already parsed serves a clone (a few µs) instead of re-running
     /// the parser, with fresh auto IDs so the copy is indistinguishable
-    /// from an independent parse.
+    /// from an independent parse. A reply the memo would not admit
+    /// ([`PARSE_MEMO_MAX_ENTRY_BYTES`]) is parsed without hashing its
+    /// text or copying its tree.
     fn parse_answer(&self, xml: String) -> Result<Document, SourceError> {
         fn lock(m: &std::sync::Mutex<ParseMemo>) -> std::sync::MutexGuard<'_, ParseMemo> {
             m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+        let parse = |xml: &str| {
+            self.memo_misses.inc();
+            mix_xml::parse_document(xml).map_err(|e| {
+                SourceError::MalformedXml(format!("{}: answer: {e}", self.pool.addr()))
+            })
+        };
+        if xml.len() > PARSE_MEMO_MAX_ENTRY_BYTES {
+            return parse(&xml);
         }
         if let Some(cached) = lock(&self.parse_memo).get(&xml) {
             let mut doc = cached.clone();
@@ -339,9 +376,7 @@ impl RemoteWrapper {
             return Ok(doc);
         }
         // parse outside the lock — misses are the expensive path
-        let doc = mix_xml::parse_document(&xml)
-            .map_err(|e| SourceError::MalformedXml(format!("{}: answer: {e}", self.pool.addr())))?;
-        self.memo_misses.inc();
+        let doc = parse(&xml)?;
         let evicted = lock(&self.parse_memo).insert(xml, doc.clone());
         if evicted > 0 {
             self.memo_evictions.add(evicted);

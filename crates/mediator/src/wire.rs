@@ -117,15 +117,17 @@ impl<W: Wrapper + 'static> WireService for WrapperService<W> {
                 return Ok(cached.clone());
             }
         }
-        let doc = match query {
-            None => self.inner.fetch().map_err(|e| fault_of(&e))?,
+        let xml = match query {
+            None => {
+                let doc = self.inner.fetch().map_err(|e| fault_of(&e))?;
+                write_document(&doc, WriteConfig::default())
+            }
             Some(text) => {
                 let q = mix_xmas::parse_query(text)
                     .map_err(|e| WireFault::new("query", e.to_string()))?;
-                self.inner.answer(&q).map_err(|e| fault_of(&e))?
+                self.inner.answer_text(&q).map_err(|e| fault_of(&e))?
             }
         };
-        let xml = write_document(&doc, WriteConfig::default());
         if let Some(memo) = &self.memo {
             memo.misses.inc();
             let mut cache = lock(&memo.cache);

@@ -57,12 +57,19 @@ impl Dfa {
     /// symbols yield dead transitions. Passing a shared alphabet lets two
     /// DFAs be combined with [`Dfa::product`].
     pub fn from_nfa(nfa: &Nfa, alphabet: &[Sym]) -> Dfa {
+        Self::from_nfa_bounded(nfa, alphabet, usize::MAX).expect("no bound on the states")
+    }
+
+    /// [`Dfa::from_nfa`], giving up with `None` once the subset
+    /// construction has found more than `max_states` states — a
+    /// content model whose DFA would blow up exponentially.
+    pub fn from_nfa_bounded(nfa: &Nfa, alphabet: &[Sym], max_states: usize) -> Option<Dfa> {
         let asz = alphabet.len();
         let nsz = nfa.len();
         // Map each subset (bitset as Vec<u64>) to a DFA state id.
         let words = nsz.div_ceil(64);
         if words <= 1 {
-            return Self::from_nfa_small(nfa, alphabet);
+            return Self::from_nfa_small(nfa, alphabet, max_states);
         }
         // Per-(NFA state, alphabet index) successor bitmask, so the
         // subset step ORs whole words instead of re-scanning every
@@ -108,14 +115,17 @@ impl Dfa {
                 });
                 transitions.push(id);
             }
+            if order.len() > max_states {
+                return None;
+            }
         }
         debug_assert_eq!(transitions.len(), order.len() * asz);
-        Dfa {
+        Some(Dfa {
             alphabet: alphabet.to_vec(),
             transitions,
             accepting,
             start: 0,
-        }
+        })
     }
 
     /// Single-word specialization of the subset construction for NFAs
@@ -124,7 +134,7 @@ impl Dfa {
     /// performs no heap allocation and the subset index hashes machine
     /// words instead of vectors. Discovery order matches the general
     /// path exactly, so the resulting DFA is byte-identical.
-    fn from_nfa_small(nfa: &Nfa, alphabet: &[Sym]) -> Dfa {
+    fn from_nfa_small(nfa: &Nfa, alphabet: &[Sym], max_states: usize) -> Option<Dfa> {
         let asz = alphabet.len();
         let nsz = nfa.len();
         let sym_idx: HashMap<Sym, usize> =
@@ -167,14 +177,17 @@ impl Dfa {
                 });
                 transitions.push(id);
             }
+            if order.len() > max_states {
+                return None;
+            }
         }
         debug_assert_eq!(transitions.len(), order.len() * asz);
-        Dfa {
+        Some(Dfa {
             alphabet: alphabet.to_vec(),
             transitions,
             accepting,
             start: 0,
-        }
+        })
     }
 
     /// Builds a minimized DFA for `r` over the union of `r`'s symbols and

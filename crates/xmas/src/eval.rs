@@ -46,14 +46,15 @@ use std::collections::HashMap;
 /// assert_eq!(view.root.children().len(), 2);
 /// ```
 pub fn evaluate(q: &Query, doc: &Document) -> Document {
-    let picked = pick_bindings(q, doc);
-    let children = picked
+    // the root's ID first, so the answer's IDs increase in document order
+    let id = ElemId::fresh();
+    let children = pick_bindings(q, doc)
         .into_iter()
         .map(|e| e.deep_clone_fresh())
         .collect::<Vec<_>>();
     Document::new(Element {
         name: q.view_name,
-        id: ElemId::fresh(),
+        id,
         content: mix_xml::Content::Elements(children),
     })
 }

@@ -239,6 +239,17 @@ impl Element {
     }
 }
 
+/// Whether every ID in `e`'s subtree is an [`ElemId::Auto`] greater
+/// than the one before it in document order, `last` being the one
+/// before `e` (0 before the first, which no fresh ID is).
+fn ids_increase(e: &Element, last: &mut u64) -> bool {
+    match e.id {
+        ElemId::Auto(n) if n > *last => *last = n,
+        _ => return false,
+    }
+    e.children().iter().all(|c| ids_increase(c, last))
+}
+
 /// Iterator of [`Element::walk`].
 pub struct Walk<'a> {
     stack: Vec<&'a Element>,
@@ -278,10 +289,21 @@ impl Document {
     /// Appendix A). Returns the first duplicated ID if any: the first
     /// element, in document order, whose ID an earlier element has.
     ///
-    /// Sorting the IDs and comparing neighbours settles the common,
-    /// duplicate-free case without hashing; only a document with a
-    /// duplicate is walked again to find the first one.
+    /// One walk settles the common case: IDs that are all auto and
+    /// strictly increase in document order are distinct. The reader,
+    /// `evaluate`'s copies and [`Document::refresh_auto_ids`] hand out
+    /// IDs that way. Otherwise sorting the IDs and comparing neighbours
+    /// settles a duplicate-free document without hashing; only a
+    /// document with a duplicate is walked again to find the first one.
     pub fn duplicate_id(&self) -> Option<ElemId> {
+        if ids_increase(&self.root, &mut 0) {
+            return None;
+        }
+        self.duplicate_id_by_sorting()
+    }
+
+    /// [`Document::duplicate_id`] without the one-walk proof.
+    fn duplicate_id_by_sorting(&self) -> Option<ElemId> {
         let mut ids: Vec<ElemId> = self.root.walk().map(|e| e.id).collect();
         ids.sort_unstable();
         if ids.windows(2).all(|w| w[0] != w[1]) {
@@ -517,7 +539,83 @@ mod tests {
         build(0, &ids, &parent)
     }
 
+    /// A random tree whose IDs take the shapes replies have: fresh in
+    /// document order (as the reader gives them), refreshed, cloned
+    /// (sharing every auto ID with the original), with a folded `#N`
+    /// or a named ID spliced in, or fresh out of order.
+    fn shaped_tree(draws: &[u32], shape: u32) -> Element {
+        let mut e = random_tree(draws);
+        e.refresh_auto_ids();
+        let pick = draws.first().map_or(0, |&x| x as usize);
+        match shape {
+            0 => {}
+            1 => {
+                let copy = e.clone();
+                e = Element::new("twice", vec![e, copy]);
+                e.id = ElemId::Auto(0);
+                e.refresh_auto_ids();
+                // the second copy shares the first one's IDs again
+                if let Content::Elements(v) = &mut e.content {
+                    v[1] = v[0].clone();
+                }
+            }
+            2 | 3 => {
+                let n = e.size();
+                let target = pick % n;
+                let id = match shape {
+                    2 => e.walk().nth(pick / 7 % n).map(|x| x.id).expect("in range"),
+                    _ => ElemId::named("p1"),
+                };
+                set_nth_id(&mut e, target, id);
+            }
+            _ => {
+                // fresh IDs handed out bottom-up, as a tree built from
+                // its leaves gets them
+                fn post_order(e: &mut Element) {
+                    if let Content::Elements(v) = &mut e.content {
+                        v.iter_mut().for_each(post_order);
+                    }
+                    e.id = ElemId::fresh();
+                }
+                post_order(&mut e);
+            }
+        }
+        e
+    }
+
+    /// Sets the ID of the `n`th element of `e` in document order.
+    fn set_nth_id(e: &mut Element, n: usize, id: ElemId) {
+        fn go(e: &mut Element, n: &mut usize, id: ElemId) -> bool {
+            if *n == 0 {
+                e.id = id;
+                return true;
+            }
+            *n -= 1;
+            match &mut e.content {
+                Content::Elements(v) => v.iter_mut().any(|c| go(c, n, id)),
+                Content::Text(_) => false,
+            }
+        }
+        go(e, &mut { n }, id);
+    }
+
     proptest! {
+        /// The one-walk proof answers as the sort does: on trees with
+        /// fresh, refreshed, cloned, folded `#N` and named IDs, and on
+        /// arbitrary random ones.
+        #[test]
+        fn the_one_walk_duplicate_id_answers_as_the_sort_does(
+            draws in prop::collection::vec(0u32..40_000, 0..40),
+            shape in 0u32..5,
+        ) {
+            for doc in [
+                Document::new(shaped_tree(&draws, shape)),
+                Document::new(random_tree(&draws)),
+            ] {
+                prop_assert_eq!(doc.duplicate_id(), doc.duplicate_id_by_sorting());
+            }
+        }
+
         /// The sort-then-walk check reports exactly the ID a hash-set
         /// walk in document order reports, duplicate or not.
         #[test]

@@ -23,6 +23,6 @@ pub use parser::{escape, parse_document, XmlError};
 pub use reader::{read_document, EventReader, StreamError, XmlEvent};
 pub use skeleton::{same_structural_class, Skeleton};
 pub use writer::{
-    write_document, write_document_to, write_element, write_element_at, write_element_to,
-    WriteConfig,
+    write_answer, write_document, write_document_to, write_element, write_element_at,
+    write_element_to, WriteConfig,
 };

@@ -1,11 +1,14 @@
 //! The recursive-descent parser this crate used before the event reader
-//! became its one parser. It is compiled only for tests, as the reference
-//! the reader is checked against; it has no nesting cap, so callers keep
-//! their inputs shallow.
+//! became its one parser, and the `write!`-based serializer the byte
+//! writer replaced. Both are compiled only for tests, as the references
+//! the reader and the writer are checked against; the parser has no
+//! nesting cap, so callers keep their inputs shallow.
 
 use crate::element::{Content, Document, ElemId, Element};
-use crate::parser::{unescape, XmlError};
+use crate::parser::{escape, unescape, XmlError};
+use crate::writer::WriteConfig;
 use mix_relang::symbol::Name;
+use std::io::{self, Write};
 
 struct P<'a> {
     src: &'a str,
@@ -246,4 +249,79 @@ pub(crate) fn parse_document(src: &str) -> Result<Document, XmlError> {
         });
     }
     Ok(doc)
+}
+
+/// The serializer as it was before the byte writer: a `write!` per tag
+/// and an escaped copy of every text and ID.
+fn write_elem<W: Write>(
+    e: &Element,
+    cfg: WriteConfig,
+    level: usize,
+    out: &mut W,
+) -> io::Result<()> {
+    const SPACES: &str = "                                                                ";
+    let pad = |out: &mut W, level: usize| -> io::Result<()> {
+        if let Some(w) = cfg.indent {
+            let mut n = level * w;
+            while n > 0 {
+                let take = n.min(SPACES.len());
+                out.write_all(&SPACES.as_bytes()[..take])?;
+                n -= take;
+            }
+        }
+        Ok(())
+    };
+    let nl = |out: &mut W| -> io::Result<()> {
+        if cfg.indent.is_some() {
+            out.write_all(b"\n")?;
+        }
+        Ok(())
+    };
+    pad(out, level)?;
+    write!(out, "<{}", e.name)?;
+    if cfg.write_ids && !e.id.is_auto() {
+        write!(out, " id=\"{}\"", escape(&e.id.to_string()))?;
+    }
+    match &e.content {
+        Content::Elements(v) if v.is_empty() => {
+            out.write_all(b"/>")?;
+            nl(out)?;
+        }
+        Content::Elements(v) => {
+            out.write_all(b">")?;
+            nl(out)?;
+            for c in v {
+                write_elem(c, cfg, level + 1, out)?;
+            }
+            pad(out, level)?;
+            write!(out, "</{}>", e.name)?;
+            nl(out)?;
+        }
+        Content::Text(t) => {
+            write!(out, ">{}</{}>", escape(t), e.name)?;
+            nl(out)?;
+        }
+    }
+    Ok(())
+}
+
+/// The old serializer into a sink at nesting `level`.
+pub(crate) fn write_element_at<W: Write>(
+    e: &Element,
+    cfg: WriteConfig,
+    level: usize,
+    out: &mut W,
+) -> io::Result<()> {
+    write_elem(e, cfg, level, out)
+}
+
+/// The old `String` serializer.
+pub(crate) fn write_element(e: &Element, cfg: WriteConfig) -> String {
+    let mut buf = Vec::new();
+    write_elem(e, cfg, 0, &mut buf).expect("writing to a Vec cannot fail");
+    let mut out = String::from_utf8(buf).expect("serializer emits UTF-8");
+    if cfg.indent.is_some() {
+        out.truncate(out.trim_end().len());
+    }
+    out
 }

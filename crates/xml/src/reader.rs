@@ -100,8 +100,13 @@ impl From<XmlError> for StreamError {
 struct Level {
     name: Name,
     saw_child: bool,
-    text: Option<String>,
+    /// Whether the reader's text buffer holds this element's text. Only
+    /// the innermost element can have text: opening a child drops it.
+    has_text: bool,
 }
+
+/// Slots of the reader's name cache.
+const NAME_CACHE: usize = 64;
 
 /// The pull-based event reader. See the module docs for the accepted
 /// fragment.
@@ -126,6 +131,13 @@ pub struct EventReader<R: Read> {
     ids: HashSet<ElemId>,
     buf_high_water: usize,
     bytes_read: u64,
+    /// The innermost element's text so far, reused from element to
+    /// element: whitespace before a first child is read into it and
+    /// dropped without an allocation.
+    text: String,
+    /// Names this reader resolved, direct-mapped by the FNV-1a hash of
+    /// their text, so a repeated name skips the interner's lock.
+    names: [Option<Name>; NAME_CACHE],
 }
 
 const READ_CHUNK: usize = 8 * 1024;
@@ -143,6 +155,33 @@ fn is_name_start(c: char) -> bool {
 
 fn is_name_char(c: char) -> bool {
     c.is_alphanumeric() || matches!(c, '_' | ':' | '.' | '-')
+}
+
+/// `char::is_whitespace` on an ASCII byte.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c)
+}
+
+/// Length of the prefix of `s` whose characters satisfy `ascii` (on
+/// ASCII bytes, a byte at a time) or `other` (on any other character).
+fn span_while(s: &str, ascii: impl Fn(u8) -> bool, other: impl Fn(char) -> bool) -> usize {
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii() {
+            if !ascii(b) {
+                break;
+            }
+            i += 1;
+        } else {
+            let c = s[i..].chars().next().expect("a char starts at a boundary");
+            if !other(c) {
+                break;
+            }
+            i += c.len_utf8();
+        }
+    }
+    i
 }
 
 impl<R: Read> EventReader<R> {
@@ -163,6 +202,8 @@ impl<R: Read> EventReader<R> {
             ids: HashSet::new(),
             buf_high_water: 0,
             bytes_read: 0,
+            text: String::new(),
+            names: [None; NAME_CACHE],
         }
     }
 
@@ -269,9 +310,9 @@ impl<R: Read> EventReader<R> {
     fn skip_ws(&mut self) -> Result<(), StreamError> {
         loop {
             let rest = &self.buf[self.pos..];
-            let trimmed = rest.trim_start();
-            self.pos += rest.len() - trimmed.len();
-            if !trimmed.is_empty() || !self.fill_more()? {
+            let n = span_while(rest, is_ascii_space, char::is_whitespace);
+            self.pos += n;
+            if n < rest.len() || !self.fill_more()? {
                 return Ok(());
             }
         }
@@ -324,20 +365,37 @@ impl<R: Read> EventReader<R> {
         if !matches!(self.peek_char()?, Some(c) if is_name_start(c)) {
             return Err(self.err("expected an element name"));
         }
+        let ascii = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'-');
         let mut len = 0;
         loop {
             let rest = &self.buf[self.pos + len..];
-            if let Some(k) = rest.find(|c| !is_name_char(c)) {
-                len += k;
-                break;
-            }
-            len += rest.len();
-            if !self.fill_more()? {
+            let k = span_while(rest, ascii, is_name_char);
+            len += k;
+            if k < rest.len() || !self.fill_more()? {
                 break;
             }
         }
         self.pos += len;
         Ok(self.pos - len..self.pos)
+    }
+
+    /// The interned name spelled by `buf[span]`, from this reader's
+    /// cache when it resolved that text before.
+    fn resolve(&mut self, span: Range<usize>) -> Name {
+        let text = &self.buf[span];
+        // FNV-1a: element names are short
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let slot = (hash % NAME_CACHE as u64) as usize;
+        match self.names[slot] {
+            Some(name) if name.as_str() == text => name,
+            _ => {
+                let name = Name::intern(text);
+                self.names[slot] = Some(name);
+                name
+            }
+        }
     }
 
     /// Length of the text run at the cursor: the bytes up to the next
@@ -388,7 +446,7 @@ impl<R: Read> EventReader<R> {
             return Err(self.err("expected '<'"));
         }
         let span = self.name()?;
-        let name = Name::intern(&self.buf[span]);
+        let name = self.resolve(span);
         let mut id: Option<ElemId> = None;
         loop {
             self.skip_ws()?;
@@ -408,7 +466,7 @@ impl<R: Read> EventReader<R> {
                     self.stack.push(Level {
                         name,
                         saw_child: false,
-                        text: None,
+                        has_text: false,
                     });
                     return Ok(XmlEvent::Open { name, id });
                 }
@@ -466,16 +524,14 @@ impl<R: Read> EventReader<R> {
             return Err(self.err("expected '>' in close tag"));
         }
         let level = self.stack.pop().expect("checked above");
-        match level.text {
-            Some(t) => {
-                if level.saw_child {
-                    return Err(self.err("mixed content is outside the paper's model"));
-                }
-                self.pending_close = Some(level.name);
-                Ok(XmlEvent::Text(t))
-            }
-            None => Ok(XmlEvent::Close { name: level.name }),
+        if !level.has_text {
+            return Ok(XmlEvent::Close { name: level.name });
         }
+        if level.saw_child {
+            return Err(self.err("mixed content is outside the paper's model"));
+        }
+        self.pending_close = Some(level.name);
+        Ok(XmlEvent::Text(self.text.as_str().to_owned()))
     }
 
     /// The next event. After the final [`XmlEvent::Eof`] every further
@@ -515,10 +571,10 @@ impl<R: Read> EventReader<R> {
                     _ => {}
                 }
                 let level = self.stack.last_mut().expect("nonempty");
-                if level.text.as_deref().is_some_and(|t| !t.trim().is_empty()) {
+                if level.has_text && !self.text.trim().is_empty() {
                     return Err(self.err("mixed content is outside the paper's model"));
                 }
-                level.text = None;
+                level.has_text = false;
                 level.saw_child = true;
                 return self.open_tag();
             }
@@ -531,56 +587,54 @@ impl<R: Read> EventReader<R> {
                 }
             }
             let len = self.text_len()?;
-            let run = &self.buf[self.pos..self.pos + len];
-            self.pos += len;
+            let run = unescape(&self.buf[self.pos..self.pos + len]);
             let level = self.stack.last_mut().expect("nonempty");
-            let run = unescape(run);
-            match &mut level.text {
-                Some(t) => t.push_str(&run),
-                None => level.text = Some(run.into_owned()),
+            if !level.has_text {
+                level.has_text = true;
+                self.text.clear();
             }
+            self.text.push_str(&run);
+            self.pos += len;
         }
     }
 }
 
 /// Builds the document `src` holds — the workspace's one way from XML
-/// text to a tree. Elements without an explicit ID get fresh ones, and
-/// ID uniqueness is enforced over the whole tree (Appendix A validity
+/// text to a tree. Elements without an explicit ID get fresh ones at
+/// their open tags, so a tree without explicit IDs has IDs that
+/// increase in document order (see [`Document::duplicate_id`]), and ID
+/// uniqueness is enforced over the whole tree (Appendix A validity
 /// requirement 1).
 pub fn read_document<R: Read>(src: R) -> Result<Document, StreamError> {
     let mut reader = EventReader::new(src);
-    // elements still open, outermost first: name, explicit id, children
-    let mut open: Vec<(Name, Option<ElemId>, Vec<Element>)> = Vec::new();
+    // elements still open, outermost first: name, ID, and where their
+    // children start in `done`
+    let mut open: Vec<(Name, ElemId, usize)> = Vec::new();
+    // closed elements whose parent is still open, in document order
+    let mut done: Vec<Element> = Vec::new();
     let mut text = None;
-    let mut root = None;
     // an explicit `#N` is the one ID that can equal a fresh one
     let mut folded = false;
     loop {
         match reader.next_event()? {
             XmlEvent::Open { name, id } => {
                 folded |= matches!(id, Some(ElemId::Auto(_)));
-                open.push((name, id, Vec::new()));
+                open.push((name, id.unwrap_or_else(ElemId::fresh), done.len()));
             }
             XmlEvent::Text(t) => text = Some(t),
             XmlEvent::Close { .. } => {
-                let (name, id, children) = open.pop().expect("the reader balances tags");
-                let e = Element {
-                    name,
-                    id: id.unwrap_or_else(ElemId::fresh),
-                    content: match text.take() {
-                        Some(t) => Content::Text(t),
-                        None => Content::Elements(children),
-                    },
+                let (name, id, first) = open.pop().expect("the reader balances tags");
+                let content = match text.take() {
+                    Some(t) => Content::Text(t),
+                    None if first == done.len() => Content::Elements(Vec::new()),
+                    None => Content::Elements(done.split_off(first)),
                 };
-                match open.last_mut() {
-                    Some(parent) => parent.2.push(e),
-                    None => root = Some(e),
-                }
+                done.push(Element { name, id, content });
             }
             XmlEvent::Eof => break,
         }
     }
-    let doc = Document::new(root.expect("Eof follows the root's Close"));
+    let doc = Document::new(done.pop().expect("Eof follows the root's Close"));
     match folded.then(|| doc.duplicate_id()).flatten() {
         Some(id) => Err(err_at(0, format!("duplicate element id '{id}'"))),
         None => Ok(doc),
@@ -866,6 +920,22 @@ mod tests {
             err.contains(&format!("duplicate element id '#{next}'")),
             "{err}"
         );
+    }
+
+    /// Fresh IDs are handed out at open tags, so a tree read without
+    /// explicit IDs has IDs that increase in document order.
+    #[test]
+    fn fresh_ids_increase_in_document_order() {
+        let doc = parse_document("<a><b><c/><d>t</d></b><e/><f><g/></f></a>").unwrap();
+        let ids: Vec<u64> = doc
+            .root
+            .walk()
+            .map(|e| match e.id {
+                ElemId::Auto(n) => n,
+                ElemId::Named(n) => panic!("named id {n}"),
+            })
+            .collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     #[test]

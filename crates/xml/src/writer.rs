@@ -7,8 +7,8 @@
 //! (indented mode trims the trailing newline for symmetric roundtrips; the
 //! `io` variants keep it, since a streaming producer cannot un-write).
 
-use crate::element::{Content, Document, Element};
-use crate::parser::escape;
+use crate::element::{Content, Document, ElemId, Element};
+use mix_relang::symbol::Name;
 use std::io::{self, Write};
 
 /// Serialization options.
@@ -29,56 +29,136 @@ impl Default for WriteConfig {
     }
 }
 
+/// Spaces written in chunks of this size.
+const SPACES: &[u8; 64] = &[b' '; 64];
+
+/// The serializer: every piece of markup, name and text goes to `out`
+/// as a byte slice, with no formatting machinery and no copy of a text
+/// or an ID.
+struct Writer<'w, W> {
+    out: &'w mut W,
+    cfg: WriteConfig,
+}
+
+impl<W: Write> Writer<'_, W> {
+    fn pad(&mut self, level: usize) -> io::Result<()> {
+        if let Some(w) = self.cfg.indent {
+            let mut n = level * w;
+            while n > 0 {
+                let take = n.min(SPACES.len());
+                self.out.write_all(&SPACES[..take])?;
+                n -= take;
+            }
+        }
+        Ok(())
+    }
+
+    fn newline(&mut self) -> io::Result<()> {
+        if self.cfg.indent.is_some() {
+            self.out.write_all(b"\n")?;
+        }
+        Ok(())
+    }
+
+    /// Writes `s` with `& < > "` replaced by entity references, one
+    /// slice per run between them.
+    fn escaped(&mut self, s: &str) -> io::Result<()> {
+        let bytes = s.as_bytes();
+        let mut start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let entity: &[u8] = match b {
+                b'&' => b"&amp;",
+                b'<' => b"&lt;",
+                b'>' => b"&gt;",
+                b'"' => b"&quot;",
+                _ => continue,
+            };
+            self.out.write_all(&bytes[start..i])?;
+            self.out.write_all(entity)?;
+            start = i + 1;
+        }
+        self.out.write_all(&bytes[start..])
+    }
+
+    fn close(&mut self, name: Name) -> io::Result<()> {
+        self.out.write_all(b"</")?;
+        self.out.write_all(name.as_str().as_bytes())?;
+        self.out.write_all(b">")?;
+        self.newline()
+    }
+
+    /// Writes an element with element content `children`, indented at
+    /// nesting `level`; `id` is the explicit ID to write, if any.
+    fn parent<'e>(
+        &mut self,
+        name: Name,
+        id: Option<Name>,
+        children: impl ExactSizeIterator<Item = &'e Element>,
+        level: usize,
+    ) -> io::Result<()> {
+        self.pad(level)?;
+        self.open(name, id)?;
+        if children.len() == 0 {
+            self.out.write_all(b"/>")?;
+            return self.newline();
+        }
+        self.out.write_all(b">")?;
+        self.newline()?;
+        for c in children {
+            self.element(c, level + 1)?;
+        }
+        self.pad(level)?;
+        self.close(name)
+    }
+
+    /// `<name` and, when given, its ` id="…"`.
+    fn open(&mut self, name: Name, id: Option<Name>) -> io::Result<()> {
+        self.out.write_all(b"<")?;
+        self.out.write_all(name.as_str().as_bytes())?;
+        if let Some(id) = id {
+            self.out.write_all(b" id=\"")?;
+            self.escaped(id.as_str())?;
+            self.out.write_all(b"\"")?;
+        }
+        Ok(())
+    }
+
+    fn element(&mut self, e: &Element, level: usize) -> io::Result<()> {
+        // auto IDs (and `#…` spellings of them) are never written
+        let id = match e.id {
+            ElemId::Named(n) if self.cfg.write_ids && !e.id.is_auto() => Some(n),
+            _ => None,
+        };
+        match &e.content {
+            Content::Elements(v) => self.parent(e.name, id, v.iter(), level),
+            Content::Text(t) => {
+                self.pad(level)?;
+                self.open(e.name, id)?;
+                self.out.write_all(b">")?;
+                self.escaped(t)?;
+                self.close(e.name)
+            }
+        }
+    }
+}
+
 fn write_elem<W: Write>(
     e: &Element,
     cfg: WriteConfig,
     level: usize,
     out: &mut W,
 ) -> io::Result<()> {
-    const SPACES: &str = "                                                                ";
-    let pad = |out: &mut W, level: usize| -> io::Result<()> {
-        if let Some(w) = cfg.indent {
-            let mut n = level * w;
-            while n > 0 {
-                let take = n.min(SPACES.len());
-                out.write_all(&SPACES.as_bytes()[..take])?;
-                n -= take;
-            }
-        }
-        Ok(())
-    };
-    let nl = |out: &mut W| -> io::Result<()> {
-        if cfg.indent.is_some() {
-            out.write_all(b"\n")?;
-        }
-        Ok(())
-    };
-    pad(out, level)?;
-    write!(out, "<{}", e.name)?;
-    if cfg.write_ids && !e.id.is_auto() {
-        write!(out, " id=\"{}\"", escape(&e.id.to_string()))?;
+    Writer { out, cfg }.element(e, level)
+}
+
+/// The `String` form of a serialization into a byte buffer: indented
+/// output loses its trailing newline, for symmetric roundtrips.
+fn finish(buf: Vec<u8>, cfg: WriteConfig) -> String {
+    let mut out = String::from_utf8(buf).expect("serializer emits UTF-8");
+    if cfg.indent.is_some() && out.ends_with('\n') {
+        out.pop();
     }
-    match &e.content {
-        Content::Elements(v) if v.is_empty() => {
-            out.write_all(b"/>")?;
-            nl(out)?;
-        }
-        Content::Elements(v) => {
-            out.write_all(b">")?;
-            nl(out)?;
-            for c in v {
-                write_elem(c, cfg, level + 1, out)?;
-            }
-            pad(out, level)?;
-            write!(out, "</{}>", e.name)?;
-            nl(out)?;
-        }
-        Content::Text(t) => {
-            write!(out, ">{}</{}>", escape(t), e.name)?;
-            nl(out)?;
-        }
-    }
-    Ok(())
+    out
 }
 
 /// Serializes an element into an [`io::Write`] sink, indented as if it
@@ -110,12 +190,7 @@ pub fn write_document_to<W: Write>(d: &Document, cfg: WriteConfig, out: &mut W) 
 pub fn write_element(e: &Element, cfg: WriteConfig) -> String {
     let mut buf = Vec::new();
     write_elem(e, cfg, 0, &mut buf).expect("writing to a Vec cannot fail");
-    let mut out = String::from_utf8(buf).expect("serializer emits UTF-8");
-    if cfg.indent.is_some() {
-        // drop the trailing newline for symmetric roundtrips
-        out.truncate(out.trim_end().len());
-    }
-    out
+    finish(buf, cfg)
 }
 
 /// Serializes a document.
@@ -123,10 +198,28 @@ pub fn write_document(d: &Document, cfg: WriteConfig) -> String {
     write_element(&d.root, cfg)
 }
 
+/// Serializes the answer document a root named `root` over copies of
+/// `members` would be, without building it: the bytes equal
+/// [`write_document`] of a root with a fresh ID whose children are
+/// `members`, each given fresh IDs (as `Element::deep_clone_fresh`
+/// gives them), since auto IDs are never written. So `members` may be
+/// borrowed straight from a source document; write them with
+/// `write_ids: false`, because a copy would not carry their explicit
+/// IDs.
+pub fn write_answer(root: Name, members: &[&Element], cfg: WriteConfig) -> String {
+    let mut buf = Vec::new();
+    Writer { out: &mut buf, cfg }
+        .parent(root, None, members.iter().copied(), 0)
+        .expect("writing to a Vec cannot fail");
+    finish(buf, cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::parser::parse_document;
+    use proptest::prelude::*;
 
     fn parse_root(src: &str) -> Element {
         parse_document(src).unwrap().root
@@ -227,5 +320,83 @@ mod tests {
         write_element_at(&e, WriteConfig::default(), 40, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert_eq!(s, format!("{}<x/>\n", " ".repeat(80)));
+    }
+
+    /// A random tree: each draw hangs one node under an earlier one. A
+    /// node has text or children, and an ID that is fresh, named (with
+    /// markup characters among the names), `#N` or a `#…` name.
+    fn random_tree(draws: &[u32]) -> Element {
+        const NAMES: [&str; 4] = ["a", "b-c", "café", "x.y"];
+        const IDS: [&str; 6] = ["p1", "a&b", "<q>", "\"d\"", "#7", "#x"];
+        const TEXTS: [&str; 6] = ["", "plain", "a < b & c", "\"q\" > 'r'", "søren — ∀x", "  "];
+        let mut nodes = vec![Element::new("r", vec![])];
+        let mut parent = vec![usize::MAX];
+        for (k, &x) in draws.iter().enumerate() {
+            let pick = x as usize % (k + 1);
+            let name = NAMES[x as usize / 7 % NAMES.len()];
+            let mut e = match x / 31 % 3 {
+                0 => Element::text(name, TEXTS[x as usize / 101 % TEXTS.len()]),
+                _ => Element::new(name, vec![]),
+            };
+            if x / 211 % 3 == 0 {
+                e = e.with_id(IDS[x as usize / 701 % IDS.len()]);
+            }
+            parent.push(pick);
+            nodes.push(e);
+        }
+        // attach children to parents, last first, so each parent gets its
+        // children in draw order; a parent with text gives it up
+        for k in (1..nodes.len()).rev() {
+            let child = nodes.pop().expect("k < len");
+            let p = &mut nodes[parent[k]];
+            match &mut p.content {
+                Content::Elements(v) => v.insert(0, child),
+                Content::Text(_) => p.content = Content::Elements(vec![child]),
+            }
+        }
+        nodes.pop().expect("the root")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The byte writer prints what the `write!` writer printed, for
+        /// every indent, with and without IDs, at every nesting level.
+        #[test]
+        fn byte_writer_prints_the_oracles_bytes(
+            draws in prop::collection::vec(0u32..1_000_000, 0..40),
+            indent in prop::sample::select(vec![None, Some(2), Some(4)]),
+            write_ids in prop::sample::select(vec![true, false]),
+            level in 0usize..4,
+        ) {
+            let e = random_tree(&draws);
+            let cfg = WriteConfig { indent, write_ids };
+            prop_assert_eq!(write_element(&e, cfg), oracle::write_element(&e, cfg));
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            write_element_at(&e, cfg, level, &mut new).unwrap();
+            oracle::write_element_at(&e, cfg, level, &mut old).unwrap();
+            prop_assert_eq!(String::from_utf8(new).unwrap(), String::from_utf8(old).unwrap());
+        }
+
+        /// Writing borrowed members without IDs prints the bytes of the
+        /// document built from fresh copies of them.
+        #[test]
+        fn write_answer_prints_the_copied_document(
+            draws in prop::collection::vec(0u32..1_000_000, 0..40),
+            indent in prop::sample::select(vec![None, Some(2), Some(4)]),
+            take in 0usize..6,
+        ) {
+            let source = random_tree(&draws);
+            let members: Vec<&Element> = source.walk().skip(1).step_by(2).take(take).collect();
+            let copy = Document::new(Element::new(
+                "ans",
+                members.iter().map(|m| m.deep_clone_fresh()).collect(),
+            ));
+            let cfg = WriteConfig { indent, write_ids: true };
+            prop_assert_eq!(
+                write_answer(Name::intern("ans"), &members, WriteConfig { write_ids: false, ..cfg }),
+                write_document(&copy, cfg)
+            );
+        }
     }
 }

@@ -52,6 +52,35 @@ use mix::infer::metrics::tightness_counts;
 use mix::prelude::*;
 use std::process::ExitCode;
 
+/// Writes to stdout. A reader that went away early (`mixctl … | head`)
+/// ends the run quietly, with status 0, instead of a panic.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        exit_on_stdout_error(&e);
+    }
+}
+
+/// Ends the run after a failed write to stdout: quietly when the reader
+/// closed the pipe, with status 1 otherwise.
+fn exit_on_stdout_error(e: &std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0)
+    }
+    eprintln!("mixctl: stdout: {e}");
+    std::process::exit(1)
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($t:tt)*) => { emit(format_args!($($t)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($t:tt)*) => { emit(format_args!("{}\n", format_args!($($t)*))) };
+}
+
 /// Exit code 3: a federated answer was served, but degraded.
 const EXIT_DEGRADED: u8 = 3;
 /// Exit code 4: a DTD / query / document file failed to parse.
@@ -482,9 +511,9 @@ fn serve_bench(args: &Args, dtd: &Dtd, view_q: &Query) -> ExitCode {
                 eprintln!("mixctl: cannot write '{path}': {e}");
                 return ExitCode::FAILURE;
             }
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
-        None => println!("{json}"),
+        None => outln!("{json}"),
     }
     ExitCode::SUCCESS
 }
@@ -599,6 +628,9 @@ fn stream_eval_command(args: &Args, dtd: &Dtd, nq: &Query) -> Option<ExitCode> {
             eprintln!("mixctl: {path}: {e}");
             Some(ExitCode::from(EXIT_PARSE))
         }
+        Err(mix::stream::StreamError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            exit_on_stdout_error(&e)
+        }
         Err(mix::stream::StreamError::Io(e)) => {
             eprintln!("mixctl: {path}: {e}");
             Some(ExitCode::FAILURE)
@@ -610,7 +642,7 @@ fn main() -> ExitCode {
     let args = parse_args();
     match args.command.as_str() {
         "help" | "--help" | "-h" => {
-            println!(
+            outln!(
                 "mixctl — view DTD inference for XML mediators (ICDE 1999)\n\n\
                  commands:\n\
                  \x20 infer      --dtd F --query F   infer the specialized + merged view DTDs\n\
@@ -698,11 +730,11 @@ fn main() -> ExitCode {
             let q = load_query(&args);
             match infer_view_dtd(&q, &dtd) {
                 Ok(iv) => {
-                    println!("verdict: {:?}\n", iv.verdict);
-                    println!("specialized view DTD:\n{}\n", iv.sdtd);
-                    println!("merged view DTD:\n{}", iv.dtd);
+                    outln!("verdict: {:?}\n", iv.verdict);
+                    outln!("specialized view DTD:\n{}\n", iv.sdtd);
+                    outln!("merged view DTD:\n{}", iv.dtd);
                     if !iv.merged_names.is_empty() {
-                        println!(
+                        outln!(
                             "\nnon-tightness introduced by merging on: {}",
                             iv.merged_names
                                 .iter()
@@ -713,7 +745,7 @@ fn main() -> ExitCode {
                     }
                     let nondet = mix::dtd::nondeterministic_names(&iv.dtd);
                     if !nondet.is_empty() {
-                        println!(
+                        outln!(
                             "note: content models of {} are not 1-unambiguous \
                              (XML 1.0 determinism rule)",
                             nondet
@@ -736,7 +768,7 @@ fn main() -> ExitCode {
             let q = load_query(&args);
             match normalize(&q, &dtd) {
                 Ok(nq) => {
-                    println!("{:?}", classify_query(&nq, &dtd));
+                    outln!("{:?}", classify_query(&nq, &dtd));
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -750,11 +782,11 @@ fn main() -> ExitCode {
             let doc = load_doc(&args);
             match validate_document(&dtd, &doc) {
                 Ok(()) => {
-                    println!("valid");
+                    outln!("valid");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    println!("invalid: {e}");
+                    outln!("invalid: {e}");
                     ExitCode::FAILURE
                 }
             }
@@ -777,12 +809,12 @@ fn main() -> ExitCode {
             }
             let doc = load_doc(&args);
             let out = evaluate(&nq, &doc);
-            println!("{}", write_document(&out, WriteConfig::default()));
+            outln!("{}", write_document(&out, WriteConfig::default()));
             ExitCode::SUCCESS
         }
         "structure" => {
             let dtd = load_dtd(&args);
-            print!("{}", render_structure(&dtd));
+            out!("{}", render_structure(&dtd));
             ExitCode::SUCCESS
         }
         "explain" => {
@@ -810,7 +842,7 @@ fn main() -> ExitCode {
                 // rejects it before any fetch, so there is no plan
                 if verdict == SatVerdict::Unknown {
                     if let Err(e) = normalize(&q, &dtd) {
-                        println!("{dtd_path}: query rejected: {e}");
+                        outln!("{dtd_path}: query rejected: {e}");
                         rejected = true;
                         continue;
                     }
@@ -823,12 +855,12 @@ fn main() -> ExitCode {
                     SatVerdict::Sat => "fetch proceeds",
                     SatVerdict::Unknown => "fetch proceeds (not provably empty)",
                 };
-                println!("{dtd_path}: {verdict} [{action}]");
+                outln!("{dtd_path}: {verdict} [{action}]");
             }
             if rejected {
                 return ExitCode::from(EXIT_QUERY);
             }
-            println!("{pruned}/{} source fetches pruned", parts.len());
+            outln!("{pruned}/{} source fetches pruned", parts.len());
             ExitCode::SUCCESS
         }
         "union" => {
@@ -843,11 +875,11 @@ fn main() -> ExitCode {
             let refs: Vec<(&Query, &Dtd)> = loaded.iter().map(|(q, d)| (q, d)).collect();
             match mix::infer::infer_union_view_dtd(name(&args.name), &refs) {
                 Ok(u) => {
-                    println!("verdict: {:?}\n", u.verdict);
-                    println!("specialized union view DTD:\n{}\n", u.sdtd);
-                    println!("merged union view DTD:\n{}", u.dtd);
+                    outln!("verdict: {:?}\n", u.verdict);
+                    outln!("specialized union view DTD:\n{}\n", u.sdtd);
+                    outln!("merged union view DTD:\n{}", u.dtd);
                     if !u.kind_conflicts.is_empty() {
-                        println!(
+                        outln!(
                             "\nWARNING: {} mix PCDATA and element content across sites; \
                              the merged plain DTD is not sound for them (use the s-DTD)",
                             u.kind_conflicts
@@ -944,8 +976,8 @@ fn main() -> ExitCode {
             }
             let code = match m.materialize_with_report(name(&args.name)) {
                 Ok((doc, report)) => {
-                    println!("{}", write_document(&doc, WriteConfig::default()));
-                    print!("{report}");
+                    outln!("{}", write_document(&doc, WriteConfig::default()));
+                    out!("{report}");
                     if report.is_clean() {
                         ExitCode::SUCCESS
                     } else {
@@ -993,7 +1025,7 @@ fn main() -> ExitCode {
                     // snapshot, and `from_json` round-trips it exactly
                     "prom" => match Snapshot::from_json(&json) {
                         Ok(snap) => {
-                            print!("{}", snap.to_prometheus());
+                            out!("{}", snap.to_prometheus());
                             ExitCode::SUCCESS
                         }
                         Err(e) => {
@@ -1002,7 +1034,7 @@ fn main() -> ExitCode {
                         }
                     },
                     _ => {
-                        println!("{json}");
+                        outln!("{json}");
                         ExitCode::SUCCESS
                     }
                 },
@@ -1117,7 +1149,7 @@ fn main() -> ExitCode {
                 Ok(bound) => {
                     // scripts and tests parse this line (port 0 binds an
                     // OS-assigned port)
-                    println!("listening on {bound}");
+                    outln!("listening on {bound}");
                     use std::io::Write as _;
                     let _ = std::io::stdout().flush();
                 }
@@ -1170,15 +1202,21 @@ fn main() -> ExitCode {
             let dtd = load_dtd(&args);
             let q = load_query(&args);
             let rows = tightness_counts(&q, &dtd, args.max_size);
-            println!(
+            outln!(
                 "{:>5} {:>16} {:>16} {:>16}",
-                "size", "naive", "tight", "s-DTD"
+                "size",
+                "naive",
+                "tight",
+                "s-DTD"
             );
             for r in rows {
                 if r.naive + r.merged + r.specialized > 0 {
-                    println!(
+                    outln!(
                         "{:>5} {:>16} {:>16} {:>16}",
-                        r.size, r.naive, r.merged, r.specialized
+                        r.size,
+                        r.naive,
+                        r.merged,
+                        r.specialized
                     );
                 }
             }

@@ -936,3 +936,66 @@ fn eval_stream_matches_in_memory_output() {
     assert_eq!(plain3.stdout, streamed3.stdout);
     assert!(String::from_utf8_lossy(&streamed3.stderr).contains("not streamable"));
 }
+
+/// A reader that stops early (`mixctl eval … | head`) ends the run
+/// quietly: no panic message, no backtrace, no exit 101 — on both the
+/// in-memory and the streaming eval path.
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    let dtd = fixture("d1-pipe.dtd", D1);
+    let q = fixture(
+        "profs-pipe.xmas",
+        "profs = SELECT P WHERE <department> P:<professor/> </department>",
+    );
+    // an answer far larger than a pipe's buffer
+    let professor = "<professor><firstName>Y</firstName><lastName>P</lastName>\
+        <publication><title>a</title><author>x</author><journal/></publication>\
+        <teaches/></professor>";
+    let doc = fixture(
+        "big-pipe.xml",
+        &format!(
+            "<department><name>CS</name>{}<gradStudent><firstName>G</firstName>\
+             <lastName>S</lastName><publication><title>c</title><author>x</author>\
+             <conference/></publication></gradStudent></department>",
+            professor.repeat(4000)
+        ),
+    );
+    for stream in [false, true] {
+        let mut args = vec![
+            "eval",
+            "--dtd",
+            dtd.to_str().unwrap(),
+            "--doc",
+            doc.to_str().unwrap(),
+            "--query",
+            q.to_str().unwrap(),
+        ];
+        if stream {
+            args.push("--stream");
+        }
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mixctl"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut head = [0u8; 64];
+        child
+            .stdout
+            .take()
+            .expect("piped")
+            .read_exact(&mut head)
+            .expect("the answer starts");
+        // the read end is dropped here, with most of the answer unread
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "stream: {stream}: {stderr}");
+        assert!(!stderr.contains("panicked"), "stream: {stream}: {stderr}");
+        assert!(
+            !stderr.contains("Broken pipe"),
+            "stream: {stream}: {stderr}"
+        );
+    }
+}

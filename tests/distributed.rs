@@ -311,7 +311,8 @@ fn version_mismatch_is_fatal_and_never_counts_against_the_breaker() {
     };
     let query = part_query();
     let view = infer_view_dtd(&query, &parse_compact(SITE_DTD).unwrap()).unwrap();
-    let check = ReplyCheck::View(&view.dtd);
+    let validator = mix::dtd::Validator::new(&view.dtd);
+    let check = ReplyCheck::View(&validator);
 
     let incompatible = ScriptedSource::new(
         site_source("i", 1),
