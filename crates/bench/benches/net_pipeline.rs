@@ -1,5 +1,5 @@
 //! X20 — the event-driven wire tier: pipelined frames on the X16
-//! workload, and the 64-client storm ridden on the multiplexed client.
+//! workload, and the 64-client storm of pipelined batches.
 //!
 //! Like X16/X19 this is a custom harness (not Criterion): the acceptance
 //! criteria are correctness plus ratios landing in a committed artifact,
@@ -249,7 +249,6 @@ fn main() {
         .map(|_| {
             let config = ClientConfig {
                 pool_size: 1,
-                in_flight_per_conn: STORM_REQS.min(256),
                 io_timeout: Duration::from_secs(10),
                 ..ClientConfig::default()
             };

@@ -54,10 +54,11 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// Answers a batch of queries, one result per query **in input
-    /// order**, each failing independently. The default implementation
-    /// just loops [`Wrapper::answer`]; wrappers with a pipelined
-    /// transport (notably [`RemoteWrapper`]) override it to issue the
-    /// whole batch concurrently without spawning a thread per query.
+    /// order**. The default implementation just loops
+    /// [`Wrapper::answer`], so each query fails independently; wrappers
+    /// with a pipelined transport (notably [`RemoteWrapper`]) override it
+    /// to pipeline the batch without spawning a thread per query, and a
+    /// transport fault there fails the rest of the batch.
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
         queries.iter().map(|q| self.answer(q)).collect()
     }
@@ -214,7 +215,9 @@ impl<W: Wrapper> Wrapper for LatencyWrapper<W> {
 /// (see [`crate::wire`]), so the resilience layer — retries, circuit
 /// breakers, union-view degradation — drives a remote source exactly like
 /// a local one. Exchanges run over a small connection [`Pool`], making the
-/// wrapper safe to share across the mediator's serving threads.
+/// wrapper safe to share across the mediator's serving threads; the pool
+/// records its traffic (`net_client_*`) in [`mix_obs::global`], next to
+/// the parse-memo counters.
 ///
 /// Repeated answers are hash-consed: the parse of each distinct reply
 /// body is memoized, and a repeat serves a clone with
@@ -312,7 +315,7 @@ impl RemoteWrapper {
 
     /// [`RemoteWrapper::connect`] with explicit timeouts and pool size.
     pub fn connect_with(addr: &str, config: ClientConfig) -> Result<RemoteWrapper, SourceError> {
-        let pool = Pool::new(addr, config);
+        let pool = Pool::with_registry(addr, config, mix_obs::global());
         let reply = pool
             .request(Msg::ExportDtd(String::new()))
             .map_err(|e| net_to_source_error(addr, config.io_timeout.as_millis() as u64, e))?;
@@ -342,10 +345,11 @@ impl RemoteWrapper {
         self.pool.addr()
     }
 
-    /// Connections the underlying pool currently considers live. Mostly
-    /// for tests and diagnostics: after a daemon dies, this drops to
-    /// zero as soon as the client has *observed* the death, which is the
-    /// moment failure behavior becomes deterministic.
+    /// Idle pooled connections the daemon has not closed, by the probe a
+    /// checkout makes ([`Pool::idle_connections`]). Mostly for tests and
+    /// diagnostics: after a daemon dies, this drops to zero as soon as
+    /// its closes have reached this host, the moment failure behavior
+    /// becomes deterministic: the next call drops the corpse and redials.
     pub fn live_connections(&self) -> usize {
         self.pool.idle_connections()
     }
@@ -419,11 +423,12 @@ impl Wrapper for RemoteWrapper {
         self.exchange(nq.to_string())
     }
 
-    /// The whole batch rides the multiplexed pool as pipelined `Query`
-    /// frames — replies are matched back by frame id, so the server may
-    /// finish them in any order while this returns them in input order,
-    /// with no thread spawned per query. Queries that fail normalization
-    /// are rejected locally and never reach the wire.
+    /// The batch rides one pooled connection as pipelined `Query` frames,
+    /// up to 32 in flight. Replies are matched back by frame id, so the
+    /// server may finish them in any order while this returns them in
+    /// input order, with no thread spawned per query. A transport fault
+    /// fails the rest of the batch with it. Queries that fail
+    /// normalization are rejected locally and never reach the wire.
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
         let millis = self.pool.config().io_timeout.as_millis() as u64;
         let mut results: Vec<Option<Result<Document, SourceError>>> =
@@ -615,6 +620,25 @@ mod tests {
                 assert!(seen.insert(e.id), "id {:?} appears in two answers", e.id);
             }
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn remote_wrapper_pool_records_its_exchanges_globally() {
+        let (server, addr) = serve_local();
+        let remote = RemoteWrapper::connect(&addr).unwrap();
+        let exchanges = mix_obs::global().counter("net_client_exchanges_total");
+        let before = exchanges.get();
+        let q = parse_query("profs = SELECT P WHERE <department> P:<professor/> </department>")
+            .unwrap();
+        remote.answer(&q).unwrap();
+        remote.fetch().unwrap();
+        for answer in remote.answer_batch(&[q.clone(), q]) {
+            answer.unwrap();
+        }
+        // other tests share the global registry, so only a lower bound
+        // holds
+        assert!(exchanges.get() >= before + 4);
         server.shutdown();
     }
 

@@ -1,40 +1,38 @@
-//! The client side: a blocking connection with handshake, and a
-//! multiplexer over a small fixed set of them.
+//! The client side: a blocking connection, and a pool of them.
 //!
 //! [`Connection`] is one TCP stream that has completed the `Hello`
-//! exchange and runs strictly one exchange at a time — the simple tool
-//! for control-plane chores like a `Stats` probe. [`Pool`] is the data
-//! plane: up to `pool_size` connections, each carrying up to
-//! `in_flight_per_conn` concurrent requests distinguished by frame id. A
-//! dedicated reader thread per connection routes every `Answer` to the
-//! slot that sent the matching `Query`, so callers park on a per-slot
-//! condvar instead of holding a socket hostage, and replies may complete
-//! in any order the server finishes them. A connection whose transport
-//! faults (or whose reply misses its deadline) is *discarded*, failing
-//! every request in flight on it — one bad socket cannot poison the
-//! next. Retrying is deliberately **not** done here: the mediator's
-//! resilience layer owns the retry budget, and a transport that silently
-//! retried underneath it would double-count attempts against circuit
-//! breakers.
+//! exchange. It runs its exchanges on the caller's thread: one at a time
+//! ([`Connection::request`]), or a batch pipelined with a fixed window
+//! of requests in flight and matched to its replies by frame id
+//! ([`Connection::request_many`]). [`Pool`] is a bounded set of
+//! connections to one address. An exchange checks out an idle one,
+//! dials when none is idle and fewer than `pool_size` are open, or waits;
+//! then it runs on the caller's thread and checks the connection back
+//! in. A connection the exchange ended (a transport or protocol fault, a
+//! missed deadline, an `Err` at connection scope) is dropped instead,
+//! and so is an idle connection the peer has closed, when a checkout
+//! probes it, so one bad socket cannot poison the next exchange.
+//! Retrying is deliberately **not** done here: the mediator's resilience
+//! layer owns the retry budget, and a transport that silently retried
+//! underneath it would double-count attempts against circuit breakers.
 
 use crate::error::NetError;
 use crate::frame::{read_first_frame, read_frame, CONNECTION_FRAME_ID};
 use crate::msg::Msg;
 use mix_obs::{Counter, Histogram, Registry};
-use std::collections::VecDeque;
-use std::io::{BufWriter, Write as _};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::io::{self, BufReader, BufWriter, Read, Write as _};
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// The frame id low byte addresses the slot, so a connection can carry at
-/// most 256 concurrent requests.
-const MAX_SLOTS: usize = 256;
+/// Requests a batch keeps in flight on its connection.
+const BATCH_WINDOW: usize = 32;
 
-/// Frame id of the synchronous `Hello` exchange performed before the
-/// reader thread exists. Slot-carried ids are always ≥ 256 (a nonzero
-/// sequence number occupies the high bytes), so 1 can never collide.
+/// Frame id of a connection's first request, the `Hello`. Later requests
+/// count up from it and wrap back to it, so no request carries the
+/// connection-scope id 0.
 const HANDSHAKE_ID: u32 = 1;
 
 /// Client knobs.
@@ -42,15 +40,15 @@ const HANDSHAKE_ID: u32 = 1;
 pub struct ClientConfig {
     /// Deadline for establishing the TCP connection.
     pub connect_timeout: Duration,
-    /// Per-exchange deadline: connect/handshake/write at the socket
-    /// level, and how long a caller waits for its routed reply.
+    /// Deadline for each socket write, and for each reply once its
+    /// request is sent. A reply that misses it ends its connection.
     pub io_timeout: Duration,
-    /// Connections the multiplexer may hold open at once.
+    /// Connections the pool may hold open at once, idle or in use. An
+    /// exchange holds one connection, so this also bounds the exchanges
+    /// in flight to one source: callers beyond it wait for a connection
+    /// to come back. The server's `workers` bound useful concurrency
+    /// anyway.
     pub pool_size: usize,
-    /// Concurrent requests each connection may carry (clamped to
-    /// 1..=256); requests beyond `pool_size * in_flight_per_conn` wait
-    /// for a slot.
-    pub in_flight_per_conn: usize,
     /// Upper bound on the randomized delay inserted before *re*-dialing
     /// after a failed exchange or dial. Zero (the default) disables
     /// jitter; the first dial and dials after successes are never
@@ -68,7 +66,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(10),
             pool_size: 4,
-            in_flight_per_conn: 32,
             reconnect_jitter: Duration::ZERO,
             reconnect_jitter_seed: 0,
         }
@@ -95,26 +92,34 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One handshaken connection to a remote wrapper, strictly one exchange
-/// in flight at a time.
+/// One handshaken connection to a remote wrapper. Its exchanges run on
+/// the caller's thread.
 #[derive(Debug)]
 pub struct Connection {
-    reader: TcpStream,
+    reader: BufReader<DeadlineStream>,
     writer: BufWriter<TcpStream>,
+    io_timeout: Duration,
     next_id: u32,
     sniffed: bool,
+    /// Set once a fault has ended the connection.
+    ended: bool,
 }
 
 impl Connection {
     /// Connects, applies timeouts, and performs the `Hello` handshake.
     pub fn connect(addr: &str, config: &ClientConfig) -> Result<Connection, NetError> {
         let stream = dial_stream(addr, config)?;
-        let reader = stream.try_clone()?;
         let mut conn = Connection {
-            reader,
+            reader: BufReader::new(DeadlineStream {
+                stream: stream.try_clone()?,
+                deadline: Instant::now(),
+                armed: config.io_timeout,
+            }),
             writer: BufWriter::new(stream),
+            io_timeout: config.io_timeout,
             next_id: HANDSHAKE_ID,
             sniffed: false,
+            ended: false,
         };
         match conn.request(Msg::Hello)? {
             Msg::Hello => Ok(conn),
@@ -127,31 +132,155 @@ impl Connection {
 
     /// One request/response exchange. A server-side fault ([`Msg::Err`])
     /// comes back as [`NetError::Remote`], an admission-control rejection
-    /// ([`Msg::Throttled`]) as [`NetError::Throttled`]; the connection
-    /// itself is still usable afterwards in both cases.
+    /// ([`Msg::Throttled`]) as [`NetError::Throttled`]; when either
+    /// answers this request, the connection is still usable. Any other
+    /// error ends the connection, and so does an `Err` at connection
+    /// scope (frame id 0), after which the server closes it. Requests on
+    /// an ended connection fail at once.
     pub fn request(&mut self, msg: Msg) -> Result<Msg, NetError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.checked_add(1).unwrap_or(HANDSHAKE_ID);
-        msg.write_to(&mut self.writer, id)?;
+        self.request_many(vec![msg])
+            .pop()
+            .expect("one reply per request")
+    }
+
+    /// Pipelines `msgs`, up to 32 in flight, and returns the replies in
+    /// request order, whatever order the server finished them in. Each
+    /// reply succeeds or fails on its own as in [`Connection::request`],
+    /// until a fault ends the connection and fails every request not yet
+    /// answered.
+    pub fn request_many(&mut self, msgs: Vec<Msg>) -> Vec<Result<Msg, NetError>> {
+        let mut replies: Vec<Option<Result<Msg, NetError>>> = msgs.iter().map(|_| None).collect();
+        if let Err(fault) = self.pipeline(&msgs, &mut replies) {
+            self.ended = true;
+            for reply in replies.iter_mut().filter(|r| r.is_none()) {
+                *reply = Some(Err(fault.duplicate()));
+            }
+        }
+        replies
+            .into_iter()
+            .map(|r| r.expect("every request answered or failed"))
+            .collect()
+    }
+
+    /// Keeps the window full, flushing once per refill, and files each
+    /// reply under the request whose frame id it carries. An error ends
+    /// the connection.
+    fn pipeline(
+        &mut self,
+        msgs: &[Msg],
+        replies: &mut [Option<Result<Msg, NetError>>],
+    ) -> Result<(), NetError> {
+        if self.ended {
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::NotConnected,
+                "the connection was ended by an earlier fault",
+            )));
+        }
+        let mut unsent = msgs.iter().enumerate();
+        let mut in_flight: Vec<(u32, usize)> = Vec::with_capacity(msgs.len().min(BATCH_WINDOW));
+        loop {
+            let before = in_flight.len();
+            for (i, msg) in unsent.by_ref().take(BATCH_WINDOW - before) {
+                let id = self.next_id;
+                self.next_id = id.checked_add(1).unwrap_or(HANDSHAKE_ID);
+                msg.write_to_buffered(&mut self.writer, id)?;
+                in_flight.push((id, i));
+            }
+            if in_flight.len() > before {
+                self.writer.flush()?;
+            }
+            if in_flight.is_empty() {
+                return Ok(());
+            }
+            let (id, reply) = self.read_reply()?;
+            let Some(at) = in_flight.iter().position(|&(sent, _)| sent == id) else {
+                return Err(NetError::protocol(format!(
+                    "reply {:?} carried frame id {id}, which no request in flight has",
+                    reply.msg_type()
+                )));
+            };
+            let (_, i) = in_flight.swap_remove(at);
+            replies[i] = Some(match reply {
+                Msg::Err { kind, msg } => Err(NetError::Remote { kind, msg }),
+                Msg::Throttled { retry_after_ms } => Err(NetError::Throttled { retry_after_ms }),
+                reply => Ok(reply),
+            });
+        }
+    }
+
+    /// Reads the next frame, within `io_timeout`, as a frame id and a
+    /// message.
+    fn read_reply(&mut self) -> Result<(u32, Msg), NetError> {
+        self.reader.get_mut().arm(self.io_timeout)?;
         // the first reply of a connection is version-sniffed so a v1 peer
         // surfaces as VersionMismatch, not as a truncated read
-        let (ty, rid, payload) = if self.sniffed {
+        let (ty, id, payload) = if self.sniffed {
             read_frame(&mut self.reader)?
         } else {
             self.sniffed = true;
             read_first_frame(&mut self.reader)?
         };
         match Msg::decode(ty, payload)? {
-            // faults may arrive at connection scope (frame id 0), so they
-            // are accepted regardless of id
-            Msg::Err { kind, msg } => Err(NetError::Remote { kind, msg }),
-            Msg::Throttled { retry_after_ms } => Err(NetError::Throttled { retry_after_ms }),
-            reply if rid == id => Ok(reply),
-            reply => Err(NetError::protocol(format!(
-                "reply {:?} carried frame id {rid}, expected {id}",
-                reply.msg_type()
-            ))),
+            // the server closes the connection after an Err at
+            // connection scope
+            Msg::Err { kind, msg } if id == CONNECTION_FRAME_ID => {
+                Err(NetError::Remote { kind, msg })
+            }
+            reply => Ok((id, reply)),
         }
+    }
+
+    /// Whether the connection can carry another exchange: no fault ended
+    /// it, and the peer has sent nothing since the last reply. An idle
+    /// connection has nothing to read, so EOF or stray bytes mean the
+    /// peer closed it or broke the protocol. Costs one poll(2).
+    fn is_reusable(&self) -> bool {
+        !self.ended
+            && self.reader.buffer().is_empty()
+            && !crate::sys::readable_now(self.writer.get_ref().as_raw_fd())
+    }
+}
+
+/// The read half of a [`Connection`]. A read waits only until the
+/// current deadline, so a peer that trickles a reply cannot stretch an
+/// exchange much past `io_timeout`.
+#[derive(Debug)]
+struct DeadlineStream {
+    stream: TcpStream,
+    deadline: Instant,
+    /// The read timeout set on the socket.
+    armed: Duration,
+}
+
+impl DeadlineStream {
+    /// Starts a wait of `timeout`.
+    fn arm(&mut self, timeout: Duration) -> io::Result<()> {
+        self.deadline = Instant::now() + timeout;
+        if self.armed != timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.armed = timeout;
+        }
+        Ok(())
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "no reply within the deadline",
+            ));
+        }
+        // shorten the socket's timeout only once the deadline is an eighth
+        // nearer than it: a prompt reply costs no extra syscall, and a read
+        // overshoots the deadline by at most a seventh of what was left
+        if left < self.armed - self.armed / 8 {
+            self.stream.set_read_timeout(Some(left))?;
+            self.armed = left;
+        }
+        self.stream.read(buf)
     }
 }
 
@@ -161,8 +290,8 @@ fn dial_stream(addr: &str, config: &ClientConfig) -> Result<TcpStream, NetError>
     let sock_addr = std::net::ToSocketAddrs::to_socket_addrs(addr)?
         .next()
         .ok_or_else(|| {
-            NetError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
+            NetError::Io(io::Error::new(
+                io::ErrorKind::NotFound,
                 format!("'{addr}' resolves to no address"),
             ))
         })?;
@@ -173,299 +302,18 @@ fn dial_stream(addr: &str, config: &ClientConfig) -> Result<TcpStream, NetError>
     Ok(stream)
 }
 
-/// A clonable rendering of the error that killed a link, so every request
-/// in flight on it can receive its own copy.
-#[derive(Debug, Clone)]
-enum LinkFault {
-    Io(std::io::ErrorKind, String),
-    Protocol(String),
-    Version { theirs: u8, ours: u8 },
-    Remote { kind: String, msg: String },
-}
-
-impl LinkFault {
-    fn of(e: &NetError) -> LinkFault {
-        match e {
-            NetError::Io(err) => LinkFault::Io(err.kind(), err.to_string()),
-            NetError::Protocol(s) => LinkFault::Protocol(s.clone()),
-            NetError::VersionMismatch { theirs, ours } => LinkFault::Version {
-                theirs: *theirs,
-                ours: *ours,
-            },
-            NetError::Remote { kind, msg } => LinkFault::Remote {
-                kind: kind.clone(),
-                msg: msg.clone(),
-            },
-            NetError::Throttled { retry_after_ms } => LinkFault::Io(
-                std::io::ErrorKind::Other,
-                format!("throttled for {retry_after_ms}ms"),
-            ),
-        }
-    }
-
-    fn to_net(&self) -> NetError {
-        match self {
-            LinkFault::Io(kind, msg) => NetError::Io(std::io::Error::new(*kind, msg.clone())),
-            LinkFault::Protocol(s) => NetError::Protocol(s.clone()),
-            LinkFault::Version { theirs, ours } => NetError::VersionMismatch {
-                theirs: *theirs,
-                ours: *ours,
-            },
-            LinkFault::Remote { kind, msg } => NetError::Remote {
-                kind: kind.clone(),
-                msg: msg.clone(),
-            },
-        }
-    }
-}
-
-/// What one in-flight slot is doing.
-#[derive(Debug)]
-enum SlotState {
-    /// On the free list (or about to be reclaimed onto it).
-    Empty,
-    /// A request with this frame id has been written; its caller is
-    /// parked on the condvar.
-    Waiting { id: u32 },
-    /// The reply (or the link's fault) arrived; the caller will collect
-    /// it and free the slot.
-    Done {
-        id: u32,
-        reply: Result<Msg, LinkFault>,
-    },
-    /// The caller timed out and left; if the reply straggles in anyway,
-    /// the reader reclaims the slot.
-    Abandoned { id: u32 },
-}
-
-#[derive(Debug)]
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-    /// Per-slot sequence number folded into the frame id, so a stale
-    /// reply for a previous occupant of the slot can never be mistaken
-    /// for the current one.
-    seq: AtomicU32,
-}
-
-/// The state the reader thread shares with request issuers. Deliberately
-/// free of the socket itself so the reader holding it keeps nothing
-/// alive: dropping the [`Link`] shuts the socket down, which unblocks the
-/// reader, which then exits.
-#[derive(Debug)]
-struct LinkShared {
-    slots: Vec<Slot>,
-    free: Mutex<Vec<usize>>,
-    fault: Mutex<Option<LinkFault>>,
-    dead: AtomicBool,
-}
-
-impl LinkShared {
-    /// Marks the link dead and completes every waiting slot with (a copy
-    /// of) the fault. Idempotent: the first fault wins, later callers
-    /// just re-sweep for slots that entered `Waiting` during the race.
-    fn fail_all(&self, fault: &LinkFault) {
-        let fault = {
-            let mut f = lock(&self.fault);
-            if f.is_none() {
-                *f = Some(fault.clone());
-            }
-            f.clone().expect("fault just stored")
-        };
-        self.dead.store(true, Ordering::SeqCst);
-        for slot in &self.slots {
-            let mut st = lock(&slot.state);
-            match &*st {
-                SlotState::Waiting { id } => {
-                    *st = SlotState::Done {
-                        id: *id,
-                        reply: Err(fault.clone()),
-                    };
-                    slot.cv.notify_all();
-                }
-                SlotState::Abandoned { .. } => *st = SlotState::Empty,
-                _ => {}
-            }
-        }
-    }
-}
-
-/// One multiplexed connection: a shared writer, the slot table, and a
-/// reader thread routing replies by frame id.
-struct Link {
-    shared: Arc<LinkShared>,
-    writer: Mutex<BufWriter<TcpStream>>,
-    /// Owns the socket for shutdown; reader and writer hold clones of the
-    /// same underlying descriptor.
-    stream: TcpStream,
-}
-
-impl Drop for Link {
-    fn drop(&mut self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-}
-
-impl Link {
-    fn dial(addr: &str, config: &ClientConfig) -> Result<Link, NetError> {
-        let stream = dial_stream(addr, config)?;
-        // synchronous v2 handshake before the reader thread exists
-        {
-            let mut w = &stream;
-            Msg::Hello.write_to(&mut w, HANDSHAKE_ID)?;
-            let mut r = &stream;
-            let (ty, rid, payload) = read_first_frame(&mut r)?;
-            match Msg::decode(ty, payload)? {
-                Msg::Hello if rid == HANDSHAKE_ID => {}
-                Msg::Err { kind, msg } => return Err(NetError::Remote { kind, msg }),
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "handshake expected Hello back, got {:?}",
-                        other.msg_type()
-                    )))
-                }
-            }
-        }
-        // replies are awaited on slot condvars with their own deadlines;
-        // the reader blocks in read() until traffic, EOF, or shutdown
-        stream.set_read_timeout(None)?;
-        let m = config.in_flight_per_conn.clamp(1, MAX_SLOTS);
-        let shared = Arc::new(LinkShared {
-            slots: (0..m)
-                .map(|_| Slot {
-                    state: Mutex::new(SlotState::Empty),
-                    cv: Condvar::new(),
-                    seq: AtomicU32::new(0),
-                })
-                .collect(),
-            // popped from the back: slot 0 first, so light traffic keeps
-            // reusing the same frame ids
-            free: Mutex::new((0..m).rev().collect()),
-            fault: Mutex::new(None),
-            dead: AtomicBool::new(false),
-        });
-        let reader = stream.try_clone()?;
-        let writer = BufWriter::new(stream.try_clone()?);
-        let reader_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("mix-net-link-reader".into())
-            .spawn(move || reader_loop(reader, reader_shared))
-            .map_err(NetError::Io)?;
-        Ok(Link {
-            shared,
-            writer: Mutex::new(writer),
-            stream,
-        })
-    }
-
-    fn try_acquire_slot(&self) -> Option<usize> {
-        if self.shared.dead.load(Ordering::SeqCst) {
-            return None;
-        }
-        lock(&self.shared.free).pop()
-    }
-
-    fn release_slot(&self, slot: usize) {
-        lock(&self.shared.free).push(slot);
-    }
-
-    fn fail(&self, fault: &LinkFault) {
-        self.shared.fail_all(fault);
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// The per-link reader: routes each reply to the slot addressed by its
-/// frame id's low byte, until the stream or the protocol gives out.
-fn reader_loop(mut stream: TcpStream, shared: Arc<LinkShared>) {
-    loop {
-        let frame = read_frame(&mut stream)
-            .and_then(|(ty, id, payload)| Ok((id, Msg::decode(ty, payload)?)));
-        let (id, msg) = match frame {
-            Ok(x) => x,
-            Err(e) => {
-                shared.fail_all(&LinkFault::of(&e));
-                return;
-            }
-        };
-        if id == CONNECTION_FRAME_ID {
-            // connection-scope frames are terminal: the server is telling
-            // the whole link off, not answering one request
-            let fault = match msg {
-                Msg::Err { kind, msg } => LinkFault::Remote { kind, msg },
-                other => LinkFault::Protocol(format!(
-                    "unsolicited connection-scope {:?} frame",
-                    other.msg_type()
-                )),
-            };
-            shared.fail_all(&fault);
-            return;
-        }
-        let idx = (id & 0xff) as usize;
-        let Some(cell) = shared.slots.get(idx) else {
-            shared.fail_all(&LinkFault::Protocol(format!(
-                "reply frame id {id} maps to no slot"
-            )));
-            return;
-        };
-        let mut st = lock(&cell.state);
-        match &*st {
-            SlotState::Waiting { id: expect } if *expect == id => {
-                *st = SlotState::Done { id, reply: Ok(msg) };
-                cell.cv.notify_all();
-            }
-            SlotState::Abandoned { id: expect } if *expect == id => {
-                *st = SlotState::Empty;
-                drop(st);
-                lock(&shared.free).push(idx);
-            }
-            _ => {
-                drop(st);
-                shared.fail_all(&LinkFault::Protocol(format!(
-                    "reply frame id {id} matches no in-flight request"
-                )));
-                return;
-            }
-        }
-    }
-}
-
-/// A frame id whose slot addresses the low byte and whose per-slot
-/// sequence number (always ≥ 1, so the id is never the connection-scope
-/// 0) fills the high bytes.
-fn make_id(slot: usize, seq: u32) -> u32 {
-    (((seq % 0x00ff_ffff) + 1) << 8) | slot as u32
-}
-
-/// An issued request whose reply has not been collected yet.
-struct Pending {
-    link: Arc<Link>,
-    slot: usize,
-    id: u32,
-    started: u64,
-    deadline: Instant,
-}
-
-/// A multiplexer over a bounded set of connections to one remote wrapper
-/// address.
+/// A bounded set of connections to one remote wrapper address.
 ///
 /// `Send + Sync`: the mediator's parallel union materialization and
-/// batched serving hit one source from many threads at once; each request
-/// claims an in-flight slot on a live connection (dialing a fresh one
-/// only when every slot on every existing connection is taken) and parks
-/// until the reader thread routes its reply back by frame id.
+/// batched serving hit one source from many threads at once. Each
+/// exchange checks out a connection of its own and runs on the caller's
+/// thread; callers beyond `pool_size` wait for one to be checked in.
 pub struct Pool {
     addr: String,
     config: ClientConfig,
-    links: Mutex<Vec<Arc<Link>>>,
-    /// Serializes dialing so a burst of first requests multiplexes one
-    /// fresh connection instead of stampeding the remote with dials.
-    dialing: Mutex<()>,
-    /// In-flight permits: bounds issued-but-uncollected requests to
-    /// `pool_size * in_flight_per_conn` so issuers cannot outrun the slot
-    /// supply.
-    permits: Mutex<usize>,
-    permit_cv: Condvar,
+    conns: Mutex<Conns>,
+    /// Signalled when a connection is checked in or gives up its place.
+    returned: Condvar,
     // consecutive failed exchanges/dials; drives the reconnect jitter
     redial_streak: AtomicU64,
     registry: Registry,
@@ -473,6 +321,14 @@ pub struct Pool {
     dials: Counter,
     discards: Counter,
     rpc_latency: Histogram,
+}
+
+/// The idle connections, and how many are open in all (idle, checked
+/// out or being dialed).
+#[derive(Default)]
+struct Conns {
+    idle: Vec<Connection>,
+    open: usize,
 }
 
 impl std::fmt::Debug for Pool {
@@ -502,10 +358,8 @@ impl Pool {
         Pool {
             addr: addr.into(),
             config,
-            links: Mutex::new(Vec::new()),
-            dialing: Mutex::new(()),
-            permits: Mutex::new(0),
-            permit_cv: Condvar::new(),
+            conns: Mutex::new(Conns::default()),
+            returned: Condvar::new(),
             redial_streak: AtomicU64::new(0),
             registry: registry.clone(),
             exchanges: registry.counter("net_client_exchanges_total"),
@@ -525,292 +379,104 @@ impl Pool {
         &self.config
     }
 
-    /// Live connections currently held (a connection whose reader has
-    /// already declared it dead no longer counts, even before the next
-    /// request sweeps it out).
+    /// Idle connections that pass the probe a checkout makes: a
+    /// connection the peer has closed stops counting once the close has
+    /// reached this host, before any exchange drops it.
     pub fn idle_connections(&self) -> usize {
-        lock(&self.links)
+        lock(&self.conns)
+            .idle
             .iter()
-            .filter(|l| !l.shared.dead.load(Ordering::SeqCst))
+            .filter(|c| c.is_reusable())
             .count()
     }
 
-    fn slots_per_conn(&self) -> usize {
-        self.config.in_flight_per_conn.clamp(1, MAX_SLOTS)
-    }
-
-    /// The most requests that can be in flight at once.
-    fn capacity(&self) -> usize {
-        self.config.pool_size.max(1) * self.slots_per_conn()
-    }
-
-    fn acquire_permit(&self) {
-        let cap = self.capacity();
-        let mut held = lock(&self.permits);
-        while *held >= cap {
-            held = self
-                .permit_cv
-                .wait(held)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        *held += 1;
-    }
-
-    fn release_permit(&self) {
-        let mut held = lock(&self.permits);
-        *held = held.saturating_sub(1);
-        drop(held);
-        self.permit_cv.notify_one();
-    }
-
-    /// A free slot on the earliest live link, so sequential callers keep
-    /// riding one connection instead of fanning out.
-    fn claim_slot(&self) -> Option<(Arc<Link>, usize)> {
-        let links = lock(&self.links);
-        links
-            .iter()
-            .find_map(|l| l.try_acquire_slot().map(|s| (Arc::clone(l), s)))
-    }
-
-    /// Drops links whose reader declared them dead; each removal counts
-    /// as one discarded connection.
-    fn prune_dead(&self) {
-        let mut links = lock(&self.links);
-        let before = links.len();
-        links.retain(|l| !l.shared.dead.load(Ordering::SeqCst));
-        for _ in links.len()..before {
-            self.discards.inc();
-        }
-    }
-
-    /// One request/response exchange, multiplexed onto a pooled (or
-    /// fresh) connection.
+    /// One request/response exchange on a pooled (or fresh) connection.
     pub fn request(&self, msg: Msg) -> Result<Msg, NetError> {
-        let pending = self.issue(msg)?;
-        self.collect(pending)
+        self.request_many(vec![msg])
+            .pop()
+            .expect("one reply per request")
     }
 
-    /// Issues every request, windowed to the pool's in-flight capacity,
-    /// and returns the replies **in request order** — the whole point of
-    /// frame ids is that the server may finish them in any order it
-    /// likes. Each element fails independently; one bad exchange does
-    /// not sink its batch-mates.
-    ///
-    /// Frames are stacked unflushed into each connection's write buffer
-    /// and flushed once per window, so a full window of requests costs
-    /// one write syscall per connection instead of one per request.
+    /// Pipelines `msgs` on one checked-out connection (see
+    /// [`Connection::request_many`]) and returns the replies **in request
+    /// order**. Each element fails on its own, until a fault ends the
+    /// connection and fails the rest of the batch. Each exchange of a
+    /// batch is timed from the batch's start.
     pub fn request_many(&self, msgs: Vec<Msg>) -> Vec<Result<Msg, NetError>> {
         let n = msgs.len();
-        let mut results: Vec<Option<Result<Msg, NetError>>> = (0..n).map(|_| None).collect();
-        // harvest the oldest issue before exceeding capacity, else a
-        // batch larger than the slot supply would deadlock against its
-        // own uncollected replies
-        let window = self.capacity();
-        let mut outstanding: VecDeque<(usize, Pending)> = VecDeque::new();
-        let mut dirty: Vec<Arc<Link>> = Vec::new();
-        for (i, msg) in msgs.into_iter().enumerate() {
-            while outstanding.len() >= window {
-                self.flush_links(&mut dirty);
-                let (j, pending) = outstanding.pop_front().expect("nonempty window");
-                results[j] = Some(self.collect(pending));
-            }
-            match self.issue_inner(msg, false) {
-                Ok(pending) => {
-                    if !dirty.iter().any(|l| Arc::ptr_eq(l, &pending.link)) {
-                        dirty.push(Arc::clone(&pending.link));
-                    }
-                    outstanding.push_back((i, pending));
-                }
-                Err(e) => results[i] = Some(Err(e)),
-            }
+        if n == 0 {
+            return Vec::new();
         }
-        self.flush_links(&mut dirty);
-        for (j, pending) in outstanding {
-            results[j] = Some(self.collect(pending));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every index resolved"))
-            .collect()
-    }
-
-    /// Flushes every connection the current batch window wrote to. A
-    /// flush failure kills its link — the pending slots riding it are
-    /// failed over to the link fault, exactly as a mid-write error would
-    /// be — without touching batch-mates on other connections.
-    fn flush_links(&self, dirty: &mut Vec<Arc<Link>>) {
-        for link in dirty.drain(..) {
-            let flushed = lock(&link.writer).flush();
-            if let Err(e) = flushed {
-                link.fail(&LinkFault::of(&NetError::from(e)));
-                self.prune_dead();
-            }
-        }
-    }
-
-    /// Claims a slot (dialing if the live set has none free and is under
-    /// `pool_size`) and writes the request. The reply is collected later
-    /// via [`Pool::collect`].
-    fn issue(&self, msg: Msg) -> Result<Pending, NetError> {
-        self.issue_inner(msg, true)
-    }
-
-    /// [`Pool::issue`], with the flush optional: the batch path defers
-    /// it and flushes once per window via [`Pool::flush_links`].
-    fn issue_inner(&self, msg: Msg, flush: bool) -> Result<Pending, NetError> {
-        self.exchanges.inc();
+        self.exchanges.add(n as u64);
         let started = self.registry.now_ns();
-        self.acquire_permit();
-        let (link, slot) = loop {
-            self.prune_dead();
-            if let Some(pair) = self.claim_slot() {
-                break pair;
+        let replies = match self.checkout() {
+            Ok(mut conn) => {
+                let replies = conn.request_many(msgs);
+                self.checkin(conn);
+                replies
             }
-            if lock(&self.links).len() < self.config.pool_size.max(1) {
-                // serialize dialing, and re-scan once the guard is held:
-                // the issuer that dialed before us has a link with free
-                // slots we should ride instead of opening another
-                let _dialing = lock(&self.dialing);
-                if let Some(pair) = self.claim_slot() {
-                    break pair;
-                }
-                if lock(&self.links).len() < self.config.pool_size.max(1) {
-                    match self.dial() {
-                        Ok(link) => {
-                            let slot = link
-                                .try_acquire_slot()
-                                .expect("a fresh unshared link has every slot free");
-                            lock(&self.links).push(Arc::clone(&link));
-                            break (link, slot);
-                        }
-                        Err(e) => {
-                            self.release_permit();
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            // every slot on every live link is taken and the set is at
-            // capacity: another issuer raced us to a freed slot — rescan
-            std::thread::yield_now();
-        };
-        let seq = link.shared.slots[slot].seq.fetch_add(1, Ordering::Relaxed);
-        let id = make_id(slot, seq);
-        *lock(&link.shared.slots[slot].state) = SlotState::Waiting { id };
-        let wrote = {
-            let mut w = lock(&link.writer);
-            if flush {
-                msg.write_to(&mut *w, id)
-            } else {
-                msg.write_to_buffered(&mut *w, id)
+            Err(e) => {
+                let mut replies: Vec<_> = (1..n).map(|_| Err(e.duplicate())).collect();
+                replies.push(Err(e));
+                replies
             }
         };
-        if let Err(e) = wrote {
-            *lock(&link.shared.slots[slot].state) = SlotState::Empty;
-            link.release_slot(slot);
-            link.fail(&LinkFault::of(&e));
-            self.prune_dead();
-            self.redial_streak.fetch_add(1, Ordering::Relaxed);
-            self.release_permit();
-            self.rpc_latency
-                .observe(self.registry.now_ns().saturating_sub(started));
-            return Err(e);
+        let elapsed = self.registry.now_ns().saturating_sub(started);
+        for _ in 0..n {
+            self.rpc_latency.observe(elapsed);
         }
-        // the link may have died between slot acquisition and the write
-        // landing in a kernel buffer; a re-fail sweeps our fresh Waiting
-        // slot into Done so collect() does not sit out the full deadline
-        if link.shared.dead.load(Ordering::SeqCst) {
-            let fault = lock(&link.shared.fault).clone().unwrap_or(LinkFault::Io(
-                std::io::ErrorKind::ConnectionAborted,
-                "connection failed while issuing".into(),
-            ));
-            link.shared.fail_all(&fault);
-        }
-        Ok(Pending {
-            link,
-            slot,
-            id,
-            started,
-            deadline: Instant::now() + self.config.io_timeout,
-        })
+        replies
     }
 
-    /// Parks until the reader routes the reply for `pending` (or its
-    /// deadline passes), then frees the slot and classifies the outcome.
-    fn collect(&self, pending: Pending) -> Result<Msg, NetError> {
-        let Pending {
-            link,
-            slot,
-            id,
-            started,
-            deadline,
-        } = pending;
-        let cell = &link.shared.slots[slot];
-        let mut st = lock(&cell.state);
-        let reply = loop {
-            if matches!(&*st, SlotState::Done { id: done, .. } if *done == id) {
-                match std::mem::replace(&mut *st, SlotState::Empty) {
-                    SlotState::Done { reply, .. } => break reply,
-                    _ => unreachable!("just matched Done"),
+    /// Takes the most recently used idle connection that is still
+    /// reusable, dropping those that are not; dials when none is idle and
+    /// fewer than `pool_size` are open; waits otherwise.
+    fn checkout(&self) -> Result<Connection, NetError> {
+        let mut conns = lock(&self.conns);
+        loop {
+            while let Some(conn) = conns.idle.pop() {
+                if conn.is_reusable() {
+                    return Ok(conn);
                 }
+                self.discards.inc();
+                self.give_up_place(&mut conns);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                // abandon the slot — a straggling reply must be dropped,
-                // not matched — and kill the link: its stream now carries
-                // an answer nobody will claim, unusable for framing
-                *st = SlotState::Abandoned { id };
-                drop(st);
-                let err = std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("no reply within {:?}", self.config.io_timeout),
-                );
-                link.fail(&LinkFault::Io(err.kind(), err.to_string()));
-                self.prune_dead();
-                self.redial_streak.fetch_add(1, Ordering::Relaxed);
-                self.release_permit();
-                self.rpc_latency
-                    .observe(self.registry.now_ns().saturating_sub(started));
-                return Err(NetError::Io(err));
+            if conns.open < self.config.pool_size.max(1) {
+                conns.open += 1;
+                drop(conns);
+                return self.dial();
             }
-            let (guard, _) = cell
-                .cv
-                .wait_timeout(st, deadline - now)
+            conns = self
+                .returned
+                .wait(conns)
                 .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        };
-        drop(st);
-        link.release_slot(slot);
-        self.release_permit();
-        let result = match reply {
-            // a remote fault or a throttle is an *answer*: the transport
-            // is fine, the link stays; a link fault discards it
-            Ok(Msg::Err { kind, msg }) => {
-                self.redial_streak.store(0, Ordering::Relaxed);
-                Err(NetError::Remote { kind, msg })
-            }
-            Ok(Msg::Throttled { retry_after_ms }) => {
-                self.redial_streak.store(0, Ordering::Relaxed);
-                Err(NetError::Throttled { retry_after_ms })
-            }
-            Ok(reply) => {
-                self.redial_streak.store(0, Ordering::Relaxed);
-                Ok(reply)
-            }
-            Err(fault) => {
-                self.prune_dead();
-                self.redial_streak.fetch_add(1, Ordering::Relaxed);
-                Err(fault.to_net())
-            }
-        };
-        self.rpc_latency
-            .observe(self.registry.now_ns().saturating_sub(started));
-        result
+        }
     }
 
-    /// Dials one fresh link, waiting out the reconnect jitter when the
-    /// dial follows a failure.
-    fn dial(&self) -> Result<Arc<Link>, NetError> {
+    /// Returns `conn` to the idle set, or drops it if an exchange ended
+    /// it.
+    fn checkin(&self, conn: Connection) {
+        if conn.ended {
+            self.redial_streak.fetch_add(1, Ordering::Relaxed);
+            self.discards.inc();
+            self.give_up_place(&mut lock(&self.conns));
+            return;
+        }
+        // an exchange the connection survived shows the peer is up
+        self.redial_streak.store(0, Ordering::Relaxed);
+        lock(&self.conns).idle.push(conn);
+        self.returned.notify_one();
+    }
+
+    /// Frees one open connection's place and wakes a waiter to take it.
+    fn give_up_place(&self, conns: &mut Conns) {
+        conns.open -= 1;
+        self.returned.notify_one();
+    }
+
+    /// Dials one fresh connection, waiting out the reconnect jitter when
+    /// the dial follows a failure. The caller has taken its place.
+    fn dial(&self) -> Result<Connection, NetError> {
         // a *re*-dial after a failure waits out the jittered delay, so
         // clients that lost the same replica together don't storm it
         // together when it returns
@@ -826,13 +492,10 @@ impl Pool {
             }
         }
         self.dials.inc();
-        match Link::dial(&self.addr, &self.config) {
-            Ok(link) => Ok(Arc::new(link)),
-            Err(e) => {
-                self.redial_streak.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        Connection::connect(&self.addr, &self.config).inspect_err(|_| {
+            self.redial_streak.fetch_add(1, Ordering::Relaxed);
+            self.give_up_place(&mut lock(&self.conns));
+        })
     }
 }
 
@@ -926,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn many_in_flight_requests_share_one_connection() {
+    fn callers_beyond_pool_size_wait_for_a_connection() {
         let server = Server::bind(
             "127.0.0.1:0",
             Arc::new(Echo {
@@ -945,7 +608,6 @@ mod tests {
             server.addr().to_string(),
             ClientConfig {
                 pool_size: 1,
-                in_flight_per_conn: 8,
                 ..ClientConfig::default()
             },
             &registry,
@@ -963,7 +625,7 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(
             snap.counters["net_client_dials_total"], 1,
-            "eight concurrent requests should multiplex one connection"
+            "eight callers on one connection should wait their turns, not dial"
         );
         assert_eq!(pool.idle_connections(), 1);
         server.shutdown();
@@ -988,11 +650,10 @@ mod tests {
             server.addr().to_string(),
             ClientConfig {
                 pool_size: 2,
-                in_flight_per_conn: 4,
                 ..ClientConfig::default()
             },
         );
-        // 50 queries through 8 slots forces windowed reuse of every slot
+        // 50 queries overrun the 32-request window, so it refills
         let msgs: Vec<Msg> = (0..50).map(|i| Msg::Query(format!("b{i}"))).collect();
         let replies = pool.request_many(msgs);
         assert_eq!(replies.len(), 50);
@@ -1000,6 +661,136 @@ mod tests {
             assert_eq!(r.unwrap(), Msg::Answer(format!("<echo>b{i}</echo>")));
         }
         server.shutdown();
+    }
+
+    /// Echoes the query back, but answers `late` only after `delay`.
+    struct Tardy {
+        delay: Duration,
+    }
+
+    impl WireService for Tardy {
+        fn export_dtd(&self) -> String {
+            "{<r : a*> <a : PCDATA>}".into()
+        }
+
+        fn answer(&self, query: Option<&str>) -> Result<String, WireFault> {
+            if query == Some("late") {
+                std::thread::sleep(self.delay);
+            }
+            Ok(format!("<echo>{}</echo>", query.unwrap_or("")))
+        }
+    }
+
+    #[test]
+    fn a_reply_past_the_deadline_drops_its_connection() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(Tardy {
+                delay: Duration::from_millis(300),
+            }),
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let registry = Registry::new();
+        let pool = Pool::with_registry(
+            server.addr().to_string(),
+            ClientConfig {
+                pool_size: 1,
+                io_timeout: Duration::from_millis(100),
+                ..ClientConfig::default()
+            },
+            &registry,
+        );
+        let late = pool.request(Msg::Query("late".into()));
+        assert!(matches!(&late, Err(e) if e.is_timeout()), "{late:?}");
+        // the straggler is bound for the dropped connection, not for the
+        // next caller
+        assert_eq!(
+            pool.request(Msg::Query("next".into())).unwrap(),
+            Msg::Answer("<echo>next</echo>".into())
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["net_client_dials_total"], 2);
+        assert_eq!(snap.counters["net_client_discards_total"], 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_connection_the_server_evicted_is_redialed_not_reused() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(Echo {
+                delay: Duration::ZERO,
+            }),
+            ServerConfig {
+                io_timeout: Duration::from_millis(50),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let registry = Registry::new();
+        let pool = Pool::with_registry(
+            server.addr().to_string(),
+            ClientConfig::default(),
+            &registry,
+        );
+        assert_eq!(
+            pool.request(Msg::Query("a".into())).unwrap(),
+            Msg::Answer("<echo>a</echo>".into())
+        );
+        // the server evicts the silent connection; wait for its close
+        let t0 = Instant::now();
+        while pool.idle_connections() > 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "never evicted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // the checkout's probe drops the corpse, so the first attempt
+        // dials afresh and succeeds
+        assert_eq!(
+            pool.request(Msg::Query("b".into())).unwrap(),
+            Msg::Answer("<echo>b</echo>".into())
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["net_client_dials_total"], 2);
+        assert_eq!(snap.counters["net_client_discards_total"], 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_err_at_connection_scope_ends_the_connection() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let (_, hello, _) = read_frame(&mut s).unwrap();
+            Msg::Hello.write_to(&mut s, hello).unwrap();
+            read_frame(&mut s).unwrap();
+            Msg::Err {
+                kind: "unavailable".into(),
+                msg: "going away".into(),
+            }
+            .write_to(&mut s, CONNECTION_FRAME_ID)
+            .unwrap();
+        });
+        let registry = Registry::new();
+        let pool = Pool::with_registry(addr, ClientConfig::default(), &registry);
+        match pool.request(Msg::Query("q".into())) {
+            Err(NetError::Remote { kind, msg }) => {
+                assert_eq!((kind.as_str(), msg.as_str()), ("unavailable", "going away"))
+            }
+            other => panic!("expected the connection-scope fault, got {other:?}"),
+        }
+        // dropped at check-in, not left for the next checkout's probe
+        assert_eq!(registry.snapshot().counters["net_client_discards_total"], 1);
+        assert_eq!(pool.idle_connections(), 0);
+        fake.join().unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! the mediator's `Wrapper` trait — lives in `mix-mediator`.
 //!
 //! * [`frame`] — length-prefixed binary framing with a version byte and
-//!   a per-request frame id, so many exchanges share one connection,
+//!   a per-request frame id, so a batch can pipeline on one connection,
 //! * [`msg`] — the message types (`Hello`, `ExportDtd`, `Query`,
 //!   `Answer`, `Err`, `Stats`, `Throttled`),
 //! * [`server`] — a readiness-driven reactor (epoll on Linux, poll(2)
@@ -26,8 +26,10 @@
 //!   connection cap, idle eviction, and optional per-client admission
 //!   control, serving any [`WireService`] on a small worker pool,
 //! * [`client`] — a blocking [`Connection`] with handshake, and the
-//!   multiplexing [`Pool`] (N connections × M in-flight slots, waiters
-//!   parked on per-slot condvars) with deterministic reconnect jitter,
+//!   [`Pool`] of them: an exchange checks out an idle connection (or
+//!   dials one, up to `pool_size`), runs on the caller's thread, and
+//!   checks it back in; batches pipeline on one connection. Redials wait
+//!   out a deterministic reconnect jitter,
 //! * [`admission`] — the per-client [`TokenBucket`].
 //!
 //! The full frame format and error-mapping contract are documented in

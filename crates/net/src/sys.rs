@@ -1,5 +1,6 @@
-//! Thin raw-syscall shim for the reactor: a readiness poller (epoll on
-//! Linux, poll(2) on other unixes) and a self-pipe waker.
+//! Thin raw-syscall shim: the reactor's readiness poller (epoll on
+//! Linux, poll(2) on other unixes) and self-pipe waker, and the client's
+//! probe of an idle connection ([`readable_now`]).
 //!
 //! This is the only module in the workspace that speaks to the OS
 //! directly — everything else stays on `std`. The declarations below are
@@ -47,10 +48,40 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+
 extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    // nfds_t is `unsigned long` on Linux and `unsigned int` on the BSD
+    // family
+    #[cfg(target_os = "linux")]
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+    #[cfg(not(target_os = "linux"))]
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_uint, timeout: i32) -> i32;
+}
+
+/// Whether reading `fd` would return at once (data, EOF, or an error
+/// pending), asked by one poll(2) that does not wait. A failed poll
+/// answers `true`, so the caller treats the descriptor as unusable.
+pub fn readable_now(fd: RawFd) -> bool {
+    let mut p = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `p` is one live, initialized pollfd and the count says one;
+    // a zero timeout never blocks, and a bad fd is reported, not UB
+    unsafe { poll(&mut p, 1, 0) != 0 }
 }
 
 #[cfg(target_os = "linux")]
@@ -204,29 +235,15 @@ mod imp {
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod imp {
-    use super::{timeout_ms, Event};
+    use super::{poll, timeout_ms, Event, PollFd, POLLIN};
     use std::io;
     use std::os::fd::RawFd;
     use std::time::Duration;
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
     const POLLNVAL: i16 = 0x020;
-
-    extern "C" {
-        // nfds_t is `unsigned int` on the BSD family this backend serves
-        fn poll(fds: *mut PollFd, nfds: u32, timeout: i32) -> i32;
-    }
 
     /// The portable poll(2) backend: a dense pollfd array plus a parallel
     /// token array, rebuilt in place on (infrequent) dereg.
@@ -296,7 +313,7 @@ mod imp {
             let n = unsafe {
                 poll(
                     self.fds.as_mut_ptr(),
-                    self.fds.len() as u32,
+                    self.fds.len() as _,
                     timeout_ms(timeout),
                 )
             };
@@ -464,6 +481,31 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 0 && e.readable));
         assert!(listener.accept().is_ok());
+    }
+
+    #[test]
+    fn readable_now_reports_pending_bytes_and_eof_without_waiting() {
+        use std::io::Write as _;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        assert!(!readable_now(client.as_raw_fd()), "a quiet socket");
+        server.write_all(b"x").unwrap();
+        let t0 = std::time::Instant::now();
+        while !readable_now(client.as_raw_fd()) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "the byte never arrived"
+            );
+        }
+        let client2 = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        drop(listener.accept().unwrap());
+        while !readable_now(client2.as_raw_fd()) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "the close never arrived"
+            );
+        }
     }
 
     #[test]

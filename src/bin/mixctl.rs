@@ -138,15 +138,14 @@ struct Args {
     workers: usize,
     memo: usize,
     conns: Option<usize>,
-    inflight: Option<usize>,
     stream: bool,
     store_dir: Option<String>,
     sat: bool,
 }
 
-/// The multiplexed-client configuration the shared flags describe:
-/// `--conns` caps the connection set, `--inflight` the pipelined
-/// requests per connection.
+/// The client configuration the shared flags describe: `--timeout-ms`
+/// bounds each reply, and `--conns` caps the connections (and so the
+/// exchanges in flight) per remote.
 fn client_config(args: &Args) -> ClientConfig {
     let mut cfg = ClientConfig {
         io_timeout: std::time::Duration::from_millis(args.timeout_ms),
@@ -154,9 +153,6 @@ fn client_config(args: &Args) -> ClientConfig {
     };
     if let Some(n) = args.conns {
         cfg.pool_size = n.max(1);
-    }
-    if let Some(m) = args.inflight {
-        cfg.in_flight_per_conn = m.max(1);
     }
     cfg
 }
@@ -193,7 +189,6 @@ fn parse_args() -> Args {
         workers: 0,
         memo: 0,
         conns: None,
-        inflight: None,
         stream: false,
         store_dir: None,
         sat: false,
@@ -270,9 +265,6 @@ fn parse_args() -> Args {
             }
             "--conns" => {
                 args.conns = Some(grab().parse().unwrap_or_else(|_| usage()));
-            }
-            "--inflight" => {
-                args.inflight = Some(grab().parse().unwrap_or_else(|_| usage()));
             }
             "--store-dir" => args.store_dir = Some(grab()),
             "--metrics-file" => args.metrics_file = Some(grab()),
@@ -665,10 +657,10 @@ fn main() -> ExitCode {
                  \x20 union      [--name N] --part DTD:QUERY …      infer a union view DTD\n\
                  \x20 federate   --query F [--dtd F --doc F …] [--remote HOST:PORT …]\n\
                  \x20            [--topology FILE] [--fail-rate R] [--fault-seed S]\n\
-                 \x20            [--retries N] [--timeout-ms MS] [--conns N]\n\
-                 \x20            [--inflight M]   union local docs and\n\
-                 \x20            remote serve-source daemons as one view under injected\n\
-                 \x20            faults; print the (partial) answer + degradation report.\n\
+                 \x20            [--retries N] [--timeout-ms MS] [--conns N]   union\n\
+                 \x20            local docs and remote serve-source daemons as one view\n\
+                 \x20            under injected faults; print the (partial) answer +\n\
+                 \x20            degradation report.\n\
                  \x20            --topology takes the members from a file instead: one\n\
                  \x20            'source NAME = ADDR, ADDR' line per member, in union\n\
                  \x20            order; each call fails over across the source's\n\
@@ -695,11 +687,9 @@ fn main() -> ExitCode {
                  \x20 stats      --remote HOST:PORT [--format json|prom]   fetch a serving\n\
                  \x20            daemon's observability snapshot over the wire\n\n\
                  client transport (federate, stats):\n\
-                 \x20 --conns N                connections the multiplexed client may\n\
-                 \x20                          hold per remote (default 4)\n\
-                 \x20 --inflight M             pipelined requests per connection,\n\
-                 \x20                          matched to replies by frame id\n\
-                 \x20                          (default 32, max 256)\n\n\
+                 \x20 --conns N                connections the client may hold per\n\
+                 \x20                          remote, one exchange on each at a time\n\
+                 \x20                          (default 4)\n\n\
                  warm starts (serve, serve-source, federate):\n\
                  \x20 --store-dir DIR          persist the inference cache, regex pool\n\
                  \x20                          arena, and inclusion memo to DIR and\n\

@@ -110,10 +110,10 @@ impl Wrapper for ScriptedSource {
 }
 
 /// The error sequence a RemoteWrapper observes after its daemon is
-/// killed: the multiplexed client's reader thread sees the socket close
-/// and marks the pooled link dead *before* any call touches it (the
-/// tests below wait on [`RemoteWrapper::live_connections`] for exactly
-/// this), so the first post-kill call prunes the corpse, redials, and is
+/// killed: the daemon's close reaches the pooled connection *before* any
+/// call touches it, and the probe a checkout makes sees it (the tests
+/// below wait on [`RemoteWrapper::live_connections`] for exactly this),
+/// so the first post-kill call drops the corpse, redials, and is
 /// refused — unavailable, not transient, hence no retry accounting in
 /// the report.
 fn killed_daemon_script(addr: &str) -> Vec<Option<SourceError>> {
@@ -122,8 +122,8 @@ fn killed_daemon_script(addr: &str) -> Vec<Option<SourceError>> {
     )))]
 }
 
-/// Blocks until `remote`'s reader threads have observed the daemon
-/// death — the moment post-kill behavior becomes deterministic.
+/// Blocks until the daemon's closes have reached `remote`'s pooled
+/// connections — the moment post-kill behavior becomes deterministic.
 fn await_death(remote: &RemoteWrapper) {
     while remote.live_connections() > 0 {
         std::thread::sleep(Duration::from_millis(2));
