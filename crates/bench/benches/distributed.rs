@@ -170,15 +170,12 @@ fn main() {
          \"answers_match_in_process\": true,\n  \
          \"throughput\": [\n{}\n  ],\n  \
          \"inference_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {} }},\n  \
-         \"automata_memo\": {{ \"dfa_hits\": {}, \"dfa_misses\": {}, \
-         \"inclusion_hits\": {}, \"inclusion_misses\": {} }}\n}}",
+         \"automata_memo\": {{ \"inclusion_hits\": {}, \"inclusion_misses\": {} }}\n}}",
         mix_net::FRAME_VERSION,
         throughput_json,
         stats.inference.hits,
         stats.inference.misses,
         stats.inference.entries,
-        stats.automata.dfa_hits,
-        stats.automata.dfa_misses,
         stats.automata.inclusion_hits,
         stats.automata.inclusion_misses,
     );

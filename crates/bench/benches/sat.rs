@@ -128,7 +128,6 @@ fn main() {
     let (unpruned, unpruned_fetches) = build(
         ProcessorConfig {
             use_sat_pruning: false,
-            ..ProcessorConfig::default()
         },
         Registry::new(),
     );
@@ -214,7 +213,6 @@ fn main() {
     let (dup_reference, _) = dup_view(
         ProcessorConfig {
             use_sat_pruning: false,
-            ..ProcessorConfig::default()
         },
         Registry::new(),
     );

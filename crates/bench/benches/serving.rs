@@ -170,14 +170,11 @@ fn main() {
          \"warm_speedup\": {:.1}\n  }},\n  \
          \"answer_many\": {{\n    \"batch\": {BATCH},\n    \"sources\": {SOURCES},\n    \
          \"source_latency_ms\": {LATENCY_MS},\n    \"throughput\": [\n{}\n    ]\n  }},\n  \
-         \"automata_memo\": {{ \"dfa_hits\": {}, \"dfa_misses\": {}, \
-         \"inclusion_hits\": {}, \"inclusion_misses\": {} }}\n}}",
+         \"automata_memo\": {{ \"inclusion_hits\": {}, \"inclusion_misses\": {} }}\n}}",
         cold.as_secs_f64() * 1e6,
         warm.as_secs_f64() * 1e6,
         speedup,
         throughput_json,
-        memo.dfa_hits,
-        memo.dfa_misses,
         memo.inclusion_hits,
         memo.inclusion_misses,
     );

@@ -17,7 +17,7 @@
 //!   describes were actually realized by sampled source documents.
 //! * [`serving_metrics`] — the serving layer's cache observability
 //!   (experiment X15): inference-cache hit/miss/invalidation counters next
-//!   to the automata-layer DFA/inclusion memo counters.
+//!   to the automata-layer inclusion memo counters.
 
 use crate::cache::InferenceCache;
 use crate::naive::{naive_view_dtd, NaiveMode};
@@ -43,7 +43,7 @@ pub use mix_relang::{MemoStats, PoolStats};
 pub struct ServingMetrics {
     /// Hit/miss/invalidation counters of the given [`InferenceCache`].
     pub inference: CacheStats,
-    /// DFA-construction and inclusion-check memo counters (process-wide).
+    /// Inclusion-check memo counters (process-wide).
     pub automata: MemoStats,
     /// Hash-consed regex pool size and dedup counters (process-wide).
     pub pool: PoolStats,

@@ -52,12 +52,6 @@ impl<'d> SAcceptor<'d> {
         out
     }
 
-    /// Does `e` satisfy the s-DTD (some specialization of its own name is
-    /// assignable)?
-    pub fn element_satisfies(&self, e: &Element) -> bool {
-        !self.assignable(e).is_empty()
-    }
-
     /// Document-level satisfaction: the root must be assignable *to the
     /// document type itself* and IDs must be unique.
     pub fn document_satisfies(&self, doc: &Document) -> bool {

@@ -240,8 +240,8 @@ impl From<NormalizeError> for MediatorError {
     }
 }
 
-/// How a query was answered — surfaced so the ablation benches (X8/X9)
-/// and the examples can show the effect of each optimization.
+/// How a query was answered — surfaced so tests, benches and the
+/// examples can show which plan the mediator chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerPath {
     /// The emptiness decider proved the query unsatisfiable against the
@@ -253,7 +253,9 @@ pub enum AnswerPath {
     /// union order (no view materialization). Members proven empty were
     /// not called.
     Composed,
-    /// The view was materialized and the query evaluated over it.
+    /// The view was materialized and the query evaluated over it: the
+    /// query does not compose with some member's definition, or the
+    /// union has kind conflicts.
     Materialized,
 }
 
@@ -272,15 +274,13 @@ pub struct Answer {
     pub degradation: Option<DegradationReport>,
 }
 
-/// Knobs for the query processor (used by the ablation experiments).
+/// Knobs for the query processor. The view DTD always prunes
+/// unsatisfiable queries (Section 1: "the query simplifier may employ the
+/// source DTDs to create a more efficient plan"), and a query is always
+/// composed with the view definitions when it can be; to answer a query
+/// without either, evaluate it over [`Mediator::materialize`].
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessorConfig {
-    /// Use the view DTD to prune unsatisfiable queries (Section 1: "the
-    /// query simplifier may employ the source DTDs to create a more
-    /// efficient plan").
-    pub use_simplifier: bool,
-    /// Compose queries with view definitions instead of materializing.
-    pub use_composition: bool,
     /// Check per-source queries against the source DTD with the
     /// satisfiability analyzer ([`mix_infer::check_sat`]) and skip the
     /// fetch entirely when the query is provably `Unsat`, synthesizing
@@ -291,8 +291,6 @@ pub struct ProcessorConfig {
 impl Default for ProcessorConfig {
     fn default() -> Self {
         ProcessorConfig {
-            use_simplifier: true,
-            use_composition: true,
             use_sat_pruning: true,
         }
     }
@@ -399,13 +397,6 @@ impl Mediator {
         &self.cache
     }
 
-    /// The satisfiability memo consulted before every fetch-shaped call
-    /// (exposed so `mixctl explain --sat` can report per-source verdicts
-    /// through the same cache the serving paths use).
-    pub fn sat_cache(&self) -> &mix_infer::SatCache {
-        &self.sat
-    }
-
     /// The observability registry the whole serving stack records into.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -427,11 +418,6 @@ impl Mediator {
             name.to_owned(),
             Arc::new(SourceInstruments::new(&self.registry, name)),
         );
-    }
-
-    /// The resilience policy in force.
-    pub fn resilience_policy(&self) -> &ResiliencePolicy {
-        &self.policy
     }
 
     /// Replaces the resilience policy (retry budget, breaker thresholds,
@@ -905,10 +891,7 @@ impl Mediator {
         // 1. DTD-based simplification: prune certainly-empty queries with
         //    the emptiness decider. It runs uncached here: the sat cache
         //    and its counters belong to the per-source fetch prune.
-        if self.config.use_simplifier
-            && any.plain_dtd_is_sound()
-            && check_sat_normalized(&nq, view_dtd).is_unsat()
-        {
+        if any.plain_dtd_is_sound() && check_sat_normalized(&nq, view_dtd).is_unsat() {
             return Ok(Answer {
                 document: empty_answer(q.view_name),
                 path: AnswerPath::PrunedUnsatisfiable,
@@ -923,33 +906,31 @@ impl Mediator {
         //    query. Each reply is checked member by member against its
         //    member's view DTD: no DTD is ever inferred for a client's
         //    query. The replies are concatenated in union order.
-        if self.config.use_composition {
-            if let Some(calls) = any.composition(view_name, q) {
-                let answers = self.fan_out(&calls)?;
-                let (document, outcomes) = self.gather(any, view_name, q.view_name, answers)?;
-                let degradation = if outcomes.iter().all(|o| o.status == FetchStatus::Fresh) {
-                    None
-                } else {
-                    // served members passed their checks, so the view DTD
-                    // covers the survivors when the root model can do
-                    // without each failed member's contribution
-                    let covers = any.members().iter().zip(&outcomes).all(|(m, o)| {
-                        o.status != FetchStatus::Failed || m.inferred.list_type.nullable()
-                    });
-                    let report = DegradationReport {
-                        view: view_name.to_string(),
-                        outcomes,
-                        union_dtd_covers_survivors: covers,
-                    };
-                    self.note_degraded(&report);
-                    Some(report)
-                };
-                return Ok(Answer {
-                    document,
-                    path: AnswerPath::Composed,
-                    degradation,
+        if let Some(calls) = any.composition(view_name, q) {
+            let answers = self.fan_out(&calls)?;
+            let (document, outcomes) = self.gather(any, view_name, q.view_name, answers)?;
+            let degradation = if outcomes.iter().all(|o| o.status == FetchStatus::Fresh) {
+                None
+            } else {
+                // served members passed their checks, so the view DTD
+                // covers the survivors when the root model can do
+                // without each failed member's contribution
+                let covers = any.members().iter().zip(&outcomes).all(|(m, o)| {
+                    o.status != FetchStatus::Failed || m.inferred.list_type.nullable()
                 });
-            }
+                let report = DegradationReport {
+                    view: view_name.to_string(),
+                    outcomes,
+                    union_dtd_covers_survivors: covers,
+                };
+                self.note_degraded(&report);
+                Some(report)
+            };
+            return Ok(Answer {
+                document,
+                path: AnswerPath::Composed,
+                degradation,
+            });
         }
         // 3. fall back to materialize-then-evaluate.
         let (materialized, report) = self.materialize_with_report(view_name)?;
@@ -1153,17 +1134,11 @@ mod tests {
             "ans = SELECT X WHERE <withJournals> X:<professor/> </withJournals> AND X != Q",
         )
         .unwrap();
-        for use_simplifier in [true, false] {
-            let m = mediator_with(ProcessorConfig {
-                use_simplifier,
-                ..ProcessorConfig::default()
-            });
-            let unknown = NormalizeError::UnknownDiseqVar(mix_xmas::Var::new("Q"));
-            assert!(
-                matches!(m.query(&q), Err(MediatorError::Normalize(e)) if e == unknown),
-                "use_simplifier: {use_simplifier}"
-            );
-        }
+        let unknown = NormalizeError::UnknownDiseqVar(mix_xmas::Var::new("Q"));
+        assert!(matches!(
+            mediator().query(&q),
+            Err(MediatorError::Normalize(e)) if e == unknown
+        ));
     }
 
     #[test]
@@ -1195,24 +1170,9 @@ mod tests {
     #[test]
     fn composed_equals_materialized() {
         let with = mediator();
-        let without = {
-            let mut m = Mediator::with_config(ProcessorConfig {
-                use_simplifier: false,
-                use_composition: false,
-                use_sat_pruning: false,
-            });
-            let src = XmlSource::new(d1_department(), dept_doc()).unwrap();
-            m.add_source("cs-dept", Arc::new(src));
-            let v = parse_query(
-                "withJournals = SELECT P WHERE <department> <name>CS</name> \
-                   P:<professor | gradStudent> \
-                     <publication><journal/></publication> \
-                   </> </>",
-            )
-            .unwrap();
-            m.register_view("cs-dept", &v).unwrap();
-            m
-        };
+        let without = mediator_with(ProcessorConfig {
+            use_sat_pruning: false,
+        });
         for src in [
             "ans = SELECT P WHERE <withJournals> P:<professor/> </withJournals>",
             "ans = SELECT T WHERE <withJournals> <professor | gradStudent> \
@@ -1221,14 +1181,13 @@ mod tests {
         ] {
             let q = parse_query(src).unwrap();
             let a = with.query(&q).unwrap();
-            let b = without.query(&q).unwrap();
-            assert_eq!(b.path, AnswerPath::Materialized);
+            let b = evaluate(&q, &without.materialize(name("withJournals")).unwrap());
             // compare structures (IDs are fresh on both paths)
             assert!(
-                mix_xml::same_structural_class(&a.document.root, &b.document.root),
+                mix_xml::same_structural_class(&a.document.root, &b.root),
                 "composed vs materialized mismatch for {src}:\n{:?}\nvs\n{:?}",
                 a.document,
-                b.document
+                b
             );
         }
     }

@@ -35,9 +35,6 @@ use std::sync::Mutex;
 pub struct ResiliencePolicy {
     /// Extra attempts after the first, for *transient* errors only.
     pub max_retries: u32,
-    /// Virtual backoff before retry `n` is `backoff_base_ms << (n-1)`
-    /// milliseconds, saturating at `u64::MAX`; recorded, never slept.
-    pub backoff_base_ms: u64,
     /// Consecutive source faults that trip the breaker open.
     pub failure_threshold: u32,
     /// Calls rejected while open before the breaker half-opens and lets
@@ -52,7 +49,6 @@ impl Default for ResiliencePolicy {
     fn default() -> Self {
         ResiliencePolicy {
             max_retries: 2,
-            backoff_base_ms: 10,
             failure_threshold: 3,
             cooldown_calls: 2,
             serve_stale: true,
@@ -214,11 +210,6 @@ impl Health {
     /// How many queries have a last good answer held for stale serving.
     pub fn stale_answers(&self) -> usize {
         self.answers.map.len()
-    }
-
-    /// Source faults recorded since the last success.
-    pub fn failure_streak(&self) -> u32 {
-        self.consecutive_failures
     }
 
     /// Gates one call through the breaker: an open breaker counts the
@@ -596,7 +587,7 @@ pub fn resilient_answer(
                     outcome.retries += 1;
                     outcome.backoff_ms = outcome
                         .backoff_ms
-                        .saturating_add(backoff_step(policy.backoff_base_ms, outcome.retries));
+                        .saturating_add(backoff_step(outcome.retries));
                     obs.retries.inc();
                     continue;
                 }
@@ -626,13 +617,18 @@ pub fn resilient_answer(
     serve_stale_or_fail(Some(fp), &mut h, policy, outcome, obs)
 }
 
-/// The virtual backoff before retry `n` (1-based): `base << (n-1)`,
-/// saturating at `u64::MAX` once a bit would shift out.
-fn backoff_step(base: u64, n: u32) -> u64 {
-    match base {
-        0 => 0,
-        _ if n - 1 > base.leading_zeros() => u64::MAX,
-        _ => base << (n - 1),
+/// The virtual backoff before the first retry, in milliseconds; each
+/// further retry doubles it. Recorded, never slept.
+const BACKOFF_BASE_MS: u64 = 10;
+
+/// The virtual backoff before retry `n` (1-based):
+/// `BACKOFF_BASE_MS << (n-1)`, saturating at `u64::MAX` once a bit would
+/// shift out.
+fn backoff_step(n: u32) -> u64 {
+    if n - 1 > BACKOFF_BASE_MS.leading_zeros() {
+        u64::MAX
+    } else {
+        BACKOFF_BASE_MS << (n - 1)
     }
 }
 
@@ -792,7 +788,6 @@ mod tests {
             failure_threshold: 3,
             cooldown_calls: 2,
             serve_stale: false,
-            ..ResiliencePolicy::default()
         };
         // three failing calls trip the breaker
         for i in 0..3 {
@@ -837,7 +832,6 @@ mod tests {
             failure_threshold: 3,
             cooldown_calls: 1,
             serve_stale: false,
-            ..ResiliencePolicy::default()
         };
         for _ in 0..3 {
             call(&w, &policy, &health);
@@ -891,7 +885,6 @@ mod tests {
             failure_threshold: 3,
             cooldown_calls: 2,
             serve_stale: false,
-            ..ResiliencePolicy::default()
         };
         for _ in 0..6 {
             // 3 failures, 1 rejection, 1 failed probe, then: the re-opened

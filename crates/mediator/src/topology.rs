@@ -704,7 +704,6 @@ mod tests {
         let reference = |sat_members: usize| -> Document {
             let m = Mediator::with_config(ProcessorConfig {
                 use_sat_pruning: false,
-                ..ProcessorConfig::default()
             });
             with_union(m, plain_sites(|i| query(i, sat_members)))
                 .materialize(name("all"))

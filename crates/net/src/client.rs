@@ -23,7 +23,6 @@ use mix_obs::{Counter, Histogram, Registry};
 use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -49,15 +48,6 @@ pub struct ClientConfig {
     /// to come back. The server's `workers` bound useful concurrency
     /// anyway.
     pub pool_size: usize,
-    /// Upper bound on the randomized delay inserted before *re*-dialing
-    /// after a failed exchange or dial. Zero (the default) disables
-    /// jitter; the first dial and dials after successes are never
-    /// delayed. Spreads the reconnect storm when many clients lose the
-    /// same replica at once and it comes back.
-    pub reconnect_jitter: Duration,
-    /// Seed for the deterministic jitter sequence (see
-    /// [`reconnect_jitter`]); give each client its own seed.
-    pub reconnect_jitter_seed: u64,
 }
 
 impl Default for ClientConfig {
@@ -66,26 +56,8 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(10),
             pool_size: 4,
-            reconnect_jitter: Duration::ZERO,
-            reconnect_jitter_seed: 0,
         }
     }
-}
-
-/// The deterministic reconnect jitter: maps `(seed, attempt)` uniformly
-/// into `0..=max` via a splitmix64 round. Pure, so tests can predict the
-/// exact delay a client will insert before its `attempt`-th consecutive
-/// redial (attempts count from 1; a zero `max` always yields zero).
-pub fn reconnect_jitter(seed: u64, attempt: u64, max: Duration) -> Duration {
-    let max_ms = max.as_millis() as u64;
-    if max_ms == 0 {
-        return Duration::ZERO;
-    }
-    let mut z = seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    Duration::from_millis(z % (max_ms + 1))
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -314,8 +286,6 @@ pub struct Pool {
     conns: Mutex<Conns>,
     /// Signalled when a connection is checked in or gives up its place.
     returned: Condvar,
-    // consecutive failed exchanges/dials; drives the reconnect jitter
-    redial_streak: AtomicU64,
     registry: Registry,
     exchanges: Counter,
     dials: Counter,
@@ -360,7 +330,6 @@ impl Pool {
             config,
             conns: Mutex::new(Conns::default()),
             returned: Condvar::new(),
-            redial_streak: AtomicU64::new(0),
             registry: registry.clone(),
             exchanges: registry.counter("net_client_exchanges_total"),
             dials: registry.counter("net_client_dials_total"),
@@ -457,13 +426,10 @@ impl Pool {
     /// it.
     fn checkin(&self, conn: Connection) {
         if conn.ended {
-            self.redial_streak.fetch_add(1, Ordering::Relaxed);
             self.discards.inc();
             self.give_up_place(&mut lock(&self.conns));
             return;
         }
-        // an exchange the connection survived shows the peer is up
-        self.redial_streak.store(0, Ordering::Relaxed);
         lock(&self.conns).idle.push(conn);
         self.returned.notify_one();
     }
@@ -474,28 +440,11 @@ impl Pool {
         self.returned.notify_one();
     }
 
-    /// Dials one fresh connection, waiting out the reconnect jitter when
-    /// the dial follows a failure. The caller has taken its place.
+    /// Dials one fresh connection. The caller has taken its place.
     fn dial(&self) -> Result<Connection, NetError> {
-        // a *re*-dial after a failure waits out the jittered delay, so
-        // clients that lost the same replica together don't storm it
-        // together when it returns
-        let streak = self.redial_streak.load(Ordering::Relaxed);
-        if streak > 0 {
-            let delay = reconnect_jitter(
-                self.config.reconnect_jitter_seed,
-                streak,
-                self.config.reconnect_jitter,
-            );
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
         self.dials.inc();
-        Connection::connect(&self.addr, &self.config).inspect_err(|_| {
-            self.redial_streak.fetch_add(1, Ordering::Relaxed);
-            self.give_up_place(&mut lock(&self.conns));
-        })
+        Connection::connect(&self.addr, &self.config)
+            .inspect_err(|_| self.give_up_place(&mut lock(&self.conns)))
     }
 }
 
@@ -791,49 +740,6 @@ mod tests {
         assert_eq!(registry.snapshot().counters["net_client_discards_total"], 1);
         assert_eq!(pool.idle_connections(), 0);
         fake.join().unwrap();
-    }
-
-    #[test]
-    fn jitter_is_deterministic_bounded_and_spread() {
-        let max = Duration::from_millis(250);
-        for attempt in 1..=64u64 {
-            let a = reconnect_jitter(7, attempt, max);
-            assert_eq!(a, reconnect_jitter(7, attempt, max), "not deterministic");
-            assert!(a <= max, "attempt {attempt}: {a:?} above cap");
-        }
-        // different seeds (≈ different clients) de-synchronize: the same
-        // attempt number maps to many distinct delays
-        let delays: std::collections::HashSet<Duration> = (0..64u64)
-            .map(|seed| reconnect_jitter(seed, 1, max))
-            .collect();
-        assert!(delays.len() > 32, "only {} distinct delays", delays.len());
-        assert_eq!(reconnect_jitter(7, 1, Duration::ZERO), Duration::ZERO);
-    }
-
-    #[test]
-    fn redial_after_failure_waits_out_the_jitter() {
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        let config = ClientConfig {
-            reconnect_jitter: Duration::from_millis(40),
-            reconnect_jitter_seed: 3,
-            ..ClientConfig::default()
-        };
-        let pool = Pool::new(addr, config);
-        // first dial: no streak yet, no delay
-        assert!(pool.request(Msg::Query(String::new())).is_err());
-        // second dial follows a failure: at least the deterministic delay
-        let expected = reconnect_jitter(3, 1, config.reconnect_jitter);
-        assert!(!expected.is_zero(), "pick a seed with a nonzero delay");
-        let started = std::time::Instant::now();
-        assert!(pool.request(Msg::Query(String::new())).is_err());
-        assert!(
-            started.elapsed() >= expected,
-            "redial did not wait: {:?} < {expected:?}",
-            started.elapsed()
-        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! get a clean, breaker-neutral `Incompatible` fault instead of garbage.
 
 use crate::error::NetError;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Protocol version spoken by this build. Version 2 added the 4-byte
 /// frame id to the header (request pipelining); see the module docs for
@@ -206,18 +206,15 @@ pub fn write_frame_v1(w: &mut impl Write, ty: MsgType, payload: &[u8]) -> Result
     Ok(())
 }
 
-/// Reads one frame. Transport errors (including clean EOF before a full
-/// header, which surfaces as `UnexpectedEof`) come back as
+/// Reads one frame. Transport errors (including clean EOF before the
+/// whole frame, which surfaces as `UnexpectedEof`) come back as
 /// [`NetError::Io`]; anything structurally wrong with the bytes as
 /// [`NetError::Protocol`]; a foreign version byte as
 /// [`NetError::VersionMismatch`].
 pub fn read_frame(r: &mut impl Read) -> Result<(MsgType, u32, Vec<u8>), NetError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let h = decode_header(&header)?;
-    let mut payload = vec![0u8; h.len as usize];
-    r.read_exact(&mut payload)?;
-    Ok((h.ty, h.frame_id, payload))
+    read_payload(r, &header)
 }
 
 /// Reads the *first* frame of a connection, sniffing the version byte
@@ -226,20 +223,39 @@ pub fn read_frame(r: &mut impl Read) -> Result<(MsgType, u32, Vec<u8>), NetError
 /// truncated transport error (or worse, block on bytes that never come),
 /// so the foreign version byte is diagnosed the moment it arrives.
 pub fn read_first_frame(r: &mut impl Read) -> Result<(MsgType, u32, Vec<u8>), NetError> {
-    let mut first = [0u8; 1];
-    r.read_exact(&mut first)?;
-    if first[0] != FRAME_VERSION {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header[..1])?;
+    if header[0] != FRAME_VERSION {
         return Err(NetError::VersionMismatch {
-            theirs: first[0],
+            theirs: header[0],
             ours: FRAME_VERSION,
         });
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first[0];
     r.read_exact(&mut header[1..])?;
-    let h = decode_header(&header)?;
-    let mut payload = vec![0u8; h.len as usize];
-    r.read_exact(&mut payload)?;
+    read_payload(r, &header)
+}
+
+/// The most a payload read reserves before any of the payload arrives.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
+
+/// Decodes `header` and reads the payload it announces into a buffer that
+/// grows with the bytes received: each step reserves at most what has
+/// arrived so far (and at least [`PAYLOAD_CHUNK`]), so a header that
+/// announces [`MAX_PAYLOAD`] costs only what the peer actually sends.
+fn read_payload(
+    r: &mut impl Read,
+    header: &[u8; HEADER_LEN],
+) -> Result<(MsgType, u32, Vec<u8>), NetError> {
+    let h = decode_header(header)?;
+    let len = h.len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let step = (len - payload.len()).min(payload.len().max(PAYLOAD_CHUNK));
+        payload.reserve_exact(step);
+        if r.by_ref().take(step as u64).read_to_end(&mut payload)? < step {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame cut short").into());
+        }
+    }
     Ok((h.ty, h.frame_id, payload))
 }
 
@@ -345,6 +361,47 @@ mod tests {
             }
             other => panic!("expected io error, got {other:?}"),
         }
+    }
+
+    /// Serves its bytes, then EOF, and records the size of every buffer
+    /// it is offered.
+    struct Recording {
+        bytes: Cursor<Vec<u8>>,
+        offered: Vec<usize>,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.offered.push(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_announced_payload_is_read_into_what_arrived() {
+        for first in [false, true] {
+            let mut r = Recording {
+                bytes: Cursor::new(encode_header(MsgType::Answer, 3, MAX_PAYLOAD).to_vec()),
+                offered: Vec::new(),
+            };
+            let got = if first {
+                read_first_frame(&mut r)
+            } else {
+                read_frame(&mut r)
+            };
+            match got {
+                Err(NetError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("expected io error, got {other:?}"),
+            }
+            let largest = r.offered.iter().max().copied().unwrap_or(0);
+            assert!(largest <= 64 * 1024, "offered a {largest} byte buffer");
+        }
+        // a payload past the first chunk still arrives whole
+        let payload: Vec<u8> = (0..200_000u32).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, MsgType::Answer, 5, &payload).unwrap();
+        let (_, _, got) = read_frame(&mut Cursor::new(buf)).unwrap();
+        assert_eq!(got, payload);
     }
 
     #[test]

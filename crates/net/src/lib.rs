@@ -28,8 +28,7 @@
 //! * [`client`] — a blocking [`Connection`] with handshake, and the
 //!   [`Pool`] of them: an exchange checks out an idle connection (or
 //!   dials one, up to `pool_size`), runs on the caller's thread, and
-//!   checks it back in; batches pipeline on one connection. Redials wait
-//!   out a deterministic reconnect jitter,
+//!   checks it back in; batches pipeline on one connection,
 //! * [`admission`] — the per-client [`TokenBucket`].
 //!
 //! The full frame format and error-mapping contract are documented in
@@ -47,7 +46,7 @@ pub mod server;
 mod sys;
 
 pub use admission::{AdmissionConfig, TokenBucket};
-pub use client::{reconnect_jitter, ClientConfig, Connection, Pool};
+pub use client::{ClientConfig, Connection, Pool};
 pub use error::NetError;
 pub use frame::{MsgType, FRAME_VERSION, MAX_PAYLOAD};
 pub use msg::Msg;

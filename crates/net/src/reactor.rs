@@ -26,12 +26,12 @@
 //!   fault in its *own* framing (v1) and a drained close, never garbage;
 //! - shutdown stops accepting and reading immediately, but flushes the
 //!   answers of already-admitted queries before closing (bounded by
-//!   `drain_timeout`) — an admitted query is a promise.
+//!   `DRAIN_TIMEOUT`) — an admitted query is a promise.
 
 use crate::admission::TokenBucket;
 use crate::frame::{
-    decode_header, encode_header, MsgType, CONNECTION_FRAME_ID, FRAME_VERSION, HEADER_LEN,
-    LEGACY_FRAME_VERSION, LEGACY_HEADER_LEN,
+    decode_header, encode_header, write_frame_v1, MsgType, CONNECTION_FRAME_ID, FRAME_VERSION,
+    HEADER_LEN, LEGACY_HEADER_LEN,
 };
 use crate::msg::Msg;
 use crate::ring::RingBuf;
@@ -54,6 +54,10 @@ const CONN_BASE: usize = 2;
 /// connection from starving the rest; the level-triggered poller re-arms
 /// whatever is left.
 const READS_PER_TICK: usize = 8;
+
+/// How long shutdown keeps flushing the answers of already-admitted
+/// queries before force-closing what remains.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -328,7 +332,7 @@ impl<S: WireService> Reactor<S> {
             let _ = self.poller.deregister(l.as_raw_fd());
         }
         self.phase = Phase::Draining {
-            deadline: Instant::now() + self.config.drain_timeout,
+            deadline: Instant::now() + DRAIN_TIMEOUT,
         };
         // stop reading everywhere; idle connections close immediately —
         // that is the "daemon killed" signal pooled clients observe —
@@ -686,10 +690,8 @@ impl<S: WireService> Reactor<S> {
             "incompatible\npeer speaks frame version {theirs}; this build speaks {FRAME_VERSION}"
         );
         let mut legacy = Vec::with_capacity(LEGACY_HEADER_LEN + payload.len());
-        legacy.push(LEGACY_FRAME_VERSION);
-        legacy.push(MsgType::Err as u8);
-        legacy.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        legacy.extend_from_slice(payload.as_bytes());
+        write_frame_v1(&mut legacy, MsgType::Err, payload.as_bytes())
+            .expect("a short frame writes into a Vec");
         self.obs.frames_out.inc();
         self.obs.bytes_out.add(legacy.len() as u64);
         conn.outbuf.push_slice(&legacy);

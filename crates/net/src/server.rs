@@ -19,8 +19,8 @@
 //!
 //! A graceful [`ServerHandle::shutdown`] stops accepting and reading at
 //! once, closes idle connections immediately, and *flushes* the answers
-//! of queries that were already admitted (bounded by
-//! [`ServerConfig::drain_timeout`]) — an admitted query is a promise.
+//! of queries that were already admitted (for up to 5 s) — an admitted
+//! query is a promise.
 
 use crate::error::NetError;
 use crate::msg::Msg;
@@ -97,9 +97,6 @@ pub struct ServerConfig {
     /// Query worker threads; `0` (the default) sizes to the machine
     /// (available cores, clamped to 2..=16).
     pub workers: usize,
-    /// How long shutdown will keep flushing answers of already-admitted
-    /// queries before force-closing what remains.
-    pub drain_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -109,7 +106,6 @@ impl Default for ServerConfig {
             io_timeout: Duration::from_secs(30),
             admission: None,
             workers: 0,
-            drain_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -262,7 +258,7 @@ impl ServerHandle {
     /// new frames are read, idle connections close immediately (that is
     /// the "daemon killed" signal pooled clients see), and answers for
     /// queries that were already admitted are flushed before their
-    /// connections close — bounded by [`ServerConfig::drain_timeout`].
+    /// connections close, for up to 5 s.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -505,17 +501,10 @@ mod tests {
         // regression: the old live-socket registry severed connections at
         // shutdown even mid-answer, so an admitted query's reply could be
         // torn away; the drain phase must deliver it
-        let h = Server::bind(
-            "127.0.0.1:0",
-            Arc::new(Slow),
-            ServerConfig {
-                drain_timeout: Duration::from_secs(5),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap()
-        .spawn()
-        .unwrap();
+        let h = Server::bind("127.0.0.1:0", Arc::new(Slow), ServerConfig::default())
+            .unwrap()
+            .spawn()
+            .unwrap();
         let addr = h.addr().to_string();
         let client = std::thread::spawn(move || {
             let mut c = Connection::connect(&addr, &ClientConfig::default()).expect("connect");

@@ -10,7 +10,7 @@
 //! (the paper's `fail`, the empty language) only ever appears as the
 //! top-level node, and that `Concat`/`Alt` are flattened and never unary.
 
-use crate::symbol::{Name, Sym, Tag};
+use crate::symbol::{Name, Sym};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -253,17 +253,6 @@ impl Regex {
     /// (Definition 3.9).
     pub fn image(&self) -> Regex {
         self.map_syms(&mut |s| Regex::Sym(s.name.untagged()))
-    }
-
-    /// Replaces every occurrence of name `n` (any tag) with `n^t`.
-    pub fn retag_name(&self, n: Name, t: Tag) -> Regex {
-        self.map_syms(&mut |s| {
-            if s.name == n {
-                Regex::Sym(n.tagged(t))
-            } else {
-                Regex::Sym(s)
-            }
-        })
     }
 
     /// Number of AST nodes — used to bound simplification work.

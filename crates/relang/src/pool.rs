@@ -104,10 +104,6 @@ struct Inner {
     index: HashMap<ReNode, u32>,
     /// Memoized [`image_id`] results (tag-projection is *hot* in tighten).
     images: HashMap<ReId, ReId>,
-    /// Interned sorted alphabets: the DFA memo keys automata by
-    /// `(ReId, alphabet id)` instead of cloning `Vec<Sym>` per probe.
-    alphabets: Vec<Arc<[Sym]>>,
-    alphabet_index: HashMap<Arc<[Sym]>, u32>,
     /// Bytes held in child slices / alphabets / first-sets (approximate).
     aux_bytes: usize,
 }
@@ -157,8 +153,6 @@ fn pool() -> &'static Pool {
                 entries,
                 index,
                 images: HashMap::new(),
-                alphabets: Vec::new(),
-                alphabet_index: HashMap::new(),
                 aux_bytes: 0,
             }),
             hits: obs.counter("relang_pool_intern_hits_total"),
@@ -392,10 +386,6 @@ fn intern_node(node: ReNode) -> ReId {
 fn approx_bytes(g: &Inner) -> usize {
     g.entries.len() * (std::mem::size_of::<Entry>() + std::mem::size_of::<(ReNode, u32)>())
         + g.aux_bytes
-        + g.alphabets
-            .iter()
-            .map(|a| std::mem::size_of_val(&a[..]))
-            .sum::<usize>()
 }
 
 // ---------------------------------------------------------------------
@@ -627,32 +617,6 @@ pub fn shared_alphabet_ids(a: ReId, b: ReId) -> Arc<[Sym]> {
         )
     };
     merge_syms(&[&sa, &sb])
-}
-
-/// Interns a sorted alphabet and returns its dense id — the second half
-/// of the DFA memo key.
-pub fn intern_alphabet(alpha: &[Sym]) -> u32 {
-    let p = pool();
-    {
-        let g = p.inner.read();
-        if let Some(&i) = g.alphabet_index.get(alpha) {
-            return i;
-        }
-    }
-    let mut g = p.inner.write();
-    if let Some(&i) = g.alphabet_index.get(alpha) {
-        return i;
-    }
-    let arc: Arc<[Sym]> = alpha.into();
-    let i = g.alphabets.len() as u32;
-    g.alphabets.push(Arc::clone(&arc));
-    g.alphabet_index.insert(arc, i);
-    i
-}
-
-/// The alphabet interned under `i` (see [`intern_alphabet`]).
-pub fn alphabet_by_index(i: u32) -> Arc<[Sym]> {
-    Arc::clone(&pool().inner.read().alphabets[i as usize])
 }
 
 /// Rebuilds `id` with every leaf replaced by `f(leaf)` — the id-level
@@ -1057,14 +1021,6 @@ mod tests {
             }
         });
         assert_eq!(to_regex(id), boxed);
-    }
-
-    #[test]
-    fn alphabet_interning_is_stable() {
-        let alpha = vec![sym("a"), sym("b")];
-        let i = intern_alphabet(&alpha);
-        assert_eq!(intern_alphabet(&alpha), i);
-        assert_eq!(&alphabet_by_index(i)[..], &alpha[..]);
     }
 
     #[test]

@@ -129,12 +129,6 @@ impl Condition {
         self
     }
 
-    /// Attaches an ID variable (builder style).
-    pub fn with_id_var(mut self, v: Var) -> Condition {
-        self.id_var = Some(v);
-        self
-    }
-
     /// Child conditions (empty for text bodies).
     pub fn children(&self) -> &[Condition] {
         match &self.body {

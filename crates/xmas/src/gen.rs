@@ -7,7 +7,7 @@
 //! a configurable fraction deliberately violates the schema to exercise
 //! the unsatisfiable paths.
 
-use crate::ast::{Body, Condition, NameTest, Query, Var};
+use crate::ast::{Body, Condition, Query, Var};
 use mix_dtd::{ContentModel, Dtd};
 use mix_relang::symbol::Name;
 use rand::Rng;
@@ -151,11 +151,6 @@ pub fn random_view_query(view_dtd: &Dtd, rng: &mut impl Rng, cfg: &QueryGenConfi
     // name — exactly what the mediator expects
     debug_assert_eq!(q.root.test.names().first(), Some(&view_dtd.doc_type));
     q
-}
-
-/// Convenience NameTest helper used by tests.
-pub fn test_of(names: &[&str]) -> NameTest {
-    NameTest::Names(names.iter().map(|s| Name::intern(s)).collect())
 }
 
 #[cfg(test)]

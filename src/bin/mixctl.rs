@@ -1119,7 +1119,6 @@ fn main() -> ExitCode {
                         refill_per_sec: args.admit_rps.unwrap_or(0),
                     }
                 }),
-                ..ServerConfig::default()
             };
             let mut service = WrapperService::new(wrapper).with_registry(registry.clone());
             if args.memo > 0 {

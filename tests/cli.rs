@@ -625,7 +625,7 @@ fn federate_writes_a_final_metrics_snapshot() {
         "materialize, not query"
     );
     assert!(
-        snap.counters["relang_dfa_memo_misses_total"] >= 1,
+        snap.counters["relang_inclusion_memo_misses_total"] >= 1,
         "global memo merged in"
     );
 }

@@ -124,8 +124,18 @@ fn killed_daemon_script(addr: &str) -> Vec<Option<SourceError>> {
 
 /// Blocks until the daemon's closes have reached `remote`'s pooled
 /// connections — the moment post-kill behavior becomes deterministic.
+/// Panics if they have not after 10 s.
 fn await_death(remote: &RemoteWrapper) {
-    while remote.live_connections() > 0 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let live = remote.live_connections();
+        if live == 0 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{live} pooled connections still live 10 s after the daemon died"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
 }
@@ -627,7 +637,6 @@ proptest! {
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(5),
             pool_size: 2,
-            ..ClientConfig::default()
         };
         let transport_fault = |e: &SourceError| {
             matches!(e.kind(), "transient" | "unavailable" | "timeout")

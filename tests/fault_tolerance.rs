@@ -119,7 +119,6 @@ fn breaker_lifecycle_is_observable_through_the_mediator() {
         failure_threshold: 3,
         cooldown_calls: 1,
         serve_stale: false,
-        ..ResiliencePolicy::default()
     });
     m.add_source("s", Arc::new(inj));
     m.register_union_view("u", &[("s", part_query()), ("s", part_query())])
@@ -316,7 +315,7 @@ fn failed_member_the_root_model_requires_breaks_coverage() {
 /// A union `u` of a member that is down for good, a healthy member, both
 /// picking the `a`s of `dtd`, and a member picking `b`s that is down too.
 /// Stale serving is off, so the down members can only fail.
-fn down_up_and_disjoint(dtd: &str, config: ProcessorConfig) -> (Mediator, Arc<FaultInjector>) {
+fn down_up_and_disjoint(dtd: &str) -> (Mediator, Arc<FaultInjector>) {
     let dtd = parse_compact(dtd).unwrap();
     let doc = || parse_document("<r><a>one</a><a>two</a></r>").unwrap();
     let down = FaultInjector::new(
@@ -328,7 +327,7 @@ fn down_up_and_disjoint(dtd: &str, config: ProcessorConfig) -> (Mediator, Arc<Fa
         Arc::new(XmlSource::new(bs, parse_document("<r><b>x</b></r>").unwrap()).unwrap()),
         FaultPlan::Script(vec![Some(Fault::Unavailable); 8]),
     ));
-    let mut m = Mediator::with_config(config);
+    let mut m = Mediator::new();
     m.set_resilience_policy(ResiliencePolicy {
         max_retries: 0,
         serve_stale: false,
@@ -361,7 +360,7 @@ fn member_query() -> Query {
 /// by a walk.
 #[test]
 fn composed_union_with_a_required_failed_member_loses_coverage() {
-    let (m, disjoint) = down_up_and_disjoint("{<r : a+> <a : PCDATA>}", ProcessorConfig::default());
+    let (m, disjoint) = down_up_and_disjoint("{<r : a+> <a : PCDATA>}");
     let a = m.query(&member_query()).unwrap();
     assert_eq!(a.path, AnswerPath::Composed);
     assert_eq!(a.document.root.children().len(), 2);
@@ -387,7 +386,7 @@ fn composed_union_with_a_required_failed_member_loses_coverage() {
 /// contribution, so the view DTD still covers the survivors.
 #[test]
 fn composed_union_with_a_nullable_failed_member_keeps_coverage() {
-    let (m, _) = down_up_and_disjoint("{<r : a*> <a : PCDATA>}", ProcessorConfig::default());
+    let (m, _) = down_up_and_disjoint("{<r : a*> <a : PCDATA>}");
     let a = m.query(&member_query()).unwrap();
     assert_eq!(a.path, AnswerPath::Composed);
     let report = a.degradation.expect("a failed member degrades the answer");
@@ -399,23 +398,13 @@ fn composed_union_with_a_nullable_failed_member_keeps_coverage() {
 /// the surviving members answers, byte for byte.
 #[test]
 fn degraded_composed_union_equals_materialize_then_evaluate() {
-    let (composing, _) =
-        down_up_and_disjoint("{<r : a*> <a : PCDATA>}", ProcessorConfig::default());
-    let (materializing, _) = down_up_and_disjoint(
-        "{<r : a*> <a : PCDATA>}",
-        ProcessorConfig {
-            use_composition: false,
-            ..ProcessorConfig::default()
-        },
-    );
-    let render = |a: &Answer| write_document(&a.document, WriteConfig::default());
+    let (composing, _) = down_up_and_disjoint("{<r : a*> <a : PCDATA>}");
+    let (materializing, _) = down_up_and_disjoint("{<r : a*> <a : PCDATA>}");
+    let render = |d: &Document| write_document(d, WriteConfig::default());
     let composed = composing.query(&member_query()).unwrap();
-    let materialized = materializing.query(&member_query()).unwrap();
+    let (view, report) = materializing.materialize_with_report(name("u")).unwrap();
+    let materialized = evaluate(&member_query(), &view);
     assert_eq!(composed.path, AnswerPath::Composed);
-    assert_eq!(materialized.path, AnswerPath::Materialized);
-    assert_eq!(render(&composed), render(&materialized));
-    assert_eq!(
-        materialized.degradation.unwrap().failed_sources(),
-        ["down", "bs"]
-    );
+    assert_eq!(render(&composed.document), render(&materialized));
+    assert_eq!(report.failed_sources(), ["down", "bs"]);
 }

@@ -225,7 +225,7 @@ proptest! {
         let (pruned, pruned_fetches) =
             counted_union(ProcessorConfig::default(), registry.clone(), &members);
         let (reference, reference_fetches) = counted_union(
-            ProcessorConfig { use_sat_pruning: false, ..ProcessorConfig::default() },
+            ProcessorConfig { use_sat_pruning: false },
             Registry::new(),
             &members,
         );

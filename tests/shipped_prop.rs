@@ -241,41 +241,31 @@ fn a_reply_with_an_undeclared_element_is_dtd_invalid() {
         parse_query("vw = SELECT P WHERE <department> P:<professor/> </department>").unwrap();
     let user = parse_query("ans = SELECT X WHERE <vw> X:<professor> <teaches/> </professor> </vw>")
         .unwrap();
-    let dtd_invalid = |m: &Mediator, path: AnswerPath| match m.query(&user) {
+    let dtd_invalid = |got: Result<Document, MediatorError>, path: AnswerPath| match got {
         Err(MediatorError::Source {
             error: SourceError::DtdInvalid(msg),
             ..
         }) => assert!(msg.contains("corrupted"), "{path:?}: {msg}"),
         Err(e) => panic!("{path:?}: expected DtdInvalid, got {e}"),
-        Ok(a) => panic!(
-            "{path:?}: a corrupted reply was served: {}",
-            render(&a.document)
-        ),
+        Ok(doc) => panic!("{path:?}: a corrupted reply was served: {}", render(&doc)),
     };
+    let query = |m: Mediator| m.query(&user).map(|a| a.document);
     let cache = Arc::new(InferenceCache::new());
     // the composed path, in process and over the wire
     dtd_invalid(
-        &mediator(&cache, Arc::new(corrupting(source())), &view),
+        query(mediator(&cache, Arc::new(corrupting(source())), &view)),
         AnswerPath::Composed,
     );
     let server = daemon(WrapperService::new(corrupting(source())));
     let remote = RemoteWrapper::connect(&server.addr().to_string()).expect("daemon reachable");
     dtd_invalid(
-        &mediator(&cache, Arc::new(remote), &view),
+        query(mediator(&cache, Arc::new(remote), &view)),
         AnswerPath::Composed,
     );
     server.shutdown();
     // the materialized path checks the whole view document
-    let mut m = Mediator::with_cache(
-        ProcessorConfig {
-            use_composition: false,
-            ..ProcessorConfig::default()
-        },
-        cache,
-    );
-    m.add_source("s", Arc::new(corrupting(source())));
-    m.register_view("s", &view).unwrap();
-    dtd_invalid(&m, AnswerPath::Materialized);
+    let m = mediator(&cache, Arc::new(corrupting(source())), &view);
+    dtd_invalid(m.materialize(name("vw")), AnswerPath::Materialized);
 }
 
 // ---------------------------------------------------------------------------
