@@ -67,14 +67,19 @@ pub struct StreamStats {
     pub peak_buffered_answers: usize,
     /// Most captured answer nodes held at once (queued + in capture).
     pub peak_buffered_answer_nodes: u64,
-    /// The event reader's buffer high-water mark in bytes.
+    /// The event reader's window high-water mark in bytes.
     pub reader_buffer_high_water: usize,
     /// Total bytes consumed from the source.
     pub bytes_read: u64,
 }
 
 impl StreamStats {
-    /// Total peak resident state: matcher plus reader buffer.
+    /// Peak resident state of the pass: matcher plus the reader's
+    /// window. It leaves out two things that grow with the number of
+    /// explicit `id` attributes in the document: the reader's set of the
+    /// IDs read so far (a repeat is rejected where it occurs), and the
+    /// ID values `ElemId::named` interns into the name table, which
+    /// never shrinks.
     pub fn peak_state_bytes(&self) -> usize {
         self.peak_matcher_bytes + self.reader_buffer_high_water
     }

@@ -6,7 +6,11 @@
 //! text already in memory) builds the tree that every source document,
 //! file and remote reply becomes; `mix-stream` consumes the same events
 //! directly and never materializes a tree. The reader holds
-//! **O(depth + longest token)** memory. Its rules:
+//! **O(depth + longest token)** bytes of input. Two things grow with the
+//! document's explicit IDs besides: the set of the `id` values read so
+//! far, so that a repeat is rejected where it occurs, and the name
+//! table, into which [`ElemId::named`] interns each `id` value not of
+//! the `#N` form and which never shrinks. Its rules:
 //!
 //! * only the `id` attribute is allowed; other attributes are errors;
 //! * no mixed content: an element has either a single text run (possibly
@@ -28,6 +32,13 @@
 //! so the tree builder checks uniqueness over the whole tree only when
 //! an explicit `id="#N"` folded onto [`ElemId::Auto`]: that one can
 //! collide with a fresh ID.
+//!
+//! Each token (an open or close tag, a text run, the whitespace between
+//! elements, a comment, a processing instruction) is read by one byte
+//! loop over the reader's window, which finds where the token ends and
+//! the spans it is decoded from. A token cut by the window's end refills
+//! the window, and its scan resumes at the byte where it stopped, so a
+//! token trickled in one byte per read costs time linear in its length.
 
 use crate::element::{Content, Document, ElemId, Element};
 use crate::parser::{unescape, XmlError};
@@ -105,6 +116,63 @@ struct Level {
     has_text: bool,
 }
 
+/// Where the scan of element content stands.
+#[derive(Clone, Copy)]
+enum ContentAt {
+    /// In whitespace after a child element.
+    Space,
+    /// In a text run, or before a token when no child came yet.
+    Text,
+    /// On a `<`, whose next byte tells a close tag, a comment and an
+    /// open tag apart.
+    Lt,
+}
+
+/// Where the scan of an open tag stands.
+#[derive(Clone, Copy)]
+enum OpenAt {
+    /// In the element name, whose first character follows the `<`.
+    Name,
+    /// Whitespace, then `/`, `>` or an attribute name.
+    Space,
+    /// After `/`, which `>` must follow.
+    Slash,
+    /// In an attribute name that starts this many bytes past the cursor.
+    Attr(usize),
+    /// After an attribute name: whitespace, then `=`.
+    Eq,
+    /// After `=`: whitespace, then a quote.
+    Quote,
+    /// In a value quoted by this byte, starting this many bytes past the
+    /// cursor.
+    Value(u8, usize),
+}
+
+/// Where the scan of a close tag stands.
+#[derive(Clone, Copy, PartialEq)]
+enum CloseAt {
+    /// After `</` when no name follows at once: whitespace, then `>` or
+    /// the name.
+    Start,
+    /// In the name, which starts this many bytes past the cursor.
+    Name(usize),
+    /// After the name: whitespace, then `>`.
+    End,
+}
+
+/// Where the scan of whitespace, comments and processing instructions
+/// stands.
+#[derive(Clone, Copy)]
+enum MiscAt {
+    /// In whitespace.
+    Space,
+    /// In a `<` that may open `<?` or `<!--`.
+    Lt,
+    /// In a comment (`mark` `-`, ended by `-->`) or a processing
+    /// instruction (`mark` `?`, ended by `?>`), `run` marks just read.
+    Skip { mark: u8, run: u8 },
+}
+
 /// Slots of the reader's name cache.
 const NAME_CACHE: usize = 64;
 
@@ -128,6 +196,8 @@ pub struct EventReader<R: Read> {
     stack: Vec<Level>,
     seen_root: bool,
     finished: bool,
+    /// Every explicit ID read so far, so that a repeat is rejected where
+    /// it occurs.
     ids: HashSet<ElemId>,
     buf_high_water: usize,
     bytes_read: u64,
@@ -149,14 +219,6 @@ fn err_at(pos: usize, msg: impl Into<String>) -> StreamError {
     })
 }
 
-fn is_name_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_' || c == ':'
-}
-
-fn is_name_char(c: char) -> bool {
-    c.is_alphanumeric() || matches!(c, '_' | ':' | '.' | '-')
-}
-
 /// `char::is_whitespace` on an ASCII byte.
 fn is_ascii_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c)
@@ -168,11 +230,10 @@ fn span_while(s: &str, ascii: impl Fn(u8) -> bool, other: impl Fn(char) -> bool)
     let bytes = s.as_bytes();
     let mut i = 0;
     while let Some(&b) = bytes.get(i) {
-        if b.is_ascii() {
-            if !ascii(b) {
-                break;
-            }
+        if ascii(b) {
             i += 1;
+        } else if b.is_ascii() {
+            break;
         } else {
             let c = s[i..].chars().next().expect("a char starts at a boundary");
             if !other(c) {
@@ -182,6 +243,25 @@ fn span_while(s: &str, ascii: impl Fn(u8) -> bool, other: impl Fn(char) -> bool)
         }
     }
     i
+}
+
+/// Length of the whitespace `s` starts with.
+fn space_len(s: &str) -> usize {
+    span_while(s, is_ascii_space, char::is_whitespace)
+}
+
+/// Length of the name characters `s` starts with.
+fn name_len(s: &str) -> usize {
+    let ascii = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'-');
+    span_while(s, ascii, char::is_alphanumeric)
+}
+
+/// Whether `s` starts with a character that can start a name.
+fn starts_name(s: &str) -> bool {
+    match s.as_bytes().first() {
+        Some(&b) if b.is_ascii() => b.is_ascii_alphabetic() || matches!(b, b'_' | b':'),
+        _ => s.chars().next().is_some_and(char::is_alphabetic),
+    }
 }
 
 impl<R: Read> EventReader<R> {
@@ -208,7 +288,7 @@ impl<R: Read> EventReader<R> {
     }
 
     /// Largest number of buffered, not-yet-consumed bytes held at any
-    /// point — the reader's memory high-water mark (grows with the
+    /// point — the reader's window high-water mark (grows with the
     /// longest single token, not with the document).
     pub fn buffer_high_water(&self) -> usize {
         self.buf_high_water
@@ -223,8 +303,9 @@ impl<R: Read> EventReader<R> {
         (self.consumed + self.pos as u64) as usize
     }
 
-    fn err(&self, msg: impl Into<String>) -> StreamError {
-        err_at(self.offset(), msg)
+    /// A syntax error `i` bytes past the cursor.
+    fn err(&self, i: usize, msg: impl Into<String>) -> StreamError {
+        err_at(self.offset() + i, msg)
     }
 
     /// Drops the consumed prefix and appends one read's worth of input;
@@ -267,116 +348,74 @@ impl<R: Read> EventReader<R> {
         Ok(true)
     }
 
-    /// Ensures at least `n` unconsumed bytes are buffered; `false` when
-    /// EOF arrives first.
-    fn have(&mut self, n: usize) -> Result<bool, StreamError> {
-        while self.buf.len() - self.pos < n {
-            if !self.fill_more()? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    fn peek_char(&mut self) -> Result<Option<char>, StreamError> {
-        if !self.have(1)? {
-            return Ok(None);
-        }
-        Ok(self.buf[self.pos..].chars().next())
-    }
-
-    /// The next byte, for decisions on ASCII markup.
-    fn peek_byte(&mut self) -> Result<Option<u8>, StreamError> {
-        if !self.have(1)? {
-            return Ok(None);
-        }
-        Ok(Some(self.buf.as_bytes()[self.pos]))
-    }
-
-    fn starts_with(&mut self, s: &str) -> Result<bool, StreamError> {
-        self.have(s.len())?;
-        Ok(self.buf[self.pos..].starts_with(s))
-    }
-
-    fn eat_str(&mut self, s: &str) -> Result<bool, StreamError> {
-        if self.starts_with(s)? {
-            self.pos += s.len();
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    fn skip_ws(&mut self) -> Result<(), StreamError> {
-        loop {
-            let rest = &self.buf[self.pos..];
-            let n = span_while(rest, is_ascii_space, char::is_whitespace);
-            self.pos += n;
-            if n < rest.len() || !self.fill_more()? {
-                return Ok(());
-            }
-        }
-    }
-
     /// Skips whitespace, `<?…?>` processing instructions and `<!--…-->`
-    /// comments.
-    fn skip_misc(&mut self) -> Result<(), StreamError> {
+    /// comments, dropping them from the window as they are read, and
+    /// returns the byte after them (`None` at EOF). An unterminated
+    /// comment or instruction is reported where it starts.
+    fn skip_misc(&mut self) -> Result<Option<u8>, StreamError> {
+        let mut at = MiscAt::Space;
+        // bytes of the markup at the cursor read so far
+        let mut i = 0;
+        // where the comment or instruction being skipped starts
+        let mut start = 0;
         loop {
-            self.skip_ws()?;
-            if self.starts_with("<?")? {
-                self.skip_until("?>", "unterminated processing instruction")?;
-            } else if self.starts_with("<!--")? {
-                self.skip_until("-->", "unterminated comment")?;
-            } else {
-                return Ok(());
+            // `None` past the window: refill and resume at `i`, or EOF
+            let b = self.buf.as_bytes().get(self.pos + i).copied();
+            if b.is_none() && self.fill_more()? {
+                continue;
+            }
+            match at {
+                MiscAt::Space => {
+                    let k = space_len(&self.buf[self.pos..]);
+                    if k > 0 {
+                        self.pos += k;
+                        continue;
+                    }
+                    if b != Some(b'<') {
+                        return Ok(b);
+                    }
+                    (at, i) = (MiscAt::Lt, 1);
+                }
+                // the terminator is searched for from the `<`, so `<?>`
+                // and `<!-->` are complete
+                MiscAt::Lt => match (i, b) {
+                    (1, Some(b'?')) => {
+                        start = self.offset();
+                        (at, i) = (MiscAt::Skip { mark: b'?', run: 1 }, 2);
+                    }
+                    (1, Some(b'!')) | (2, Some(b'-')) => i += 1,
+                    (3, Some(b'-')) => {
+                        start = self.offset();
+                        (at, i) = (MiscAt::Skip { mark: b'-', run: 2 }, 4);
+                    }
+                    _ => return Ok(Some(b'<')),
+                },
+                MiscAt::Skip { mark, mut run } => {
+                    let (need, msg) = match mark {
+                        b'-' => (2, "unterminated comment"),
+                        _ => (1, "unterminated processing instruction"),
+                    };
+                    if b.is_none() {
+                        return Err(err_at(start, msg));
+                    }
+                    let rest = &self.buf.as_bytes()[self.pos + i..];
+                    let mut end = None;
+                    for (k, &c) in rest.iter().enumerate() {
+                        if c == b'>' && run == need {
+                            end = Some(k + 1);
+                            break;
+                        }
+                        run = if c == mark { (run + 1).min(need) } else { 0 };
+                    }
+                    self.pos += i + end.unwrap_or(rest.len());
+                    i = 0;
+                    at = match end {
+                        Some(_) => MiscAt::Space,
+                        None => MiscAt::Skip { mark, run },
+                    };
+                }
             }
         }
-    }
-
-    /// Advances past the next occurrence of `end` (inclusive), searching
-    /// from the cursor; an unterminated construct is reported where it
-    /// starts.
-    fn skip_until(&mut self, end: &str, msg: &str) -> Result<(), StreamError> {
-        let start = self.offset();
-        loop {
-            if let Some(k) = self.buf[self.pos..].find(end) {
-                self.pos += k + end.len();
-                return Ok(());
-            }
-            // Keep a window large enough that `end` can't hide across the
-            // refill boundary, discard the rest. The window is sized in
-            // bytes, so widen it until the new pos is a char boundary —
-            // `end` is ASCII, so keeping extra bytes never loses a match.
-            let keep = (end.len() - 1).min(self.buf.len() - self.pos);
-            let mut drop = self.buf.len() - self.pos - keep;
-            while !self.buf.is_char_boundary(self.pos + drop) {
-                drop -= 1;
-            }
-            self.pos += drop;
-            if !self.fill_more()? {
-                return Err(err_at(start, msg));
-            }
-        }
-    }
-
-    /// Consumes a name; returns its span in `buf`, valid until the next
-    /// refill.
-    fn name(&mut self) -> Result<Range<usize>, StreamError> {
-        if !matches!(self.peek_char()?, Some(c) if is_name_start(c)) {
-            return Err(self.err("expected an element name"));
-        }
-        let ascii = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'-');
-        let mut len = 0;
-        loop {
-            let rest = &self.buf[self.pos + len..];
-            let k = span_while(rest, ascii, is_name_char);
-            len += k;
-            if k < rest.len() || !self.fill_more()? {
-                break;
-            }
-        }
-        self.pos += len;
-        Ok(self.pos - len..self.pos)
     }
 
     /// The interned name spelled by `buf[span]`, from this reader's
@@ -398,137 +437,188 @@ impl<R: Read> EventReader<R> {
         }
     }
 
-    /// Length of the text run at the cursor: the bytes up to the next
-    /// `<` or EOF.
-    fn text_len(&mut self) -> Result<usize, StreamError> {
-        let mut len = 0;
-        loop {
-            if let Some(k) = self.buf[self.pos + len..].find('<') {
-                return Ok(len + k);
-            }
-            len = self.buf.len() - self.pos;
-            if !self.fill_more()? {
-                return Ok(len);
-            }
-        }
-    }
-
-    fn quoted(&mut self) -> Result<String, StreamError> {
-        let quote = match self.peek_char()? {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return Err(self.err("expected a quoted attribute value")),
-        };
-        self.pos += 1;
-        let mut len = 0;
-        loop {
-            if let Some(k) = self.buf[self.pos + len..].find(quote) {
-                let value = unescape(&self.buf[self.pos..self.pos + len + k]).into_owned();
-                self.pos += len + k + 1;
-                return Ok(value);
-            }
-            len = self.buf.len() - self.pos;
-            if !self.fill_more()? {
-                self.pos += len;
-                return Err(self.err("unterminated attribute value"));
-            }
-        }
-    }
-
-    /// Parses `<name …>` / `<name …/>`; returns the Open event (owing the
-    /// Close for the self-closing form).
+    /// Reads `<name …>` or `<name …/>` from the cursor, which is on its
+    /// `<`, and returns the Open event (owing the Close for `/>`).
     fn open_tag(&mut self) -> Result<XmlEvent, StreamError> {
         if self.stack.len() == MAX_NESTING_DEPTH {
-            return Err(self.err(format!(
-                "elements nested deeper than {MAX_NESTING_DEPTH} levels"
-            )));
+            return Err(self.err(
+                0,
+                format!("elements nested deeper than {MAX_NESTING_DEPTH} levels"),
+            ));
         }
-        if !self.eat_str("<")? {
-            return Err(self.err("expected '<'"));
-        }
-        let span = self.name()?;
-        let name = self.resolve(span);
-        let mut id: Option<ElemId> = None;
-        loop {
-            self.skip_ws()?;
-            match self.peek_byte()? {
-                Some(b'/') => {
-                    self.pos += 1;
-                    if !self.eat_str(">")? {
-                        return Err(self.err("expected '>' after '/'"));
-                    }
-                    self.register_id(id)?;
-                    self.pending_close = Some(name);
-                    return Ok(XmlEvent::Open { name, id });
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    self.register_id(id)?;
-                    self.stack.push(Level {
-                        name,
-                        saw_child: false,
-                        has_text: false,
-                    });
-                    return Ok(XmlEvent::Open { name, id });
-                }
-                _ => {
-                    let span = self
-                        .name()
-                        .map_err(|_| self.err("expected attribute, '/>' or '>'"))?;
-                    let attr = &self.buf[span];
-                    // keep a foreign name only for its error message
-                    let foreign = (!attr.eq_ignore_ascii_case("id")).then(|| attr.to_owned());
-                    self.skip_ws()?;
-                    if !self.eat_str("=")? {
-                        return Err(self.err("expected '=' after attribute name"));
-                    }
-                    self.skip_ws()?;
-                    let value = self.quoted()?;
-                    if let Some(attr) = foreign {
-                        return Err(self.err(format!(
-                            "attribute '{attr}' is outside the paper's model (only 'id' is allowed)"
-                        )));
-                    }
-                    if id.is_some() {
-                        return Err(self.err("duplicate id attribute"));
-                    }
-                    id = Some(ElemId::named(&value));
-                }
+        let mut at = OpenAt::Name;
+        let mut i = 1;
+        // the element name is `1..name_end` past the cursor; the others
+        // are spans past the cursor too
+        let mut name_end = 1;
+        let mut attr = 0..0;
+        let mut id: Option<Range<usize>> = None;
+        let self_closing = loop {
+            // `None` past the window: refill and resume at `i`, or EOF
+            let b = self.buf.as_bytes().get(self.pos + i).copied();
+            if b.is_none() && self.fill_more()? {
+                continue;
             }
-        }
-    }
-
-    fn register_id(&mut self, id: Option<ElemId>) -> Result<(), StreamError> {
+            let rest = &self.buf[self.pos + i..];
+            match at {
+                OpenAt::Name | OpenAt::Attr(_) => {
+                    if i == 1 && !starts_name(rest) {
+                        return Err(self.err(i, "expected an element name"));
+                    }
+                    let k = name_len(rest);
+                    i += k;
+                    if k == rest.len() && b.is_some() {
+                        continue;
+                    }
+                    if let OpenAt::Attr(start) = at {
+                        (attr, at) = (start..i, OpenAt::Eq);
+                        continue;
+                    }
+                    name_end = i;
+                    // `<name>`, the common tag, ends here
+                    if rest.as_bytes().get(k) == Some(&b'>') {
+                        break false;
+                    }
+                    at = OpenAt::Space;
+                }
+                OpenAt::Space | OpenAt::Eq | OpenAt::Quote => {
+                    let k = space_len(rest);
+                    if k > 0 {
+                        i += k;
+                        continue;
+                    }
+                    match (at, b) {
+                        (OpenAt::Space, Some(b'>')) => break false,
+                        (OpenAt::Space, Some(b'/')) => (at, i) = (OpenAt::Slash, i + 1),
+                        (OpenAt::Space, _) if starts_name(rest) => at = OpenAt::Attr(i),
+                        (OpenAt::Space, _) => {
+                            return Err(self.err(i, "expected attribute, '/>' or '>'"))
+                        }
+                        (OpenAt::Eq, Some(b'=')) => (at, i) = (OpenAt::Quote, i + 1),
+                        (OpenAt::Eq, _) => {
+                            return Err(self.err(i, "expected '=' after attribute name"))
+                        }
+                        (_, Some(q @ (b'"' | b'\''))) => (at, i) = (OpenAt::Value(q, i + 1), i + 1),
+                        _ => return Err(self.err(i, "expected a quoted attribute value")),
+                    }
+                }
+                OpenAt::Slash => match b {
+                    Some(b'>') => break true,
+                    _ => return Err(self.err(i, "expected '>' after '/'")),
+                },
+                OpenAt::Value(quote, start) => match rest.bytes().position(|c| c == quote) {
+                    None if b.is_some() => i += rest.len(),
+                    None => return Err(self.err(i, "unterminated attribute value")),
+                    Some(k) => {
+                        let value = start..i + k;
+                        i += k + 1;
+                        let key = &self.buf[self.pos..][attr.clone()];
+                        if !key.eq_ignore_ascii_case("id") {
+                            let msg = format!(
+                                "attribute '{key}' is outside the paper's model (only 'id' is allowed)"
+                            );
+                            return Err(self.err(i, msg));
+                        }
+                        if id.is_some() {
+                            return Err(self.err(i, "duplicate id attribute"));
+                        }
+                        (id, at) = (Some(value), OpenAt::Space);
+                    }
+                },
+            }
+        };
+        // `i` is on the tag's closing `>`
+        let name = self.resolve(self.pos + 1..self.pos + name_end);
+        let id = id.map(|v| ElemId::named(&unescape(&self.buf[self.pos..][v])));
+        self.pos += i + 1;
         if let Some(id) = id {
             if !self.ids.insert(id) {
-                return Err(self.err(format!("duplicate element id '{id}'")));
+                return Err(self.err(0, format!("duplicate element id '{id}'")));
             }
         }
-        Ok(())
+        if self_closing {
+            self.pending_close = Some(name);
+        } else {
+            self.stack.push(Level {
+                name,
+                saw_child: false,
+                has_text: false,
+            });
+        }
+        Ok(XmlEvent::Open { name, id })
     }
 
-    /// Parses `</name>` or `</>`; emits the pending text (if any) first.
+    /// Reads `</name>` or `</>` from the cursor, which is on its `<`;
+    /// emits the pending text (if any) first.
     fn close_tag(&mut self) -> Result<XmlEvent, StreamError> {
-        self.pos += 2; // "</"
-        self.skip_ws()?;
-        let open_name = self.stack.last().expect("close inside content").name;
-        if self.peek_byte()? != Some(b'>') {
-            let span = self.name()?;
-            let n = &self.buf[span];
-            if n != open_name.as_str() {
-                let msg = format!("mismatched close tag: '{n}' vs '{open_name}'");
-                return Err(self.err(msg));
+        let open = self.stack.last().expect("close inside content").name;
+        let mut at = CloseAt::Name(2);
+        let mut i = 2;
+        loop {
+            // `None` past the window: refill and resume at `i`, or EOF
+            let b = self.buf.as_bytes().get(self.pos + i).copied();
+            if b.is_none() && self.fill_more()? {
+                continue;
             }
-            self.skip_ws()?;
+            let rest = &self.buf[self.pos + i..];
+            match at {
+                CloseAt::Start | CloseAt::End => {
+                    let k = space_len(rest);
+                    if k > 0 {
+                        i += k;
+                        continue;
+                    }
+                    if b == Some(b'>') {
+                        break;
+                    }
+                    if at == CloseAt::End {
+                        return Err(self.err(i, "expected '>' in close tag"));
+                    }
+                    if !starts_name(rest) {
+                        return Err(self.err(i, "expected an element name"));
+                    }
+                    at = CloseAt::Name(i);
+                }
+                CloseAt::Name(start) => {
+                    if i == 2 {
+                        // `</name>` for the element that is open, the
+                        // common tag, is one comparison
+                        let expect = open.as_str().as_bytes();
+                        let bytes = rest.as_bytes();
+                        if bytes.starts_with(expect) && bytes.get(expect.len()) == Some(&b'>') {
+                            i += expect.len();
+                            break;
+                        }
+                        // `</>` and `</ name>` are read from the whitespace
+                        if !starts_name(rest) {
+                            at = CloseAt::Start;
+                            continue;
+                        }
+                    }
+                    let k = name_len(rest);
+                    i += k;
+                    if k == rest.len() && b.is_some() {
+                        continue;
+                    }
+                    let name = &self.buf[self.pos..][start..i];
+                    if name != open.as_str() {
+                        let msg = format!("mismatched close tag: '{name}' vs '{open}'");
+                        return Err(self.err(i, msg));
+                    }
+                    if rest.as_bytes().get(k) == Some(&b'>') {
+                        break;
+                    }
+                    at = CloseAt::End;
+                }
+            }
         }
-        if !self.eat_str(">")? {
-            return Err(self.err("expected '>' in close tag"));
-        }
+        self.pos += i + 1;
         let level = self.stack.pop().expect("checked above");
         if !level.has_text {
             return Ok(XmlEvent::Close { name: level.name });
         }
         if level.saw_child {
-            return Err(self.err("mixed content is outside the paper's model"));
+            return Err(self.err(0, "mixed content is outside the paper's model"));
         }
         self.pending_close = Some(level.name);
         Ok(XmlEvent::Text(self.text.as_str().to_owned()))
@@ -544,58 +634,112 @@ impl<R: Read> EventReader<R> {
             return Ok(XmlEvent::Eof);
         }
         if self.stack.is_empty() {
-            self.skip_misc()?;
+            let next = self.skip_misc()?;
             if !self.seen_root {
                 self.seen_root = true;
+                if next != Some(b'<') {
+                    return Err(self.err(0, "expected '<'"));
+                }
                 return self.open_tag();
             }
-            if self.have(1)? {
-                return Err(self.err("trailing input after root element"));
+            if next.is_some() {
+                return Err(self.err(0, "trailing input after root element"));
             }
             self.finished = true;
             return Ok(XmlEvent::Eof);
         }
+        // whitespace after a child is skipped, and any other text after a
+        // child is mixed content, rejected whatever it holds
+        let first = match self.stack.last().expect("inside the root").saw_child {
+            true => ContentAt::Space,
+            false => ContentAt::Text,
+        };
+        let mut at = first;
+        // bytes of the token at the cursor read so far
+        let mut i = 0;
+        // whether the text run holds an entity reference
+        let mut amp = false;
         loop {
-            if !self.have(1)? {
-                let name = self.stack.last().expect("nonempty").name;
-                return Err(self.err(format!("unterminated element '{name}'")));
+            // `None` past the window: refill and resume at `i`, or EOF
+            let b = self.buf.as_bytes().get(self.pos + i).copied();
+            if b.is_none() && self.fill_more()? {
+                continue;
             }
-            if self.buf.as_bytes()[self.pos] == b'<' {
-                self.have(2)?;
-                match self.buf.as_bytes().get(self.pos + 1).copied() {
-                    Some(b'/') => return self.close_tag(),
-                    Some(b'!') if self.starts_with("<!--")? => {
-                        self.skip_misc()?;
+            match at {
+                ContentAt::Space => {
+                    let rest = &self.buf[self.pos..];
+                    let k = space_len(rest);
+                    self.pos += k;
+                    if k == rest.len() && b.is_some() {
                         continue;
                     }
-                    _ => {}
+                    (at, i) = match rest.as_bytes().get(k) {
+                        Some(b'<') => (ContentAt::Lt, 1),
+                        Some(_) => (ContentAt::Text, 0),
+                        None => return Err(self.unterminated()),
+                    };
                 }
-                let level = self.stack.last_mut().expect("nonempty");
-                if level.has_text && !self.text.trim().is_empty() {
-                    return Err(self.err("mixed content is outside the paper's model"));
+                ContentAt::Text => {
+                    let rest = &self.buf.as_bytes()[self.pos..];
+                    while let Some(&c) = rest.get(i) {
+                        if c == b'<' {
+                            break;
+                        }
+                        amp |= c == b'&';
+                        i += 1;
+                    }
+                    if i == rest.len() && b.is_some() {
+                        continue;
+                    }
+                    if i > 0 {
+                        let run = &self.buf[self.pos..self.pos + i];
+                        let level = self.stack.last_mut().expect("inside the root");
+                        if !level.has_text {
+                            level.has_text = true;
+                            self.text.clear();
+                        }
+                        if amp {
+                            self.text.push_str(&unescape(run));
+                        } else {
+                            self.text.push_str(run);
+                        }
+                        self.pos += i;
+                    }
+                    // the run ends at a `<` or at EOF
+                    if b.is_none() {
+                        return Err(self.unterminated());
+                    }
+                    (at, i, amp) = (ContentAt::Lt, 1, false);
                 }
-                level.has_text = false;
-                level.saw_child = true;
-                return self.open_tag();
-            }
-            if self.stack.last().expect("nonempty").saw_child {
-                // whitespace between elements; any other text after a
-                // child is mixed content, rejected whatever it holds
-                self.skip_ws()?;
-                if matches!(self.peek_byte()?, None | Some(b'<')) {
-                    continue;
+                ContentAt::Lt => {
+                    match b {
+                        Some(b'/') => return self.close_tag(),
+                        Some(b'!') => {
+                            let from = self.offset();
+                            self.skip_misc()?;
+                            if self.offset() != from {
+                                (at, i) = (first, 0);
+                                continue;
+                            }
+                        }
+                        _ => {}
+                    }
+                    let level = self.stack.last_mut().expect("inside the root");
+                    if level.has_text && !self.text.trim().is_empty() {
+                        return Err(self.err(0, "mixed content is outside the paper's model"));
+                    }
+                    level.has_text = false;
+                    level.saw_child = true;
+                    return self.open_tag();
                 }
             }
-            let len = self.text_len()?;
-            let run = unescape(&self.buf[self.pos..self.pos + len]);
-            let level = self.stack.last_mut().expect("nonempty");
-            if !level.has_text {
-                level.has_text = true;
-                self.text.clear();
-            }
-            self.text.push_str(&run);
-            self.pos += len;
         }
+    }
+
+    /// The error for input that ends inside the innermost element.
+    fn unterminated(&self) -> StreamError {
+        let name = self.stack.last().expect("inside the root").name;
+        self.err(0, format!("unterminated element '{name}'"))
     }
 }
 
@@ -649,6 +793,8 @@ mod tests {
     use crate::writer::{write_document, WriteConfig};
     use proptest::prelude::*;
     use std::io::{self, Cursor};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     /// A source that trickles one byte per read, so every token of the
     /// input straddles a refill boundary somewhere.
@@ -664,6 +810,27 @@ mod tests {
                 }
                 None => Ok(0),
             }
+        }
+    }
+
+    /// A source whose reads return the chunk sizes `sizes` cycles
+    /// through, so tokens are cut at every offset while the window also
+    /// holds what precedes them.
+    struct Chunks<'a> {
+        rest: &'a [u8],
+        sizes: &'a [usize],
+        next: usize,
+    }
+
+    impl Read for Chunks<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            let n = size.min(buf.len()).min(self.rest.len());
+            let (head, rest) = self.rest.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.rest = rest;
+            Ok(n)
         }
     }
 
@@ -808,13 +975,15 @@ mod tests {
 
         /// The tree builder agrees with the oracle on serialized random
         /// trees with noise spliced in, and a reader fed one byte at a
-        /// time produces the same events as one fed the whole input.
+        /// time, or chunks of 1–31 bytes, produces the same events as one
+        /// fed the whole input.
         #[test]
         fn reader_matches_the_oracle(
             steps in steps(),
             pretty in prop::sample::select(vec![true, false]),
             at in prop::collection::vec(0usize..100_000, 0..4),
             noise in prop::collection::vec(prop::sample::select(NOISE.to_vec()), 4..5),
+            sizes in prop::collection::vec(1usize..32, 1..8),
         ) {
             let cfg = WriteConfig {
                 indent: pretty.then_some(2),
@@ -834,6 +1003,18 @@ mod tests {
                 events(src.as_bytes()),
                 "on {:?}",
                 src
+            );
+            let chunks = Chunks {
+                rest: src.as_bytes(),
+                sizes: &sizes,
+                next: 0,
+            };
+            prop_assert_eq!(
+                events(chunks),
+                events(src.as_bytes()),
+                "on {:?} in chunks of {:?}",
+                src,
+                sizes
             );
         }
     }
@@ -950,6 +1131,39 @@ mod tests {
             "<a>x<!-- søren — café -->y</a>",
         ] {
             assert_eq!(events(OneByte(src.as_bytes())), events(src.as_bytes()));
+        }
+    }
+
+    /// A long token trickled in one byte per read costs time linear in
+    /// its length: each refill resumes the token's scan where it
+    /// stopped, and an unterminated one fails as it does read whole.
+    #[test]
+    fn trickled_long_tokens_cost_linear_time() {
+        // the root name of the tree `src` holds, read one byte per read,
+        // or its error; a read that takes over 10 s fails the test
+        fn trickled(src: &str) -> Result<String, String> {
+            let (done, finished) = std::sync::mpsc::channel();
+            let src = src.to_owned();
+            let reader = std::thread::spawn(move || {
+                let doc = read_document(OneByte(src.as_bytes()));
+                let _ = done.send(());
+                doc.map(|d| d.root.name.to_string())
+                    .map_err(|e| e.to_string())
+            });
+            match finished.recv_timeout(Duration::from_secs(10)) {
+                Err(RecvTimeoutError::Timeout) => panic!("a trickled token took over 10 s"),
+                _ => reader.join().expect("the reader thread does not panic"),
+            }
+        }
+        let long = "x".repeat(1 << 20);
+        for (done, cut) in [
+            (format!("<a>{long}</a>"), format!("<a>{long}")),
+            (format!("<a id='{long}'/>"), format!("<a id='{long}")),
+            (format!("<a><!--{long}--></a>"), format!("<a><!--{long}")),
+        ] {
+            assert_eq!(trickled(&done), Ok("a".to_owned()));
+            let whole = read_document(cut.as_bytes()).unwrap_err().to_string();
+            assert_eq!(trickled(&cut), Err(whole));
         }
     }
 
