@@ -20,18 +20,20 @@
 //!   batch) serving 1/2/4/8 *concurrent client threads*, each thread
 //!   running the full batch. X16's blocking stack fell to 0.67x under
 //!   added concurrency (thread-per-connection handlers fighting over a
-//!   single CPU); the reactor batches frames from every connection per
-//!   poll tick and coalesces answers per flush, so aggregate q/s must
-//!   be monotone non-decreasing (within tolerance) as clients pile on.
-//!   The 1-thread row is the X16-shape single-thread measurement the
-//!   storm phase is judged against.
+//!   single CPU); each daemon now answers on one thread per connection
+//!   but lets at most `workers` service calls run at once, so aggregate
+//!   q/s must be monotone non-decreasing (within tolerance) as clients
+//!   pile on. The 1-thread row is the X16-shape single-thread
+//!   measurement the storm phase is judged against.
 //! * **Storm** — 64 concurrent clients against one daemon, each client
 //!   issuing its requests as pipelined batches over a single
 //!   connection. The aggregate q/s must beat the X16-shape 1-thread
 //!   measurement from *this same run* by ≥4x: the pipelining dividend
-//!   (a window of frames per write syscall, answers coalesced per
-//!   flush, reads amortized per tick) compounded with the memo tiers —
-//!   not parallelism, this container has one CPU.
+//!   (a window of frames per write syscall, and the daemon reads a
+//!   window per read syscall) compounded with the memo tiers —
+//!   not parallelism, this container has one CPU. The gate divides a
+//!   CPU-bound rate by a latency-bound one, so a change that shortens
+//!   a round trip lowers the ratio (EXPERIMENTS X20).
 //! * **Equality** — the pipelined batch path (`answer_batch`) and the
 //!   one-frame-at-a-time blocking path (`answer`) must produce
 //!   byte-identical answers, both equal to the in-process wrapper.
@@ -352,8 +354,8 @@ fn main() {
     let json = format!(
         "{{\n  \"experiment\": \"X20\",\n  \
          \"generated_by\": \"cargo bench -p mix-bench --bench net_pipeline\",\n  \
-         \"transport\": \"mix-net loopback TCP, frame version {}, reactor server, \
-         multiplexed client\",\n  \
+         \"transport\": \"mix-net loopback TCP, frame version {}, thread-per-connection \
+         server, pooled blocking client\",\n  \
          \"daemons\": {DAEMONS},\n  \"batch\": {BATCH},\n  \
          \"answers_match_in_process\": true,\n  \
          \"throughput\": [\n{}\n  ],\n  \

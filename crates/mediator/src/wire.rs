@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn deep_query_text_is_a_query_fault_and_the_daemon_keeps_answering() {
-        // the query parser runs on a reactor worker's stack: 50 000
+        // the query parser runs on a connection thread's stack: 50 000
         // nested conditions must come back as a fault, not overflow it
         let server = mix_net::Server::bind(
             "127.0.0.1:0",

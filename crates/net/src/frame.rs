@@ -11,8 +11,9 @@
 //!
 //! The `frame id` is what makes request pipelining possible: a client may
 //! put many `Query` frames in flight on one connection and match each
-//! `Answer`/`Err`/`Throttled` reply back to its request by id, regardless
-//! of the order the server completes them in. Id `0` is reserved for
+//! `Answer`/`Err`/`Throttled` reply back to its request by id. (This
+//! build's server answers a connection's frames in order; the protocol
+//! does not promise it.) Id `0` is reserved for
 //! *connection-scope* frames — faults that concern the whole session
 //! (connection-cap refusals, protocol desync reports) rather than any one
 //! request — so request ids always start at 1.
@@ -33,6 +34,9 @@
 //! reads; a v2 server answers a v1 peer with a v1-encoded
 //! `Err { kind: "incompatible" }` (see [`write_frame_v1`]) so old clients
 //! get a clean, breaker-neutral `Incompatible` fault instead of garbage.
+//!
+//! Both ends read and write frames only through this module: the
+//! client's `Connection` and the server's connection threads.
 
 use crate::error::NetError;
 use std::io::{self, Read, Write};
@@ -108,19 +112,17 @@ impl MsgType {
 
 /// What [`decode_header`] learned from 10 buffered header bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
+struct FrameHeader {
     /// The message type byte, already validated.
-    pub ty: MsgType,
+    ty: MsgType,
     /// The frame id ([`CONNECTION_FRAME_ID`] for connection-scope).
-    pub frame_id: u32,
+    frame_id: u32,
     /// Announced payload length, already checked against [`MAX_PAYLOAD`].
-    pub len: u32,
+    len: u32,
 }
 
-/// Encodes the v2 header for one frame into a fixed array. The reactor
-/// uses this to build frames directly into a ring buffer without an
-/// intermediate `Vec`.
-pub fn encode_header(ty: MsgType, frame_id: u32, len: u32) -> [u8; HEADER_LEN] {
+/// Encodes the v2 header for one frame into a fixed array.
+fn encode_header(ty: MsgType, frame_id: u32, len: u32) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
     header[0] = FRAME_VERSION;
     header[1] = ty as u8;
@@ -129,9 +131,9 @@ pub fn encode_header(ty: MsgType, frame_id: u32, len: u32) -> [u8; HEADER_LEN] {
     header
 }
 
-/// Decodes and validates a buffered v2 header. The caller (reactor or
-/// blocking reader) has already read exactly [`HEADER_LEN`] bytes.
-pub fn decode_header(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, NetError> {
+/// Decodes and validates a v2 header whose [`HEADER_LEN`] bytes have
+/// been read.
+fn decode_header(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, NetError> {
     if header[0] != FRAME_VERSION {
         // distinct from Protocol: a version mismatch is a *deployment*
         // incompatibility, and the resilience layer must not treat it as

@@ -4,9 +4,9 @@
 //! queries for sources that live elsewhere, and mediators stack on top of
 //! mediators across machine boundaries (Paper §1). This crate is that
 //! boundary: a deliberately small, std-only protocol (no external
-//! dependencies — the one concession is a thin raw-syscall shim in
-//! `sys` for epoll/poll readiness, everything else is `std::net`) that
-//! moves three kinds of text — DTDs in the paper's compact notation,
+//! dependencies — the one concession is a single poll(2) in `sys`, the
+//! client's probe of an idle connection; everything else is `std::net`)
+//! that moves three kinds of text — DTDs in the paper's compact notation,
 //! XMAS queries, and XML documents — between a mediator and a remote
 //! wrapper.
 //!
@@ -21,10 +21,10 @@
 //!   a per-request frame id, so a batch can pipeline on one connection,
 //! * [`msg`] — the message types (`Hello`, `ExportDtd`, `Query`,
 //!   `Answer`, `Err`, `Stats`, `Throttled`),
-//! * [`server`] — a readiness-driven reactor (epoll on Linux, poll(2)
-//!   elsewhere) with nonblocking sockets, per-connection ring buffers, a
-//!   connection cap, idle eviction, and optional per-client admission
-//!   control, serving any [`WireService`] on a small worker pool,
+//! * [`server`] — an accept thread and one thread per connection, which
+//!   reads a frame, answers it and writes the reply; a connection cap,
+//!   idle eviction, optional per-client admission control, and answer
+//!   slots that bound how many calls to any [`WireService`] run at once,
 //! * [`client`] — a blocking [`Connection`] with handshake, and the
 //!   [`Pool`] of them: an exchange checks out an idle connection (or
 //!   dials one, up to `pool_size`), runs on the caller's thread, and
@@ -32,16 +32,14 @@
 //! * [`admission`] — the per-client [`TokenBucket`].
 //!
 //! The full frame format and error-mapping contract are documented in
-//! `DESIGN.md` §9; the federation tier built on top in §12; the reactor
-//! and pipelining design in §13.
+//! `DESIGN.md` §9; the federation tier built on top in §12; the
+//! connection threads, answer slots and shutdown in §13.
 
 pub mod admission;
 pub mod client;
 pub mod error;
 pub mod frame;
 pub mod msg;
-mod reactor;
-mod ring;
 pub mod server;
 mod sys;
 

@@ -14,6 +14,7 @@
 
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame, MsgType, HEADER_LEN};
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// One protocol message.
@@ -63,15 +64,18 @@ impl Msg {
         }
     }
 
-    /// Serializes the payload.
-    pub(crate) fn payload(&self) -> Vec<u8> {
+    /// The payload's bytes, borrowed from the message where it holds them
+    /// whole.
+    fn payload(&self) -> Cow<'_, [u8]> {
         match self {
-            Msg::Hello => Vec::new(),
+            Msg::Hello => Cow::Borrowed(&[]),
             Msg::ExportDtd(s) | Msg::Query(s) | Msg::Answer(s) | Msg::Stats(s) => {
-                s.as_bytes().to_vec()
+                Cow::Borrowed(s.as_bytes())
             }
-            Msg::Err { kind, msg } => format!("{kind}\n{msg}").into_bytes(),
-            Msg::Throttled { retry_after_ms } => retry_after_ms.to_string().into_bytes(),
+            Msg::Err { kind, msg } => Cow::Owned(format!("{kind}\n{msg}").into_bytes()),
+            Msg::Throttled { retry_after_ms } => {
+                Cow::Owned(retry_after_ms.to_string().into_bytes())
+            }
         }
     }
 
@@ -103,9 +107,10 @@ impl Msg {
         crate::frame::write_frame_buffered(w, self.msg_type(), frame_id, &self.payload())
     }
 
-    /// Decodes a message from an already-read frame body. This is the
-    /// half of [`Msg::read_from`] the reactor uses once its ring buffer
-    /// holds a complete frame.
+    /// Decodes a message from an already-read frame body — the half of
+    /// [`Msg::read_from`] a reader that holds the frame's id needs, so a
+    /// payload that is not a message can be answered at the frame's own
+    /// scope.
     pub fn decode(ty: MsgType, payload: Vec<u8>) -> Result<Msg, NetError> {
         let text = String::from_utf8(payload)
             .map_err(|_| NetError::protocol("payload is not valid UTF-8"))?;

@@ -680,10 +680,10 @@ fn main() -> ExitCode {
                  \x20            mix-net wire protocol; prints 'listening on HOST:PORT'.\n\
                  \x20            --admit-rps / --admit-burst turn on per-client\n\
                  \x20            token-bucket admission control: queries past the budget\n\
-                 \x20            get a Throttled reply. --workers sizes the reactor's\n\
-                 \x20            service pool (0 = one per CPU). --memo N memoizes up to\n\
-                 \x20            N rendered answers by query text (the source is a\n\
-                 \x20            start-time snapshot, so replays are exact)\n\
+                 \x20            get a Throttled reply. --workers N lets at most N\n\
+                 \x20            queries be answered at once (0 = one per CPU). --memo N\n\
+                 \x20            memoizes up to N rendered answers by query text (the\n\
+                 \x20            source is a start-time snapshot, so replays are exact)\n\
                  \x20 stats      --remote HOST:PORT [--format json|prom]   fetch a serving\n\
                  \x20            daemon's observability snapshot over the wire\n\n\
                  client transport (federate, stats):\n\
@@ -1108,7 +1108,7 @@ fn main() -> ExitCode {
             let config = ServerConfig {
                 max_connections: args.max_conns,
                 io_timeout: std::time::Duration::from_millis(args.timeout_ms),
-                // 0 sizes the reactor's worker pool from the CPU count
+                // answer slots; 0 sizes them from the CPU count
                 workers: args.workers,
                 // either flag opts the daemon into per-client admission
                 // control; --admit-rps 0 means the burst is all a

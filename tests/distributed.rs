@@ -455,8 +455,8 @@ fn new_client_against_v1_server_is_incompatible_and_breaker_neutral() {
 
 // ---------------------------------------------------------------------------
 // Slow loris: partial frames dribbled one byte at a time must neither
-// stall other connections nor trip the reactor; going *silent* with
-// nothing in flight is what gets a connection evicted.
+// stall other connections nor get the dribbler evicted; going *silent*
+// with nothing in flight is what gets a connection evicted.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -499,7 +499,7 @@ fn slow_loris_dribble_stalls_nobody_and_silence_gets_evicted() {
         loris
     });
 
-    // meanwhile the reactor serves other connections at full speed: ten
+    // meanwhile the server serves other connections at full speed: ten
     // full round-trips complete while the loris is still mid-header
     let remote = RemoteWrapper::connect(&addr.to_string()).expect("healthy client");
     let expected = render(&site_source("s", 3).answer(&part_query()).unwrap());
@@ -535,7 +535,7 @@ fn slow_loris_dribble_stalls_nobody_and_silence_gets_evicted() {
     );
     assert!(
         waited < Duration::from_secs(8),
-        "eviction took {waited:?}, the reactor looks stalled"
+        "eviction took {waited:?}, the server looks stalled"
     );
     assert_eq!(
         registry

@@ -1,10 +1,10 @@
 //! Satellite tier for the pipelined wire protocol (DESIGN.md §13):
-//! many `Query` frames in flight per connection, answered out of order.
+//! many `Query` frames in flight per connection, matched by frame id.
 //!
-//! The server's worker pool finishes queries in whatever order their
-//! service times dictate, so with randomized per-query delays the wire
-//! carries answers genuinely reordered relative to their requests. The
-//! properties here pin the two matching contracts that make that safe:
+//! Each connection's thread answers its frames in order, but calls on
+//! different connections finish in whatever order their randomized
+//! service delays dictate. The properties here pin the two matching
+//! contracts a client relies on:
 //!
 //! 1. every `Answer` lands on the caller whose `frame_id` it carries —
 //!    an id mix-up would hand one caller another's (differently-tagged)
@@ -31,7 +31,7 @@ const SITE_DTD: &str = "{<site : entry*> <entry : PCDATA>}";
 
 /// Echoes the tag of a `"<delay_ms>|<tag>"` query after sleeping
 /// `delay_ms` — the delay is the chaos: it randomizes completion order
-/// across the server's worker pool.
+/// across the server's connections.
 struct DelayEcho;
 
 impl WireService for DelayEcho {
