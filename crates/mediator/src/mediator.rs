@@ -22,6 +22,7 @@ use mix_xml::{Content, Document, ElemId, Element};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -414,10 +415,10 @@ impl Mediator {
         self.sources.insert(name.to_owned(), wrapper);
         self.health
             .insert(name.to_owned(), Arc::new(Mutex::new(Health::new())));
-        self.source_obs.insert(
-            name.to_owned(),
-            Arc::new(SourceInstruments::new(&self.registry, name)),
-        );
+        let obs = SourceInstruments::new(&self.registry, name);
+        // a name registered again starts with no stale answers
+        obs.stale_answer_bytes.set(0);
+        self.source_obs.insert(name.to_owned(), Arc::new(obs));
     }
 
     /// Replaces the resilience policy (retry budget, breaker thresholds,
@@ -554,6 +555,7 @@ impl Mediator {
         // history and stale answers dropped
         self.health
             .insert(source.to_owned(), Arc::new(Mutex::new(Health::new())));
+        self.source_obs[source].stale_answer_bytes.set(0);
         let mut changed = Vec::new();
         let names: Vec<Name> = self.view_order.clone();
         for vname in names {
@@ -711,8 +713,9 @@ impl Mediator {
             slots.push(None);
         }
         // query the surviving sources in parallel (wrappers are Send +
-        // Sync). The caller's trace id is propagated into each worker so
-        // every `fetch/<source>` span joins the request's trace.
+        // Sync): the first on this thread, each other one on a thread of
+        // its own. The caller's trace id is propagated into each worker
+        // so every `fetch/<source>` span joins the request's trace.
         let policy = &self.policy;
         let answer = |&(i, source, wrapper, health, q, check, obs): &Part<'_>| {
             (
@@ -720,25 +723,32 @@ impl Mediator {
                 resilient_answer(source, wrapper, q, check, policy, health, obs),
             )
         };
-        let answered: Vec<(usize, (Option<Document>, SourceOutcome))> = if live.len() > 1 {
-            let trace = mix_obs::current_trace();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = live
-                    .iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let _t = mix_obs::set_current_trace(trace);
-                            answer(part)
+        let answered: Vec<(usize, (Option<Document>, SourceOutcome))> = match live.split_first() {
+            Some((first, rest)) if !rest.is_empty() => {
+                let trace = mix_obs::current_trace();
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = rest
+                        .iter()
+                        .map(|part| {
+                            scope.spawn(move || {
+                                let _t = mix_obs::set_current_trace(trace);
+                                answer(part)
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("source query panicked"))
-                    .collect()
-            })
-        } else {
-            live.iter().map(answer).collect()
+                        .collect();
+                    // a panic here surfaces as a worker's would
+                    let here = std::panic::catch_unwind(AssertUnwindSafe(|| answer(first)))
+                        .unwrap_or_else(|_| panic!("source query panicked"));
+                    std::iter::once(here)
+                        .chain(
+                            handles
+                                .into_iter()
+                                .map(|h| h.join().expect("source query panicked")),
+                        )
+                        .collect()
+                })
+            }
+            _ => live.iter().map(answer).collect(),
         };
         for (i, answer) in answered {
             slots[i] = Some(answer);
@@ -1190,6 +1200,63 @@ mod tests {
                 b
             );
         }
+    }
+
+    /// `replace_source` drops the source's stale answers, and its
+    /// `source_stale_answer_bytes` gauge falls to 0 with them.
+    #[test]
+    fn replacing_a_source_empties_its_stale_answer_gauge() {
+        let mut m = mediator();
+        let gauge = r#"source_stale_answer_bytes{source="cs-dept"}"#;
+        m.materialize(name("withJournals")).unwrap();
+        assert!(m.registry().snapshot().gauges[gauge] > 0);
+        let src = XmlSource::new(d1_department(), dept_doc()).unwrap();
+        m.replace_source("cs-dept", Arc::new(src)).unwrap();
+        assert_eq!(m.registry().snapshot().gauges[gauge], 0);
+    }
+
+    /// A wrapper that records the thread it answers on.
+    struct OnThread(XmlSource, Mutex<Option<std::thread::ThreadId>>);
+
+    impl Wrapper for OnThread {
+        fn dtd(&self) -> &mix_dtd::Dtd {
+            self.0.dtd()
+        }
+
+        fn fetch(&self) -> Result<Document, SourceError> {
+            self.0.fetch()
+        }
+
+        fn answer(&self, q: &Query) -> Result<Document, SourceError> {
+            *self.1.lock().unwrap() = Some(std::thread::current().id());
+            self.0.answer(q)
+        }
+    }
+
+    /// A fan-out answers its first live member on the calling thread and
+    /// each other one on a thread of its own, in member order.
+    #[test]
+    fn fan_out_answers_the_first_member_on_the_calling_thread() {
+        let mut m = Mediator::new();
+        let mut sources = Vec::new();
+        for s in ["s0", "s1", "s2"] {
+            let src = XmlSource::new(d1_department(), dept_doc()).unwrap();
+            let w = Arc::new(OnThread(src, Mutex::new(None)));
+            m.add_source(s, Arc::clone(&w) as Arc<dyn Wrapper>);
+            sources.push(w);
+        }
+        let q = parse_query("u = SELECT P WHERE <department> P:<professor/> </>").unwrap();
+        let parts: Vec<(&str, Query)> = ["s0", "s1", "s2"].map(|s| (s, q.clone())).into();
+        m.register_union_view("u", &parts).unwrap();
+        let doc = m.materialize(name("u")).unwrap();
+        assert_eq!(doc.root.children().len(), 6);
+        let threads: Vec<_> = sources
+            .iter()
+            .map(|w| w.1.lock().unwrap().unwrap())
+            .collect();
+        let here = std::thread::current().id();
+        assert_eq!(threads[0], here);
+        assert!(threads[1] != here && threads[2] != here && threads[1] != threads[2]);
     }
 
     #[test]

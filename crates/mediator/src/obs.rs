@@ -32,6 +32,8 @@ pub struct SourceInstruments {
     pub(crate) fresh: Counter,
     /// Members served the last good answer to their query.
     pub(crate) stale: Counter,
+    /// Bytes of the last good answers kept for stale serving.
+    pub(crate) stale_answer_bytes: Gauge,
     /// Members that contributed nothing.
     pub(crate) failed: Counter,
     /// Retry attempts actually spent (not calls that retried).
@@ -57,6 +59,7 @@ impl SourceInstruments {
             stage: format!("fetch/{source}"),
             fresh: registry.counter(&labeled("source_served_fresh_total", source)),
             stale: registry.counter(&labeled("source_served_stale_total", source)),
+            stale_answer_bytes: registry.gauge(&labeled("source_stale_answer_bytes", source)),
             failed: registry.counter(&labeled("source_failed_total", source)),
             retries: registry.counter(&labeled("source_retries_total", source)),
             short_circuits: registry.counter(&labeled("source_short_circuits_total", source)),

@@ -25,10 +25,12 @@ use crate::source::Wrapper;
 use mix_dtd::{SDtd, Validator};
 use mix_infer::fingerprint_query;
 use mix_xmas::{normalize, Query};
-use mix_xml::{Content, Document};
+use mix_xml::{parse_document, write_document, Content, Document, Fingerprint, WriteConfig};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Mutex;
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Knobs for the per-source resilience machinery.
 #[derive(Debug, Clone, Copy)]
@@ -98,16 +100,54 @@ pub const STALE_ANSWERS_CAP: usize = 256;
 /// answer larger than this on its own is never kept.
 pub const STALE_ANSWERS_MAX_ELEMENTS: usize = 1 << 20;
 
+/// The seed of every kept answer's content fingerprint in this
+/// process, drawn from a [`RandomState`] so that no source can aim a
+/// reply at a fingerprint.
+fn answer_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0_u64))
+}
+
+/// One kept answer: the fingerprint of its content, its element count,
+/// and its compact text with explicit IDs. Reading the text back gives
+/// fresh auto IDs, so two served copies never share one.
+#[derive(Debug)]
+struct KeptAnswer {
+    hash: u64,
+    elements: usize,
+    /// Shared, so that serving takes it out from under the health lock
+    /// without a copy and parses it after.
+    text: Arc<str>,
+}
+
+impl KeptAnswer {
+    /// `answer`, whose fingerprint is `print`, written as text.
+    fn write(answer: &Document, print: &Fingerprint) -> KeptAnswer {
+        let compact = WriteConfig {
+            indent: None,
+            write_ids: true,
+        };
+        KeptAnswer {
+            hash: print.hash,
+            elements: print.elements,
+            text: write_document(answer, compact).into(),
+        }
+    }
+}
+
 /// The last good answer to each normalized query one source answered
 /// fresh, keyed by the query's fingerprint and bounded by
 /// [`STALE_ANSWERS_CAP`] and [`STALE_ANSWERS_MAX_ELEMENTS`] (oldest out
-/// first).
+/// first). Answers are kept as text: a kept answer is cold data, served
+/// only when its source fails.
 #[derive(Debug)]
 struct StaleAnswers {
-    map: HashMap<u64, (Document, usize)>,
+    map: HashMap<u64, KeptAnswer>,
     /// Keys, oldest first.
     order: VecDeque<u64>,
     elements: usize,
+    /// Bytes of the kept answers' text.
+    bytes: usize,
     cap: usize,
     max_elements: usize,
 }
@@ -124,52 +164,87 @@ impl StaleAnswers {
             map: HashMap::new(),
             order: VecDeque::new(),
             elements: 0,
+            bytes: 0,
             cap,
             max_elements,
         }
     }
 
-    /// Keeps `answer` as the last good answer to query `fp`. A repeat of
-    /// the kept content (up to auto IDs) is the common case and costs one
-    /// allocation-free comparison; only a changed answer is cloned in.
-    fn remember(&mut self, fp: u64, answer: &Document) {
-        if let Some((kept, _)) = self.map.get(&fp) {
-            if kept.root.same_up_to_auto_ids(&answer.root) {
-                return;
-            }
-            self.forget(fp);
+    /// Whether a fresh answer to query `fp` whose fingerprint is `print`
+    /// is to be written and kept. A repeat of the kept content (up to
+    /// auto IDs) is the common case and is not. An answer the table
+    /// cannot keep, larger than the element budget on its own or not
+    /// reproduced by its text ([`Fingerprint::reads_back`]), is not
+    /// either, and the answer kept before it is dropped, so that the
+    /// query has no stale fallback older than its last good answer.
+    fn wants(&mut self, fp: u64, print: &Fingerprint) -> bool {
+        if self.holds(fp, print.hash) {
+            return false;
         }
-        let size = answer.size();
-        if size > self.max_elements {
+        if print.reads_back && print.elements <= self.max_elements {
+            return true;
+        }
+        self.forget(fp);
+        false
+    }
+
+    /// Keeps `answer`, which [`StaleAnswers::wants`] asked for, as the
+    /// newest answer to query `fp`, dropping the oldest past the bounds.
+    fn keep(&mut self, fp: u64, answer: KeptAnswer) {
+        // another call may have kept the same content meanwhile
+        if self.holds(fp, answer.hash) {
             return;
         }
-        while self.map.len() >= self.cap || self.elements + size > self.max_elements {
+        self.forget(fp);
+        while self.map.len() >= self.cap || self.elements + answer.elements > self.max_elements {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            if let Some((_, n)) = self.map.remove(&oldest) {
-                self.elements -= n;
+            if let Some(old) = self.map.remove(&oldest) {
+                self.elements -= old.elements;
+                self.bytes -= old.text.len();
             }
         }
-        self.elements += size;
+        self.elements += answer.elements;
+        self.bytes += answer.text.len();
         self.order.push_back(fp);
-        self.map.insert(fp, (answer.clone(), size));
+        self.map.insert(fp, answer);
+    }
+
+    /// Whether the answer kept for query `fp` has content fingerprint
+    /// `hash`.
+    fn holds(&self, fp: u64, hash: u64) -> bool {
+        self.map.get(&fp).is_some_and(|kept| kept.hash == hash)
     }
 
     fn forget(&mut self, fp: u64) {
-        if let Some((_, n)) = self.map.remove(&fp) {
-            self.elements -= n;
+        if let Some(old) = self.map.remove(&fp) {
+            self.elements -= old.elements;
+            self.bytes -= old.text.len();
             self.order.retain(|&k| k != fp);
         }
     }
 
-    /// A copy of the kept answer to query `fp`, with fresh auto IDs so
-    /// it never shares an ID with an earlier copy.
+    /// The text of the answer kept for query `fp`.
+    fn text(&self, fp: u64) -> Option<Arc<str>> {
+        self.map.get(&fp).map(|kept| Arc::clone(&kept.text))
+    }
+
+    /// [`StaleAnswers::wants`] and [`StaleAnswers::keep`] in one step,
+    /// which [`resilient_answer`] splits across two holds of the health
+    /// lock so that the walk and the write run outside it.
+    #[cfg(test)]
+    fn remember(&mut self, fp: u64, answer: &Document) {
+        let print = answer.root.fingerprint(answer_seed());
+        if self.wants(fp, &print) {
+            self.keep(fp, KeptAnswer::write(answer, &print));
+        }
+    }
+
+    /// The answer kept for query `fp`, read back.
+    #[cfg(test)]
     fn serve(&self, fp: u64) -> Option<Document> {
-        let (kept, _) = self.map.get(&fp)?;
-        let mut doc = kept.clone();
-        doc.refresh_auto_ids();
-        Some(doc)
+        self.text(fp).and_then(|text| parse_document(&text).ok())
     }
 }
 
@@ -210,6 +285,17 @@ impl Health {
     /// How many queries have a last good answer held for stale serving.
     pub fn stale_answers(&self) -> usize {
         self.answers.map.len()
+    }
+
+    /// The text of the last good answer to query `fp`, when `policy`
+    /// serves stale answers. [`serve_stale_or_fail`] reads it after the
+    /// lock is released.
+    fn stale_text(&self, fp: u64, policy: &ResiliencePolicy) -> Option<Arc<str>> {
+        if policy.serve_stale {
+            self.answers.text(fp)
+        } else {
+            None
+        }
     }
 
     /// Gates one call through the breaker: an open breaker counts the
@@ -510,22 +596,17 @@ pub fn resilient_answer(
     let nq = match normalize(query, wrapper.dtd()) {
         Ok(nq) => nq,
         Err(e) => {
-            let mut h = health
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
             outcome.error = Some(SourceError::Query(e));
-            outcome.breaker = h.state;
+            outcome.breaker = lock(health).state;
             // no normalized form exists, so no stale answer either
-            return serve_stale_or_fail(None, &mut h, policy, outcome, obs);
+            return serve_stale_or_fail(None, outcome, obs);
         }
     };
     let fp = fingerprint_query(&nq);
 
     // Breaker gate.
     {
-        let mut h = health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut h = lock(health);
         match h.gate(policy.cooldown_calls) {
             BreakerGate::HalfOpened => {
                 obs.breaker_half_opened.inc();
@@ -538,7 +619,9 @@ pub fn resilient_answer(
                 outcome.breaker = h.state;
                 outcome.short_circuited = true;
                 obs.short_circuits.inc();
-                return serve_stale_or_fail(Some(fp), &mut h, policy, outcome, obs);
+                let kept = h.stale_text(fp, policy);
+                drop(h);
+                return serve_stale_or_fail(kept, outcome, obs);
             }
             BreakerGate::Pass | BreakerGate::Probe => {}
         }
@@ -548,11 +631,7 @@ pub fn resilient_answer(
     // retrying only transient errors. Half-open probes get exactly one
     // attempt — a flapping source must prove itself without the benefit
     // of retries.
-    let probing = health
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .state
-        == BreakerState::HalfOpen;
+    let probing = lock(health).state == BreakerState::HalfOpen;
     let budget = if probing { 0 } else { policy.max_retries };
     let mut last_err: SourceError;
     loop {
@@ -567,17 +646,27 @@ pub fn resilient_answer(
         };
         match attempt {
             Ok(answer) => {
-                let mut h = health
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                // the reply is walked before the health lock is taken and
+                // written after it is released: under it run only the
+                // stale table's lookup and, for a changed answer, insert
+                let print = answer.root.fingerprint(answer_seed());
+                let mut h = lock(health);
                 if h.record_success() {
                     obs.breaker_closed.inc();
                     obs.event("breaker-close", "probe succeeded; breaker closed");
                 }
-                h.answers.remember(fp, &answer);
+                let changed = h.answers.wants(fp, &print);
+                obs.stale_answer_bytes.set(h.answers.bytes as i64);
                 obs.fresh.inc();
                 outcome.status = FetchStatus::Fresh;
                 outcome.breaker = h.state;
+                drop(h);
+                if changed {
+                    let kept = KeptAnswer::write(&answer, &print);
+                    let mut h = lock(health);
+                    h.answers.keep(fp, kept);
+                    obs.stale_answer_bytes.set(h.answers.bytes as i64);
+                }
                 return (Some(answer), outcome);
             }
             Err(e) => {
@@ -598,9 +687,7 @@ pub fn resilient_answer(
 
     // The call failed for good: account it against the breaker, then
     // degrade to the last good answer if allowed.
-    let mut h = health
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut h = lock(health);
     if last_err.is_source_fault() && h.record_failure(policy.failure_threshold) {
         obs.breaker_opened.inc();
         obs.event(
@@ -614,7 +701,16 @@ pub fn resilient_answer(
     }
     outcome.error = Some(last_err);
     outcome.breaker = h.state;
-    serve_stale_or_fail(Some(fp), &mut h, policy, outcome, obs)
+    let kept = h.stale_text(fp, policy);
+    drop(h);
+    serve_stale_or_fail(kept, outcome, obs)
+}
+
+/// `health`, locked, also when a panicking caller poisoned it.
+fn lock(health: &Mutex<Health>) -> MutexGuard<'_, Health> {
+    health
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The virtual backoff before the first retry, in milliseconds; each
@@ -632,25 +728,23 @@ fn backoff_step(n: u32) -> u64 {
     }
 }
 
-/// Degrade to the last good answer to query `fp` when policy and state
-/// allow, otherwise report the member failed. Either way the degradation
-/// is recorded as an obs event *now* — at occurrence time — so a live
-/// `mixctl stats` sees it even if the eventual [`DegradationReport`] is
-/// dropped by the caller.
+/// Degrade to the last good answer, whose text [`Health::stale_text`]
+/// gave as `kept`, when there is one; otherwise report the member
+/// failed. Either way the degradation is recorded as an obs event *now*
+/// — at occurrence time — so a live `mixctl stats` sees it even if the
+/// eventual [`DegradationReport`] is dropped by the caller.
 fn serve_stale_or_fail(
-    fp: Option<u64>,
-    h: &mut Health,
-    policy: &ResiliencePolicy,
+    kept: Option<Arc<str>>,
     mut outcome: SourceOutcome,
     obs: &SourceInstruments,
 ) -> (Option<Document>, SourceOutcome) {
-    if policy.serve_stale {
-        if let Some(answer) = fp.and_then(|fp| h.answers.serve(fp)) {
-            outcome.status = FetchStatus::Stale;
-            obs.stale.inc();
-            obs.event("stale-serve", "serving the last good answer to this query");
-            return (Some(answer), outcome);
-        }
+    // the parse gives fresh auto IDs; it fails only on a repeated
+    // explicit ID, which no reply check passes
+    if let Some(answer) = kept.and_then(|text| parse_document(&text).ok()) {
+        outcome.status = FetchStatus::Stale;
+        obs.stale.inc();
+        obs.event("stale-serve", "serving the last good answer to this query");
+        return (Some(answer), outcome);
     }
     outcome.status = FetchStatus::Failed;
     obs.failed.inc();
@@ -669,8 +763,7 @@ mod tests {
     use crate::source::XmlSource;
     use mix_dtd::parse_compact;
     use mix_xmas::parse_query;
-    use mix_xml::parse_document;
-    use std::sync::Arc;
+    use mix_xml::Element;
 
     fn base() -> Arc<XmlSource> {
         let dtd = parse_compact("{<r : a*> <a : PCDATA>}").unwrap();
@@ -699,16 +792,77 @@ mod tests {
         health: &Mutex<Health>,
         obs: &SourceInstruments,
     ) -> (Option<Document>, SourceOutcome) {
-        let view = mix_infer::infer_view_dtd(&query(), w.dtd()).unwrap();
+        ship(w, &query(), policy, health, obs)
+    }
+
+    /// Ships `q` with the whole-view check against its DTD inferred over
+    /// `w`'s DTD.
+    fn ship(
+        w: &dyn Wrapper,
+        q: &Query,
+        policy: &ResiliencePolicy,
+        health: &Mutex<Health>,
+        obs: &SourceInstruments,
+    ) -> (Option<Document>, SourceOutcome) {
+        let view = mix_infer::infer_view_dtd(q, w.dtd()).unwrap();
         resilient_answer(
             "s",
             w,
-            &query(),
+            q,
             ReplyCheck::View(&Validator::new(&view.dtd)),
             policy,
             health,
             obs,
         )
+    }
+
+    /// A wrapper over `base()`'s DTD that answers every query with the
+    /// next of its replies, and is unavailable once they run out.
+    struct Replies {
+        dtd: mix_dtd::Dtd,
+        replies: Mutex<VecDeque<Document>>,
+    }
+
+    impl Replies {
+        fn new(replies: Vec<Document>) -> Replies {
+            Replies {
+                dtd: base().dtd().clone(),
+                replies: Mutex::new(replies.into()),
+            }
+        }
+    }
+
+    impl Wrapper for Replies {
+        fn dtd(&self) -> &mix_dtd::Dtd {
+            &self.dtd
+        }
+
+        fn fetch(&self) -> Result<Document, SourceError> {
+            Err(SourceError::Unavailable("replies only".into()))
+        }
+
+        fn answer(&self, _: &Query) -> Result<Document, SourceError> {
+            self.replies
+                .lock()
+                .unwrap()
+                .pop_front()
+                .ok_or_else(|| SourceError::Unavailable("out of replies".into()))
+        }
+    }
+
+    /// The value of the `source_stale_answer_bytes` gauge of source `s`.
+    fn stale_bytes(registry: &mix_obs::Registry) -> i64 {
+        registry.snapshot().gauges[r#"source_stale_answer_bytes{source="s"}"#]
+    }
+
+    /// The compact text of `xml` with IDs, as the stale table keeps it.
+    fn compact_len(xml: &str) -> i64 {
+        let doc = parse_document(xml).unwrap();
+        let compact = WriteConfig {
+            indent: None,
+            write_ids: true,
+        };
+        write_document(&doc, compact).len() as i64
     }
 
     #[test]
@@ -1063,6 +1217,90 @@ mod tests {
             (defaults.cap, defaults.max_elements),
             (STALE_ANSWERS_CAP, STALE_ANSWERS_MAX_ELEMENTS)
         );
+    }
+
+    /// Empty text is written `<a></a>`, which reads back as empty
+    /// element content and no longer fits a PCDATA type. So an answer
+    /// holding it is not kept, the answer kept before it is dropped, and
+    /// its query has no stale fallback.
+    #[test]
+    fn answers_their_text_cannot_reproduce_are_not_kept() {
+        let empty = Document::new(Element::new("ans", vec![Element::text("a", "")]));
+        let compact = WriteConfig {
+            indent: None,
+            write_ids: true,
+        };
+        let read_back = parse_document(&write_document(&empty, compact)).unwrap();
+        assert_eq!(
+            read_back.root.children()[0].content,
+            Content::Elements(vec![])
+        );
+
+        let good = parse_document("<ans><a>1</a></ans>").unwrap();
+        let w = Replies::new(vec![good, empty]);
+        let registry = mix_obs::Registry::new();
+        let obs = SourceInstruments::new(&registry, "s");
+        let health = Mutex::new(Health::new());
+        let policy = ResiliencePolicy::default();
+        let (_, o) = call_obs(&w, &policy, &health, &obs);
+        assert_eq!(o.status, FetchStatus::Fresh);
+        assert_eq!(health.lock().unwrap().stale_answers(), 1);
+        assert_eq!(stale_bytes(&registry), compact_len("<ans><a>1</a></ans>"));
+
+        let (doc, o) = call_obs(&w, &policy, &health, &obs);
+        assert_eq!(
+            o.status,
+            FetchStatus::Fresh,
+            "the empty text is valid PCDATA"
+        );
+        assert_eq!(doc.unwrap().root.children()[0].pcdata(), Some(""));
+        assert_eq!(health.lock().unwrap().stale_answers(), 0);
+        assert_eq!(stale_bytes(&registry), 0);
+
+        let (doc, o) = call_obs(&w, &policy, &health, &obs);
+        assert_eq!(o.status, FetchStatus::Failed);
+        assert!(doc.is_none());
+    }
+
+    /// `source_stale_answer_bytes` holds the bytes of the kept answers:
+    /// a first answer adds its text, a repeat changes nothing, a changed
+    /// answer replaces its text, and an eviction takes the oldest out.
+    #[test]
+    fn the_stale_answer_gauge_follows_the_table() {
+        let registry = mix_obs::Registry::new();
+        let obs = SourceInstruments::new(&registry, "s");
+        let health = Mutex::new(Health::new());
+        let policy = ResiliencePolicy::default();
+        let two = "<ans><a>1</a><a>2</a></ans>";
+        let w = Replies::new(
+            [two, two, "<ans><a>1</a></ans>"]
+                .map(|xml| parse_document(xml).unwrap())
+                .into(),
+        );
+        // remember
+        call_obs(&w, &policy, &health, &obs);
+        assert_eq!(stale_bytes(&registry), compact_len(two));
+        // a repeat, up to auto IDs
+        call_obs(&w, &policy, &health, &obs);
+        assert_eq!(stale_bytes(&registry), compact_len(two));
+        // replace
+        call_obs(&w, &policy, &health, &obs);
+        assert_eq!(stale_bytes(&registry), compact_len("<ans><a>1</a></ans>"));
+        assert_eq!(health.lock().unwrap().stale_answers(), 1);
+
+        // eviction: one more query than the table holds, each answered
+        // with text of one length
+        let w = base();
+        let health = Mutex::new(Health::new());
+        let each = compact_len("<q000><a>1</a><a>2</a></q000>");
+        for i in 0..=STALE_ANSWERS_CAP {
+            let q = parse_query(&format!("q{i:03} = SELECT X WHERE <r> X:<a/> </r>")).unwrap();
+            let (_, o) = ship(w.as_ref(), &q, &policy, &health, &obs);
+            assert_eq!(o.status, FetchStatus::Fresh);
+            let kept = (i + 1).min(STALE_ANSWERS_CAP);
+            assert_eq!(stale_bytes(&registry), kept as i64 * each, "query {i}");
+        }
+        assert_eq!(health.lock().unwrap().stale_answers(), STALE_ANSWERS_CAP);
     }
 
     /// The member check of a composed answer: right root, picked names

@@ -5,7 +5,9 @@
 //! simplifications (Section 2) there are no other attributes, no mixed
 //! content, and no entities.
 
+use crate::reader::is_name;
 use mix_relang::symbol::Name;
+use mix_relang::MAX_NESTING_DEPTH;
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
@@ -218,6 +220,31 @@ impl Element {
             }
     }
 
+    /// A keyed 64-bit hash of this subtree up to auto IDs, with its
+    /// element count, in one walk. The hash covers what
+    /// [`Element::same_up_to_auto_ids`] compares (names, explicit IDs,
+    /// content kind, child counts and text bytes), so equal subtrees in
+    /// that sense hash equal, and two that differ collide with chance
+    /// about 2^-64 for a `seed` the subtrees' author does not know.
+    ///
+    /// Each element adds one folded product of its own fields and its
+    /// document-order position to a sum. The products do not depend on
+    /// one another, so the walk is not one long chain of multiplies.
+    pub fn fingerprint(&self, seed: u64) -> Fingerprint {
+        let mut walk = FingerprintWalk {
+            keys: keys(seed),
+            elements: 0,
+            reads_back: true,
+            names: [u32::MAX; NAME_SLOTS],
+        };
+        let sum = walk.subtree(self, 1);
+        Fingerprint {
+            hash: fold(sum ^ walk.keys[5], walk.keys[1]),
+            elements: walk.elements as usize,
+            reads_back: walk.reads_back,
+        }
+    }
+
     /// Re-assigns a fresh ID to every *auto-identified* node in this
     /// subtree, keeping explicit `id="…"` attributes intact.
     ///
@@ -237,6 +264,164 @@ impl Element {
             }
         }
     }
+}
+
+/// What [`Element::fingerprint`] finds in one walk of a subtree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// The keyed hash of the subtree up to auto IDs.
+    pub hash: u64,
+    /// Element nodes in the subtree.
+    pub elements: usize,
+    /// Whether the subtree, written as a document, reads back as itself
+    /// up to auto IDs. It does not when an element has empty text,
+    /// which is written `<a></a>` and read back as empty *element*
+    /// content, when it nests deeper than the reader accepts
+    /// ([`MAX_NESTING_DEPTH`]), or when it holds a name the reader does
+    /// not read (the DTD parsers accept `#` inside a name). Explicit IDs
+    /// are not checked for repeats.
+    pub reads_back: bool,
+}
+
+/// Slots of [`FingerprintWalk::names`].
+const NAME_SLOTS: usize = 64;
+
+/// The state of one [`Element::fingerprint`] walk.
+struct FingerprintWalk {
+    keys: [u64; 6],
+    /// Elements walked so far, which is the document-order position of
+    /// the next one.
+    elements: u64,
+    reads_back: bool,
+    /// Intern indices of names already checked against the reader's
+    /// name rule, one slot per index modulo [`NAME_SLOTS`]; an answer
+    /// holds few distinct names, so each is checked about once.
+    names: [u32; NAME_SLOTS],
+}
+
+impl FingerprintWalk {
+    /// The sum of the products of `e`'s subtree, `e` nesting `depth`
+    /// deep. Leaves are summed in their parent's loop, so only elements
+    /// with children cost a call.
+    fn subtree(&mut self, e: &Element, depth: usize) -> u64 {
+        let children = match &e.content {
+            Content::Elements(v) if !v.is_empty() => v,
+            _ => return self.leaf(e),
+        };
+        if depth >= MAX_NESTING_DEPTH {
+            self.reads_back = false;
+        }
+        let mut sum = self.product(e, children.len() as u64);
+        for c in children {
+            let p = match &c.content {
+                Content::Elements(v) if !v.is_empty() => self.subtree(c, depth + 1),
+                _ => self.leaf(c),
+            };
+            sum = sum.wrapping_add(p);
+        }
+        sum
+    }
+
+    /// The product of an element with text or no children.
+    #[inline(always)]
+    fn leaf(&mut self, e: &Element) -> u64 {
+        let s = match &e.content {
+            Content::Text(t) => t.as_bytes(),
+            Content::Elements(_) => return self.product(e, 0),
+        };
+        let shape = match s.len() {
+            0 => {
+                self.reads_back = false;
+                SHORT_TEXT
+            }
+            // read a byte at a time, the last byte standing in for the
+            // ones past the end, so that every short text takes this one
+            // path whatever its length
+            len @ 1..=7 => {
+                let last = len - 1;
+                let bytes = (0..7).fold(0, |x, i| x | u64::from(s[i.min(last)]) << (8 * i));
+                SHORT_TEXT | (len as u64) << 56 | bytes
+            }
+            _ => text_hash(s, &self.keys),
+        };
+        self.product(e, shape)
+    }
+
+    /// The folded product of `e`'s name and explicit ID, its `shape`,
+    /// and its position. The shape of element content is its child
+    /// count; of a text of up to 7 bytes, [`SHORT_TEXT`], its length in
+    /// bits 56 to 58 and its bytes below; and of a longer text, its
+    /// keyed hash.
+    #[inline(always)]
+    fn product(&mut self, e: &Element, shape: u64) -> u64 {
+        let k = &self.keys;
+        // an explicit ID takes the high half of `a`, and `HAS_ID` tells
+        // it from none, since an intern index may be 0
+        let (id, shape) = match e.id {
+            ElemId::Named(n) if !e.id.is_auto() => (u64::from(n.index()) << 32, shape ^ HAS_ID),
+            _ => (0, shape),
+        };
+        let name = e.name.index();
+        let a = (u64::from(name) | id) ^ k[0];
+        let b = shape.wrapping_add(self.elements.wrapping_mul(k[1])) ^ k[2];
+        self.elements += 1;
+        let slot = &mut self.names[name as usize % NAME_SLOTS];
+        if *slot != name {
+            *slot = name;
+            self.reads_back &= is_name(e.name.as_str());
+        }
+        fold(a, b)
+    }
+}
+
+/// The bit of a [`FingerprintWalk::product`] shape that marks an
+/// explicit ID.
+const HAS_ID: u64 = 1 << 63;
+
+/// The bit of a [`FingerprintWalk::product`] shape that marks a text of
+/// up to 7 bytes.
+const SHORT_TEXT: u64 = 1 << 62;
+
+/// The high and low halves of the 128-bit product of `a` and `b`,
+/// xored together.
+#[inline(always)]
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// The keys of a fingerprint under `seed` (splitmix64 steps). Key 1 is
+/// odd, so that positions times it stay distinct.
+fn keys(seed: u64) -> [u64; 6] {
+    let mut s = seed;
+    let mut keys = [0; 6].map(|_: u64| {
+        s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (s ^ (s >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    });
+    keys[1] |= 1;
+    keys
+}
+
+/// A keyed hash of `s`, at least 8 bytes long, and its length: 16 bytes
+/// per fold, the last 16 (or, for up to 16, the first and last 8)
+/// overlapping the ones before. The words read from a text of a given
+/// length cover every byte of it, so texts of equal length that differ
+/// read different words.
+fn text_hash(s: &[u8], k: &[u64; 6]) -> u64 {
+    let word = |i: usize| u64::from_le_bytes(s[i..i + 8].try_into().expect("8 bytes"));
+    let len = s.len();
+    let mut h = k[3] ^ len as u64;
+    if len <= 16 {
+        return fold(word(0) ^ k[4], word(len - 8) ^ h);
+    }
+    let mut i = 0;
+    while i + 16 < len {
+        h = fold(word(i) ^ k[4], word(i + 8) ^ h);
+        i += 16;
+    }
+    fold(word(len - 16) ^ k[4], word(len - 8) ^ h)
 }
 
 /// Whether every ID in `e`'s subtree is an [`ElemId::Auto`] greater
@@ -437,6 +622,68 @@ mod tests {
         assert!(named.same_up_to_auto_ids(&named.clone()));
         let leaf = Element::new("journal", vec![]);
         assert!(!leaf.same_up_to_auto_ids(&Element::text("journal", "")));
+    }
+
+    /// The fingerprint tells apart what `same_up_to_auto_ids` tells
+    /// apart, under any seed, and flags what compact text cannot
+    /// reproduce.
+    #[test]
+    fn fingerprints_agree_with_same_up_to_auto_ids() {
+        let original = sample();
+        let mut variants = vec![original.deep_clone_fresh(), original.clone().with_id("#x")];
+        let mut text = original.clone();
+        if let Content::Elements(v) = &mut text.content {
+            v[0].content = Content::Text("Yannit".into());
+        }
+        variants.push(text);
+        let mut swapped = original.clone();
+        if let Content::Elements(v) = &mut swapped.content {
+            v.swap(0, 1);
+        }
+        variants.push(swapped);
+        variants.push(original.clone().with_id("p1"));
+        variants.push(Element::new("journal", vec![]));
+        variants.push(Element::text("journal", ""));
+        for seed in [0, 1, u64::MAX] {
+            let print = original.fingerprint(seed);
+            assert_eq!((print.elements, print.reads_back), (6, true));
+            for v in &variants {
+                let same = original.same_up_to_auto_ids(v);
+                assert_eq!(v.fingerprint(seed).hash == print.hash, same, "{v:?}");
+            }
+        }
+        assert_ne!(original.fingerprint(1).hash, original.fingerprint(2).hash);
+        assert!(!Element::text("journal", "").fingerprint(0).reads_back);
+        assert!(!Element::text("a#b", "x").fingerprint(0).reads_back);
+        assert!(Element::text("é.b-1", "x").fingerprint(0).reads_back);
+        let mut deep = Element::text("t", "x");
+        for _ in 0..MAX_NESTING_DEPTH {
+            deep = Element::new("n", vec![deep]);
+        }
+        assert!(!deep.fingerprint(0).reads_back);
+        assert!(deep.children()[0].fingerprint(0).reads_back);
+    }
+
+    /// Texts of every length hash apart from their one-byte edits and
+    /// from themselves with their last byte repeated.
+    #[test]
+    fn text_fingerprints_see_every_byte() {
+        let print = |s: &[u8]| {
+            let text = std::str::from_utf8(s).expect("ASCII");
+            Element::text("t", text).fingerprint(7).hash
+        };
+        for len in 0..40 {
+            let s: Vec<u8> = (0..len).map(|i| b'a' + (i * 7 % 26) as u8).collect();
+            let h = print(&s);
+            for i in 0..len {
+                let mut t = s.clone();
+                t[i] ^= 0x20;
+                assert_ne!(print(&t), h, "len {len}, byte {i}");
+            }
+            let mut longer = s.clone();
+            longer.push(s.last().copied().unwrap_or(b'a'));
+            assert_ne!(print(&longer), h, "len {len}");
+        }
     }
 
     #[test]

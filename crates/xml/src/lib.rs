@@ -18,7 +18,7 @@ pub mod reader;
 pub mod skeleton;
 pub mod writer;
 
-pub use element::{Content, Document, ElemId, Element};
+pub use element::{Content, Document, ElemId, Element, Fingerprint};
 pub use parser::{escape, parse_document, XmlError};
 pub use reader::{read_document, EventReader, StreamError, XmlEvent};
 pub use skeleton::{same_structural_class, Skeleton};

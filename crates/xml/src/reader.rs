@@ -256,6 +256,11 @@ fn name_len(s: &str) -> usize {
     span_while(s, ascii, char::is_alphanumeric)
 }
 
+/// Whether `s` is a name the reader reads.
+pub(crate) fn is_name(s: &str) -> bool {
+    starts_name(s) && name_len(s) == s.len()
+}
+
 /// Whether `s` starts with a character that can start a name.
 fn starts_name(s: &str) -> bool {
     match s.as_bytes().first() {

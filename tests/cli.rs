@@ -569,6 +569,10 @@ fn stats_subcommand_against_loopback_daemon() {
     assert!(snap
         .histograms
         .contains_key("source_fetch_latency_ns{source=\"local\"}"));
+    assert!(
+        snap.gauges["source_stale_answer_bytes{source=\"local\"}"] > 0,
+        "the stacked mediator keeps the fetched answer for stale serving"
+    );
 
     assert_eq!(prom_out.status.code(), Some(0), "{prom_out:?}");
     let text = String::from_utf8_lossy(&prom_out.stdout);
