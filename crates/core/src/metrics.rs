@@ -37,8 +37,8 @@ pub use mix_relang::{MemoStats, PoolStats};
 
 /// The serving layer's cache counters in one snapshot: the inference
 /// cache of one mediator next to the process-wide automata memo (which
-/// every cache miss exercises) and the process-wide regex pool. Reported
-/// by `mixctl serve --bench` and experiments X15/X18.
+/// every cache miss exercises) and the process-wide regex pool, as
+/// `Mediator::serving_metrics` reports them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingMetrics {
     /// Hit/miss/invalidation counters of the given [`InferenceCache`].

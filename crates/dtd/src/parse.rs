@@ -416,6 +416,31 @@ mod tests {
     }
 
     #[test]
+    fn hash_in_a_name_is_an_error_at_its_byte() {
+        // `{<r : a` is 7 bytes, `<!ELEMENT r (a` 14 and `<!ELEMENT ` 10
+        assert_eq!(
+            parse_compact("{<r : a#b*> <a#b : PCDATA>}")
+                .unwrap_err()
+                .pos,
+            7
+        );
+        assert_eq!(
+            parse_compact("{<r : a*> <a#b : PCDATA>}").unwrap_err().pos,
+            12
+        );
+        assert_eq!(parse_xml_dtd("<!ELEMENT r (a#b*)>").unwrap_err().pos, 14);
+        assert_eq!(
+            parse_xml_dtd("<!ELEMENT #foo (#PCDATA)>").unwrap_err().pos,
+            10
+        );
+        // the keyword itself still parses, in both syntaxes
+        let d = parse_compact("{<r : a*> <a : #PCDATA>}").unwrap();
+        assert_eq!(d.get(name("a")), Some(&ContentModel::Pcdata));
+        let d = parse_xml_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>").unwrap();
+        assert_eq!(d.get(name("a")), Some(&ContentModel::Pcdata));
+    }
+
+    #[test]
     fn empty_and_garbage_rejected() {
         assert!(parse_compact("").is_err());
         assert!(parse_compact("{}").is_err());

@@ -54,11 +54,11 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// Answers a batch of queries, one result per query **in input
-    /// order**. The default implementation just loops
-    /// [`Wrapper::answer`], so each query fails independently; wrappers
-    /// with a pipelined transport (notably [`RemoteWrapper`]) override it
-    /// to pipeline the batch without spawning a thread per query, and a
-    /// transport fault there fails the rest of the batch.
+    /// order**, by looping [`Wrapper::answer`], so each query fails
+    /// independently. No wrapper in the workspace overrides it (the
+    /// `Arc<dyn Wrapper>` impl forwards it), and the mediator never calls
+    /// it; it stays for perfbench's tracing decorator, which implements
+    /// it.
     fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
         queries.iter().map(|q| self.answer(q)).collect()
     }
@@ -160,8 +160,7 @@ impl Wrapper for XmlSource {
 /// single-machine throughput experiments meaningless for a *mediator*:
 /// real MIX sources are web sites, so a serving layer earns its keep by
 /// overlapping source waits, not by burning more CPU. Benchmarks (X15)
-/// and the `mixctl serve --bench` driver wrap sources in this to measure
-/// that overlap honestly.
+/// wrap sources in this to measure that overlap honestly.
 pub struct LatencyWrapper<W> {
     inner: W,
     latency: std::time::Duration,
@@ -422,43 +421,6 @@ impl Wrapper for RemoteWrapper {
         let nq = normalize(q, &self.dtd)?;
         self.exchange(nq.to_string())
     }
-
-    /// The batch rides one pooled connection as pipelined `Query` frames,
-    /// up to 32 in flight. Replies are matched back by frame id, so the
-    /// server may finish them in any order while this returns them in
-    /// input order, with no thread spawned per query. A transport fault
-    /// fails the rest of the batch with it. Queries that fail
-    /// normalization are rejected locally and never reach the wire.
-    fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
-        let millis = self.pool.config().io_timeout.as_millis() as u64;
-        let mut results: Vec<Option<Result<Document, SourceError>>> =
-            queries.iter().map(|_| None).collect();
-        let mut wire: Vec<(usize, Msg)> = Vec::with_capacity(queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            match normalize(q, &self.dtd) {
-                Ok(nq) => wire.push((i, Msg::Query(nq.to_string()))),
-                Err(e) => results[i] = Some(Err(e.into())),
-            }
-        }
-        let replies = self
-            .pool
-            .request_many(wire.iter().map(|(_, m)| m.clone()).collect());
-        for ((i, _), reply) in wire.into_iter().zip(replies) {
-            results[i] = Some(match reply {
-                Ok(Msg::Answer(xml)) => self.parse_answer(xml),
-                Ok(other) => Err(SourceError::MalformedXml(format!(
-                    "{}: expected an Answer reply, got {:?}",
-                    self.pool.addr(),
-                    other.msg_type()
-                ))),
-                Err(e) => Err(net_to_source_error(self.pool.addr(), millis, e)),
-            });
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every query answered or rejected"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -633,9 +595,8 @@ mod tests {
             .unwrap();
         remote.answer(&q).unwrap();
         remote.fetch().unwrap();
-        for answer in remote.answer_batch(&[q.clone(), q]) {
-            answer.unwrap();
-        }
+        remote.answer(&q).unwrap();
+        remote.answer(&q).unwrap();
         // other tests share the global registry, so only a lower bound
         // holds
         assert!(exchanges.get() >= before + 4);

@@ -11,7 +11,7 @@
 //! [`Wrapper::answer`].
 
 use crate::error::SourceError;
-use crate::mediator::{Answer, Mediator, MediatorError};
+use crate::mediator::{Mediator, MediatorError};
 use crate::source::Wrapper;
 use mix_dtd::Dtd;
 use mix_relang::symbol::Name;
@@ -58,35 +58,16 @@ impl Wrapper for ViewWrapper {
             .map_err(as_source_error)
     }
 
-    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
-        self.settle(q, self.mediator.query(q))
-    }
-
-    fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
-        self.mediator
-            .answer_many(queries)
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| self.settle(q, r))
-            .collect()
-    }
-}
-
-impl ViewWrapper {
-    /// Turns the lower mediator's result for `q` into this wrapper's.
-    /// Lower-source failures propagate up as source faults of this
-    /// wrapper, so a stacked mediator's own resilience layer can retry,
-    /// trip or degrade on them, and a query that fails normalization is
-    /// a [`SourceError::Query`]. Only a query the lower mediator cannot
+    /// Answers through the lower mediator. Lower-source failures
+    /// propagate up as source faults of this wrapper, so a stacked
+    /// mediator's own resilience layer can retry, trip or degrade on
+    /// them, and a query that fails normalization is a
+    /// [`SourceError::Query`]. Only a query the lower mediator cannot
     /// route (its root test names no registered view, e.g. a wildcard)
     /// is evaluated here — normalized against the view DTD — over the
     /// materialized view.
-    fn settle(
-        &self,
-        q: &Query,
-        result: Result<Answer, MediatorError>,
-    ) -> Result<Document, SourceError> {
-        match result {
+    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
+        match self.mediator.query(q) {
             Ok(a) => Ok(a.document),
             Err(MediatorError::UnknownView(_)) => {
                 let nq = mix_xmas::normalize(q, self.dtd())?;
@@ -175,7 +156,6 @@ mod tests {
             mix_xmas::Var::new("Z"),
         )));
         assert_eq!(wrapper.answer(&q), expected);
-        assert_eq!(wrapper.answer_batch(std::slice::from_ref(&q)), [expected]);
         // a wildcard root names no view: evaluated over the materialized
         // view, normalized against the view DTD
         let any = parse_query("ans = SELECT X WHERE <*> X:<professor/> </>").unwrap();

@@ -40,16 +40,6 @@ use mix_xml::{write_document, WriteConfig};
 pub struct WrapperService<W> {
     inner: W,
     registry: Option<mix_obs::Registry>,
-    memo: Option<AnswerMemo>,
-}
-
-/// The serving-side answer memo: rendered answer text keyed by the query
-/// text that produced it (the empty key is the full-document fetch).
-struct AnswerMemo {
-    cache: std::sync::Mutex<std::collections::HashMap<String, String>>,
-    capacity: usize,
-    hits: mix_obs::Counter,
-    misses: mix_obs::Counter,
 }
 
 impl<W: Wrapper> WrapperService<W> {
@@ -61,7 +51,6 @@ impl<W: Wrapper> WrapperService<W> {
         WrapperService {
             inner,
             registry: None,
-            memo: None,
         }
     }
 
@@ -71,25 +60,6 @@ impl<W: Wrapper> WrapperService<W> {
     /// counters.
     pub fn with_registry(mut self, registry: mix_obs::Registry) -> WrapperService<W> {
         self.registry = Some(registry);
-        self
-    }
-
-    /// Memoizes up to `capacity` rendered answers, keyed by query text.
-    ///
-    /// **Only opt in when the served wrapper is a snapshot** — e.g. an
-    /// [`crate::XmlSource`] loaded at daemon start — because a cached
-    /// answer is replayed verbatim for the lifetime of the service. For a
-    /// live wrapper (a stacked view over remote sources) the memo would
-    /// pin the first answer forever. Faults are never cached: a source
-    /// that recovers answers normally on the next request. When the memo
-    /// fills, it is wiped and rebuilt rather than evicted piecemeal.
-    pub fn with_answer_memo(mut self, capacity: usize) -> WrapperService<W> {
-        self.memo = Some(AnswerMemo {
-            cache: std::sync::Mutex::new(std::collections::HashMap::new()),
-            capacity: capacity.max(1),
-            hits: mix_obs::global().counter("wire_answer_memo_hits_total"),
-            misses: mix_obs::global().counter("wire_answer_memo_misses_total"),
-        });
         self
     }
 
@@ -105,38 +75,17 @@ impl<W: Wrapper + 'static> WireService for WrapperService<W> {
     }
 
     fn answer(&self, query: Option<&str>) -> Result<String, WireFault> {
-        // "f:" vs "q:…" keeps a fetch distinct from every query text
-        // (including the empty one)
-        let key = match query {
-            None => "f:".to_owned(),
-            Some(text) => format!("q:{text}"),
-        };
-        if let Some(memo) = &self.memo {
-            if let Some(cached) = lock(&memo.cache).get(&key) {
-                memo.hits.inc();
-                return Ok(cached.clone());
-            }
-        }
-        let xml = match query {
+        match query {
             None => {
                 let doc = self.inner.fetch().map_err(|e| fault_of(&e))?;
-                write_document(&doc, WriteConfig::default())
+                Ok(write_document(&doc, WriteConfig::default()))
             }
             Some(text) => {
                 let q = mix_xmas::parse_query(text)
                     .map_err(|e| WireFault::new("query", e.to_string()))?;
-                self.inner.answer_text(&q).map_err(|e| fault_of(&e))?
+                self.inner.answer_text(&q).map_err(|e| fault_of(&e))
             }
-        };
-        if let Some(memo) = &self.memo {
-            memo.misses.inc();
-            let mut cache = lock(&memo.cache);
-            if cache.len() >= memo.capacity {
-                cache.clear();
-            }
-            cache.insert(key, xml.clone());
         }
-        Ok(xml)
     }
 
     fn stats(&self) -> Option<String> {
@@ -146,12 +95,6 @@ impl<W: Wrapper + 'static> WireService for WrapperService<W> {
         }
         Some(snap.to_json())
     }
-}
-
-fn lock<'a>(
-    m: &'a std::sync::Mutex<std::collections::HashMap<String, String>>,
-) -> std::sync::MutexGuard<'a, std::collections::HashMap<String, String>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Serializes a [`SourceError`] for the wire: the stable kind label plus a
@@ -264,34 +207,6 @@ mod tests {
             .unwrap();
         assert!(ans.contains("<professor>"));
         assert!(!ans.contains("<gradStudent>"));
-    }
-
-    #[test]
-    fn memoized_service_answers_are_byte_identical_to_unmemoized() {
-        let plain = service();
-        let memoized = service().with_answer_memo(16);
-        let q = "profs = SELECT P WHERE <department> P:<professor/> </department>";
-        for _ in 0..3 {
-            assert_eq!(
-                memoized.answer(Some(q)).unwrap(),
-                plain.answer(Some(q)).unwrap()
-            );
-            assert_eq!(memoized.answer(None).unwrap(), plain.answer(None).unwrap());
-        }
-        // a fetch and an (unparsable) empty query text never share a slot
-        assert_eq!(
-            memoized.answer(Some("")).unwrap_err().kind,
-            plain.answer(Some("")).unwrap_err().kind
-        );
-    }
-
-    #[test]
-    fn answer_memo_never_caches_faults() {
-        let memoized = service().with_answer_memo(16);
-        assert_eq!(memoized.answer(Some("not XMAS")).unwrap_err().kind, "query");
-        // the failure above must not have poisoned the key: still a fault,
-        // not a stale success — and still the same fault each time
-        assert_eq!(memoized.answer(Some("not XMAS")).unwrap_err().kind, "query");
     }
 
     #[test]

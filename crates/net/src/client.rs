@@ -1,17 +1,16 @@
 //! The client side: a blocking connection, and a pool of them.
 //!
 //! [`Connection`] is one TCP stream that has completed the `Hello`
-//! exchange. It runs its exchanges on the caller's thread: one at a time
-//! ([`Connection::request`]), or a batch pipelined with a fixed window
-//! of requests in flight and matched to its replies by frame id
-//! ([`Connection::request_many`]). [`Pool`] is a bounded set of
-//! connections to one address. An exchange checks out an idle one,
-//! dials when none is idle and fewer than `pool_size` are open, or waits;
-//! then it runs on the caller's thread and checks the connection back
-//! in. A connection the exchange ended (a transport or protocol fault, a
-//! missed deadline, an `Err` at connection scope) is dropped instead,
-//! and so is an idle connection the peer has closed, when a checkout
-//! probes it, so one bad socket cannot poison the next exchange.
+//! exchange. It runs one exchange at a time on the caller's thread: it
+//! writes a request, flushes it and reads the reply, which must carry the
+//! request's frame id ([`Connection::request`]). [`Pool`] is a bounded
+//! set of connections to one address. An exchange checks out an idle
+//! one, dials when none is idle and fewer than `pool_size` are open, or
+//! waits; then it runs on the caller's thread and checks the connection
+//! back in. A connection the exchange ended (a transport or protocol
+//! fault, a missed deadline, an `Err` at connection scope) is dropped
+//! instead, and so is an idle connection the peer has closed, when a
+//! checkout probes it, so one bad socket cannot poison the next exchange.
 //! Retrying is deliberately **not** done here: the mediator's resilience
 //! layer owns the retry budget, and a transport that silently retried
 //! underneath it would double-count attempts against circuit breakers.
@@ -20,14 +19,11 @@ use crate::error::NetError;
 use crate::frame::{read_first_frame, read_frame, CONNECTION_FRAME_ID};
 use crate::msg::Msg;
 use mix_obs::{Counter, Histogram, Registry};
-use std::io::{self, BufReader, BufWriter, Read, Write as _};
+use std::io::{self, BufReader, BufWriter, Read};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Requests a batch keeps in flight on its connection.
-const BATCH_WINDOW: usize = 32;
 
 /// Frame id of a connection's first request, the `Hello`. Later requests
 /// count up from it and wrap back to it, so no request carries the
@@ -110,74 +106,37 @@ impl Connection {
     /// scope (frame id 0), after which the server closes it. Requests on
     /// an ended connection fail at once.
     pub fn request(&mut self, msg: Msg) -> Result<Msg, NetError> {
-        self.request_many(vec![msg])
-            .pop()
-            .expect("one reply per request")
-    }
-
-    /// Pipelines `msgs`, up to 32 in flight, and returns the replies in
-    /// request order, whatever order the server finished them in. Each
-    /// reply succeeds or fails on its own as in [`Connection::request`],
-    /// until a fault ends the connection and fails every request not yet
-    /// answered.
-    pub fn request_many(&mut self, msgs: Vec<Msg>) -> Vec<Result<Msg, NetError>> {
-        let mut replies: Vec<Option<Result<Msg, NetError>>> = msgs.iter().map(|_| None).collect();
-        if let Err(fault) = self.pipeline(&msgs, &mut replies) {
-            self.ended = true;
-            for reply in replies.iter_mut().filter(|r| r.is_none()) {
-                *reply = Some(Err(fault.duplicate()));
-            }
-        }
-        replies
-            .into_iter()
-            .map(|r| r.expect("every request answered or failed"))
-            .collect()
-    }
-
-    /// Keeps the window full, flushing once per refill, and files each
-    /// reply under the request whose frame id it carries. An error ends
-    /// the connection.
-    fn pipeline(
-        &mut self,
-        msgs: &[Msg],
-        replies: &mut [Option<Result<Msg, NetError>>],
-    ) -> Result<(), NetError> {
         if self.ended {
             return Err(NetError::Io(io::Error::new(
                 io::ErrorKind::NotConnected,
                 "the connection was ended by an earlier fault",
             )));
         }
-        let mut unsent = msgs.iter().enumerate();
-        let mut in_flight: Vec<(u32, usize)> = Vec::with_capacity(msgs.len().min(BATCH_WINDOW));
-        loop {
-            let before = in_flight.len();
-            for (i, msg) in unsent.by_ref().take(BATCH_WINDOW - before) {
-                let id = self.next_id;
-                self.next_id = id.checked_add(1).unwrap_or(HANDSHAKE_ID);
-                msg.write_to_buffered(&mut self.writer, id)?;
-                in_flight.push((id, i));
+        let id = self.next_id;
+        self.next_id = id.checked_add(1).unwrap_or(HANDSHAKE_ID);
+        match self.exchange(&msg, id) {
+            Ok(Msg::Err { kind, msg }) => Err(NetError::Remote { kind, msg }),
+            Ok(Msg::Throttled { retry_after_ms }) => Err(NetError::Throttled { retry_after_ms }),
+            Ok(reply) => Ok(reply),
+            Err(fault) => {
+                self.ended = true;
+                Err(fault)
             }
-            if in_flight.len() > before {
-                self.writer.flush()?;
-            }
-            if in_flight.is_empty() {
-                return Ok(());
-            }
-            let (id, reply) = self.read_reply()?;
-            let Some(at) = in_flight.iter().position(|&(sent, _)| sent == id) else {
-                return Err(NetError::protocol(format!(
-                    "reply {:?} carried frame id {id}, which no request in flight has",
-                    reply.msg_type()
-                )));
-            };
-            let (_, i) = in_flight.swap_remove(at);
-            replies[i] = Some(match reply {
-                Msg::Err { kind, msg } => Err(NetError::Remote { kind, msg }),
-                Msg::Throttled { retry_after_ms } => Err(NetError::Throttled { retry_after_ms }),
-                reply => Ok(reply),
-            });
         }
+    }
+
+    /// Writes `msg` as frame `id`, flushes it, and reads the reply, which
+    /// must carry the same id.
+    fn exchange(&mut self, msg: &Msg, id: u32) -> Result<Msg, NetError> {
+        msg.write_to(&mut self.writer, id)?;
+        let (replied, reply) = self.read_reply()?;
+        if replied != id {
+            return Err(NetError::protocol(format!(
+                "reply {:?} carried frame id {replied}, not the request's {id}",
+                reply.msg_type()
+            )));
+        }
+        Ok(reply)
     }
 
     /// Reads the next frame, within `io_timeout`, as a frame id and a
@@ -359,42 +318,19 @@ impl Pool {
             .count()
     }
 
-    /// One request/response exchange on a pooled (or fresh) connection.
+    /// One request/response exchange on a pooled (or fresh) connection,
+    /// counted and timed from the checkout to the reply.
     pub fn request(&self, msg: Msg) -> Result<Msg, NetError> {
-        self.request_many(vec![msg])
-            .pop()
-            .expect("one reply per request")
-    }
-
-    /// Pipelines `msgs` on one checked-out connection (see
-    /// [`Connection::request_many`]) and returns the replies **in request
-    /// order**. Each element fails on its own, until a fault ends the
-    /// connection and fails the rest of the batch. Each exchange of a
-    /// batch is timed from the batch's start.
-    pub fn request_many(&self, msgs: Vec<Msg>) -> Vec<Result<Msg, NetError>> {
-        let n = msgs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        self.exchanges.add(n as u64);
+        self.exchanges.inc();
         let started = self.registry.now_ns();
-        let replies = match self.checkout() {
-            Ok(mut conn) => {
-                let replies = conn.request_many(msgs);
-                self.checkin(conn);
-                replies
-            }
-            Err(e) => {
-                let mut replies: Vec<_> = (1..n).map(|_| Err(e.duplicate())).collect();
-                replies.push(Err(e));
-                replies
-            }
-        };
-        let elapsed = self.registry.now_ns().saturating_sub(started);
-        for _ in 0..n {
-            self.rpc_latency.observe(elapsed);
-        }
-        replies
+        let reply = self.checkout().and_then(|mut conn| {
+            let reply = conn.request(msg);
+            self.checkin(conn);
+            reply
+        });
+        self.rpc_latency
+            .observe(self.registry.now_ns().saturating_sub(started));
+        reply
     }
 
     /// Takes the most recently used idle connection that is still
@@ -577,38 +513,6 @@ mod tests {
             "eight callers on one connection should wait their turns, not dial"
         );
         assert_eq!(pool.idle_connections(), 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn request_many_returns_replies_in_request_order() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::new(Echo {
-                delay: Duration::from_millis(1),
-            }),
-            ServerConfig {
-                workers: 4,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap()
-        .spawn()
-        .unwrap();
-        let pool = Pool::new(
-            server.addr().to_string(),
-            ClientConfig {
-                pool_size: 2,
-                ..ClientConfig::default()
-            },
-        );
-        // 50 queries overrun the 32-request window, so it refills
-        let msgs: Vec<Msg> = (0..50).map(|i| Msg::Query(format!("b{i}"))).collect();
-        let replies = pool.request_many(msgs);
-        assert_eq!(replies.len(), 50);
-        for (i, r) in replies.into_iter().enumerate() {
-            assert_eq!(r.unwrap(), Msg::Answer(format!("<echo>b{i}</echo>")));
-        }
         server.shutdown();
     }
 

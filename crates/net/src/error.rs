@@ -58,26 +58,6 @@ impl NetError {
         NetError::Protocol(msg.into())
     }
 
-    /// A copy for each request that one fault fails. A transport error
-    /// keeps its kind and text, though not its OS error code.
-    pub(crate) fn duplicate(&self) -> NetError {
-        match self {
-            NetError::Io(e) => NetError::Io(io::Error::new(e.kind(), e.to_string())),
-            NetError::Protocol(msg) => NetError::Protocol(msg.clone()),
-            NetError::Remote { kind, msg } => NetError::Remote {
-                kind: kind.clone(),
-                msg: msg.clone(),
-            },
-            NetError::VersionMismatch { theirs, ours } => NetError::VersionMismatch {
-                theirs: *theirs,
-                ours: *ours,
-            },
-            NetError::Throttled { retry_after_ms } => NetError::Throttled {
-                retry_after_ms: *retry_after_ms,
-            },
-        }
-    }
-
     /// Whether this is a transport timeout (`TimedOut` / `WouldBlock` —
     /// platforms disagree on which one a socket read deadline raises).
     pub fn is_timeout(&self) -> bool {

@@ -9,14 +9,12 @@
 //! +---------+---------+-------------------+-------------------+----------------+
 //! ```
 //!
-//! The `frame id` is what makes request pipelining possible: a client may
-//! put many `Query` frames in flight on one connection and match each
-//! `Answer`/`Err`/`Throttled` reply back to its request by id. (This
-//! build's server answers a connection's frames in order; the protocol
-//! does not promise it.) Id `0` is reserved for
-//! *connection-scope* frames — faults that concern the whole session
-//! (connection-cap refusals, protocol desync reports) rather than any one
-//! request — so request ids always start at 1.
+//! The `frame id` ties each `Answer`/`Err`/`Throttled` reply to the
+//! request it answers. This build's client has one request in flight per
+//! connection and ends the connection when a reply carries any other id.
+//! Id `0` is reserved for *connection-scope* frames — faults that concern
+//! the whole session (connection-cap refusals, protocol desync reports)
+//! rather than any one request — so request ids always start at 1.
 //!
 //! Version 1 (PR 3 through PR 6) had no frame id — a 6-byte header of
 //! `[version][type][len]` — and therefore required strict one-in one-out
@@ -42,8 +40,7 @@ use crate::error::NetError;
 use std::io::{self, Read, Write};
 
 /// Protocol version spoken by this build. Version 2 added the 4-byte
-/// frame id to the header (request pipelining); see the module docs for
-/// the bump policy.
+/// frame id to the header; see the module docs for the bump policy.
 pub const FRAME_VERSION: u8 = 2;
 
 /// The previous wire version (no frame id, 6-byte header). Kept so a v2
@@ -162,21 +159,6 @@ pub fn write_frame(
     frame_id: u32,
     payload: &[u8],
 ) -> Result<(), NetError> {
-    write_frame_buffered(w, ty, frame_id, payload)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one frame into `w` **without flushing** — the pipelined batch
-/// path stacks several frames into one buffered writer and flushes once,
-/// so a window of requests costs one syscall instead of one each. The
-/// caller owns the flush; an unflushed frame is invisible to the peer.
-pub fn write_frame_buffered(
-    w: &mut impl Write,
-    ty: MsgType,
-    frame_id: u32,
-    payload: &[u8],
-) -> Result<(), NetError> {
     if payload.len() as u64 > MAX_PAYLOAD as u64 {
         return Err(NetError::protocol(format!(
             "refusing to send a {} byte payload (cap is {MAX_PAYLOAD})",
@@ -185,6 +167,7 @@ pub fn write_frame_buffered(
     }
     w.write_all(&encode_header(ty, frame_id, payload.len() as u32))?;
     w.write_all(payload)?;
+    w.flush()?;
     Ok(())
 }
 

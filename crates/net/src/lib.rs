@@ -18,7 +18,7 @@
 //! the mediator's `Wrapper` trait — lives in `mix-mediator`.
 //!
 //! * [`frame`] — length-prefixed binary framing with a version byte and
-//!   a per-request frame id, so a batch can pipeline on one connection,
+//!   a per-request frame id that each reply must carry back,
 //! * [`msg`] — the message types (`Hello`, `ExportDtd`, `Query`,
 //!   `Answer`, `Err`, `Stats`, `Throttled`),
 //! * [`server`] — an accept thread and one thread per connection, which
@@ -28,7 +28,7 @@
 //! * [`client`] — a blocking [`Connection`] with handshake, and the
 //!   [`Pool`] of them: an exchange checks out an idle connection (or
 //!   dials one, up to `pool_size`), runs on the caller's thread, and
-//!   checks it back in; batches pipeline on one connection,
+//!   checks it back in; a connection carries one exchange at a time,
 //! * [`admission`] — the per-client [`TokenBucket`].
 //!
 //! The full frame format and error-mapping contract are documented in

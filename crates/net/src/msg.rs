@@ -95,16 +95,10 @@ impl Msg {
         HEADER_LEN as u64 + payload as u64
     }
 
-    /// Writes this message as one frame carrying `frame_id`.
+    /// Writes this message as one frame carrying `frame_id`, and flushes
+    /// it.
     pub fn write_to(&self, w: &mut impl Write, frame_id: u32) -> Result<(), NetError> {
         write_frame(w, self.msg_type(), frame_id, &self.payload())
-    }
-
-    /// Encodes the message into `w` without flushing — see
-    /// [`crate::frame::write_frame_buffered`]. The caller must flush
-    /// before waiting for a reply.
-    pub fn write_to_buffered(&self, w: &mut impl Write, frame_id: u32) -> Result<(), NetError> {
-        crate::frame::write_frame_buffered(w, self.msg_type(), frame_id, &self.payload())
     }
 
     /// Decodes a message from an already-read frame body — the half of

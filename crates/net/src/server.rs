@@ -4,8 +4,8 @@
 //! An accept thread admits connections up to `max_connections` and gives
 //! each a thread of its own. That thread reads a frame, answers it and
 //! writes the reply before it reads the next, so a connection's replies
-//! come back in the order of its requests; every frame still carries its
-//! own id, so a client may pipeline a batch and match the replies by id.
+//! come back in the order of its requests, each carrying the frame id of
+//! the request it answers.
 //! At most `workers` calls to [`WireService::answer`] run at once across
 //! all connections. The conversation on every connection is:
 //!
@@ -483,8 +483,6 @@ impl<S: WireService> Shared<S> {
                     .rpc_latency
                     .observe(self.obs.registry.now_ns().saturating_sub(started));
             }
-            // each reply is flushed on its own: a pipelined batch gets
-            // its first answer as soon as it is ready
             if let Err(e) = self.send(&mut writer, frame_id, &reply) {
                 return self.obs.ended_by(&e);
             }

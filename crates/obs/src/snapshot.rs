@@ -1,9 +1,9 @@
 //! Point-in-time exports of a registry: plain data, two expositions.
 //!
 //! A [`Snapshot`] is what crosses process boundaries — the `Msg::Stats`
-//! reply, the `--metrics-file` dump, the `serve --bench` report. It owns
-//! no atomics; everything is ordinary sorted maps and vectors, so it
-//! can be merged ([`Snapshot::merge`] sums instruments and concatenates
+//! reply and the `--metrics-file` dump. It owns no atomics; everything
+//! is ordinary sorted maps and vectors, so it can be merged
+//! ([`Snapshot::merge`] sums instruments and concatenates
 //! spans/events — used to serve one view over a mediator's registry plus
 //! the process-wide [`crate::global`] one), diffed in tests, and encoded.
 //!

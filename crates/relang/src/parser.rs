@@ -10,8 +10,9 @@
 //! atom   := NAME [ '^' TAG ]  |  '(' alt ')'  |  'ε'  |  '∅'
 //! ```
 //!
-//! Names follow XML name rules (letters, digits, `.`, `-`, `_`, `:`), and a
-//! trailing `^k` writes a tagged name of a specialized DTD (Definition 3.8).
+//! Names follow XML name rules (letters, digits, `.`, `-`, `_`, `:`); `#`
+//! appears only in the keyword `#PCDATA`. A trailing `^k` writes a tagged
+//! name of a specialized DTD (Definition 3.8).
 
 use crate::ast::Regex;
 use crate::symbol::Name;
@@ -130,7 +131,9 @@ impl<'a> Cursor<'a> {
         c.is_alphanumeric() || matches!(c, '_' | ':' | '.' | '-' | '#')
     }
 
-    /// Parses an XML name (optionally starting with `#`, for `#PCDATA`).
+    /// Parses an XML name, or the keyword `#PCDATA`. No XML name holds
+    /// `#`, so a token holding one that is not the keyword is an error at
+    /// its first `#`.
     pub fn name(&mut self) -> Result<&'a str, ParseError> {
         self.skip_ws();
         let start = self.pos;
@@ -147,7 +150,14 @@ impl<'a> Cursor<'a> {
                 break;
             }
         }
-        Ok(&self.src[start..self.pos])
+        let name = &self.src[start..self.pos];
+        match name.find('#') {
+            Some(at) if name != "#PCDATA" => Err(ParseError {
+                pos: start + at,
+                msg: format!("'{name}' is not a name: '#' only starts the keyword #PCDATA"),
+            }),
+            _ => Ok(name),
+        }
     }
 
     fn number(&mut self) -> Result<u32, ParseError> {
@@ -334,6 +344,20 @@ mod tests {
         assert!(parse_regex("a b").is_err()); // juxtaposition is not concat
         assert!(parse_regex("|a").is_err());
         assert!(parse_regex("a^x").is_err());
+    }
+
+    #[test]
+    fn hash_only_starts_the_pcdata_keyword() {
+        assert_eq!(parse_regex("#PCDATA").unwrap(), Regex::Sym(sym("#PCDATA")));
+        assert_eq!(
+            parse_regex("(#PCDATA)").unwrap(),
+            Regex::Sym(sym("#PCDATA"))
+        );
+        for (src, pos) in [("a#b", 1), ("#foo", 0), ("x, #PCDATAy", 3), ("b#", 1)] {
+            let e = parse_regex(src).unwrap_err();
+            assert_eq!(e.pos, pos, "{src}: {e}");
+            assert!(e.msg.contains("#PCDATA"), "{src}: {e}");
+        }
     }
 
     #[test]

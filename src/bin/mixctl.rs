@@ -93,7 +93,7 @@ const EXIT_UNAVAILABLE: u8 = 6;
 fn usage() -> ! {
     eprintln!(
         "usage: mixctl <infer|classify|validate|eval|structure|explain|tightness|union|\
-         federate|serve|serve-source|stats> [--dtd FILE] [--query FILE] [--doc FILE] \
+         federate|serve-source|stats> [--dtd FILE] [--query FILE] [--doc FILE] \
          [--max-size N]\n\
          run `mixctl help` for details"
     );
@@ -120,11 +120,6 @@ struct Args {
     fail_rate: f64,
     fault_seed: u64,
     retries: u32,
-    bench: bool,
-    batch: usize,
-    threads: Vec<usize>,
-    latency_ms: u64,
-    out: Option<String>,
     addr: Option<String>,
     remotes: Vec<String>,
     max_conns: usize,
@@ -136,7 +131,6 @@ struct Args {
     admit_rps: Option<u64>,
     admit_burst: Option<u64>,
     workers: usize,
-    memo: usize,
     conns: Option<usize>,
     stream: bool,
     store_dir: Option<String>,
@@ -171,11 +165,6 @@ fn parse_args() -> Args {
         fail_rate: 0.0,
         fault_seed: 0,
         retries: 2,
-        bench: false,
-        batch: 20,
-        threads: vec![1, 2, 4, 8],
-        latency_ms: 10,
-        out: None,
         addr: None,
         remotes: Vec::new(),
         max_conns: 64,
@@ -187,7 +176,6 @@ fn parse_args() -> Args {
         admit_rps: None,
         admit_burst: None,
         workers: 0,
-        memo: 0,
         conns: None,
         stream: false,
         store_dir: None,
@@ -216,25 +204,8 @@ fn parse_args() -> Args {
                 args.retries = grab().parse().unwrap_or_else(|_| usage());
             }
             "--name" => args.name = grab(),
-            "--bench" => args.bench = true,
             "--stream" => args.stream = true,
             "--sat" => args.sat = true,
-            "--batch" => {
-                args.batch = grab().parse().unwrap_or_else(|_| usage());
-            }
-            "--threads" => {
-                args.threads = grab()
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if args.threads.is_empty() {
-                    usage();
-                }
-            }
-            "--latency-ms" => {
-                args.latency_ms = grab().parse().unwrap_or_else(|_| usage());
-            }
-            "--out" => args.out = Some(grab()),
             "--addr" => args.addr = Some(grab()),
             "--remote" => args.remotes.push(grab()),
             "--max-conns" => {
@@ -259,9 +230,6 @@ fn parse_args() -> Args {
             }
             "--workers" => {
                 args.workers = grab().parse().unwrap_or_else(|_| usage());
-            }
-            "--memo" => {
-                args.memo = grab().parse().unwrap_or_else(|_| usage());
             }
             "--conns" => {
                 args.conns = Some(grab().parse().unwrap_or_else(|_| usage()));
@@ -365,149 +333,6 @@ fn dump_metrics(path: &str, registry: &Registry, format: &str) {
     if let Err(e) = std::fs::write(path, render_snapshot(&snap, format)) {
         eprintln!("mixctl: cannot write metrics file '{path}': {e}");
     }
-}
-
-/// The `serve --bench` throughput driver (the CLI face of experiment X15):
-/// cold vs. warm inference-cache timing for the given (query, DTD), then
-/// batched `answer_many` thread scaling with every source behind a
-/// simulated round-trip latency.
-fn serve_bench(args: &Args, dtd: &Dtd, view_q: &Query) -> ExitCode {
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    // -- cold vs. warm inference ------------------------------------------
-    mix::relang::clear_memo();
-    let registry = Registry::new();
-    // --store-dir makes the "cold" probe a *restart* probe: the cache
-    // (and pool/memo) warm-start from the previous run's generation
-    let cache = match open_store(args, &registry) {
-        Some(store) => Arc::new(InferenceCache::with_store(
-            registry.clone(),
-            store as Arc<dyn WarmStore>,
-        )),
-        None => Arc::new(InferenceCache::with_registry(registry.clone())),
-    };
-    let t = Instant::now();
-    let iv = match cache.infer(view_q, dtd) {
-        Ok(iv) => iv,
-        Err(e) => {
-            eprintln!("mixctl: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cold = t.elapsed();
-    const WARM_ITERS: u32 = 100;
-    let t = Instant::now();
-    for _ in 0..WARM_ITERS {
-        cache.infer(view_q, dtd).expect("warm inference");
-    }
-    let warm = t.elapsed() / WARM_ITERS;
-    let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-
-    let Some(member) = iv.list_type.syms_in_order().first().map(|s| s.name) else {
-        eprintln!("mixctl: the view is empty (unsatisfiable); nothing to serve");
-        return ExitCode::FAILURE;
-    };
-
-    // -- batched answer_many over simulated-latency sources ---------------
-    // share the timed cache so its hit/miss counters and the serving
-    // instruments land in one snapshot
-    let mut m = Mediator::with_cache(ProcessorConfig::default(), cache);
-    let mut view_names = Vec::new();
-    for (i, path) in args.docs.iter().enumerate() {
-        let doc = load_doc_path(path);
-        let source = XmlSource::new(dtd.clone(), doc).unwrap_or_else(|e| {
-            eprintln!("mixctl: {path}: {e}");
-            std::process::exit(1)
-        });
-        let slow = LatencyWrapper::new(source, Duration::from_millis(args.latency_ms));
-        let site = format!("site{i}");
-        m.add_source(&site, Arc::new(slow));
-        let mut q = view_q.clone();
-        q.view_name = name(&format!("{}{}", view_q.view_name, i));
-        m.register_view(&site, &q).unwrap_or_else(|e| {
-            eprintln!("mixctl: {e}");
-            std::process::exit(1)
-        });
-        view_names.push(q.view_name);
-    }
-    let batch: Vec<Query> = (0..args.batch)
-        .map(|i| {
-            let view = view_names[i % view_names.len()];
-            parse_query(&format!(
-                "b{i} = SELECT X WHERE <{view}> X:<{member}/> </{view}>"
-            ))
-            .expect("generated batch query parses")
-        })
-        .collect();
-    let mut rows = Vec::new();
-    let mut baseline_qps = 0.0_f64;
-    let mut reference: Option<Vec<String>> = None;
-    for &threads in &args.threads {
-        let t = Instant::now();
-        let answers = m.answer_many_with_threads(&batch, threads);
-        let elapsed = t.elapsed();
-        let rendered: Vec<String> = answers
-            .iter()
-            .map(|a| match a {
-                Ok(ans) => write_document(&ans.document, WriteConfig::default()),
-                Err(e) => format!("error: {e}"),
-            })
-            .collect();
-        match &reference {
-            None => reference = Some(rendered),
-            Some(expect) => {
-                assert_eq!(expect, &rendered, "thread count changed the batch answers")
-            }
-        }
-        let qps = args.batch as f64 / elapsed.as_secs_f64().max(1e-9);
-        if baseline_qps == 0.0 {
-            baseline_qps = qps;
-        }
-        rows.push(format!(
-            "    {{ \"threads\": {threads}, \"elapsed_ms\": {:.3}, \"qps\": {:.1}, \
-             \"speedup_vs_first\": {:.2} }}",
-            elapsed.as_secs_f64() * 1e3,
-            qps,
-            qps / baseline_qps.max(1e-9)
-        ));
-    }
-    // the merged mix-obs snapshot is the canonical metrics surface: it
-    // carries the inference-cache, automata-memo, and regex-pool
-    // instruments (the legacy top-level "cache"/"automata" aliases were
-    // dropped as announced in the PR 4 deprecation note)
-    let obs_snapshot = mix::obs::global().snapshot().merge(&registry.snapshot());
-    let json = format!(
-        "{{\n  \"driver\": \"mixctl serve --bench\",\n  \"batch\": {},\n  \
-         \"latency_ms\": {},\n  \"sources\": {},\n  \"inference\": {{ \
-         \"cold_us\": {:.1}, \"warm_us\": {:.1}, \"warm_speedup\": {:.1} }},\n  \
-         \"throughput\": [\n{}\n  ],\n  \"obs\": {}\n}}",
-        args.batch,
-        args.latency_ms,
-        args.docs.len(),
-        cold.as_secs_f64() * 1e6,
-        warm.as_secs_f64() * 1e6,
-        speedup,
-        rows.join(",\n"),
-        obs_snapshot.to_json(),
-    );
-    if let Some(path) = &args.metrics_file {
-        dump_metrics(path, m.registry(), &args.format);
-    }
-    // clean exit: snapshot everything learned this run into one compacted
-    // generation for the next restart (no-op without --store-dir)
-    m.inference_cache().compact_store();
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("mixctl: cannot write '{path}': {e}");
-                return ExitCode::FAILURE;
-            }
-            outln!("wrote {path}");
-        }
-        None => outln!("{json}"),
-    }
-    ExitCode::SUCCESS
 }
 
 /// Reads a `--topology` file. Exits 4 when it does not parse and 2 when
@@ -666,31 +491,22 @@ fn main() -> ExitCode {
                  \x20            order; each call fails over across the source's\n\
                  \x20            replicas (circuit breaker per replica). A 'nodes N'\n\
                  \x20            line is accepted and ignored\n\
-                 \x20 serve      --bench --dtd F --query F --doc F … [--batch N]\n\
-                 \x20            [--threads 1,2,4,8] [--latency-ms MS] [--out FILE]\n\
-                 \x20            throughput driver: cold/warm inference-cache timing and\n\
-                 \x20            batched answer_many thread scaling over simulated-latency\n\
-                 \x20            sources; JSON report to --out (or stdout); the \"obs\"\n\
-                 \x20            field is the full mix-obs snapshot\n\
                  \x20 serve-source --addr HOST:PORT --dtd F --doc F [--query F]\n\
                  \x20            [--max-conns N] [--timeout-ms MS] [--admit-rps N]\n\
-                 \x20            [--admit-burst N] [--workers N] [--memo N]   export the\n\
-                 \x20            source (or,\n\
+                 \x20            [--admit-burst N] [--workers N]   export the source (or,\n\
                  \x20            with --query, its view — a stacked mediator) over the\n\
                  \x20            mix-net wire protocol; prints 'listening on HOST:PORT'.\n\
                  \x20            --admit-rps / --admit-burst turn on per-client\n\
                  \x20            token-bucket admission control: queries past the budget\n\
                  \x20            get a Throttled reply. --workers N lets at most N\n\
-                 \x20            queries be answered at once (0 = one per CPU). --memo N\n\
-                 \x20            memoizes up to N rendered answers by query text (the\n\
-                 \x20            source is a start-time snapshot, so replays are exact)\n\
+                 \x20            queries be answered at once (0 = one per CPU)\n\
                  \x20 stats      --remote HOST:PORT [--format json|prom]   fetch a serving\n\
                  \x20            daemon's observability snapshot over the wire\n\n\
                  client transport (federate, stats):\n\
                  \x20 --conns N                connections the client may hold per\n\
                  \x20                          remote, one exchange on each at a time\n\
                  \x20                          (default 4)\n\n\
-                 warm starts (serve, serve-source, federate):\n\
+                 warm starts (serve-source, federate):\n\
                  \x20 --store-dir DIR          persist the inference cache, regex pool\n\
                  \x20                          arena, and inclusion memo to DIR and\n\
                  \x20                          reload them on start: restarts answer\n\
@@ -702,7 +518,7 @@ fn main() -> ExitCode {
                  \x20                          (counted in store_load_skipped_total)\n\
                  \x20                          and the daemon falls back to cold\n\
                  \x20                          inference — never to wrong answers\n\n\
-                 observability (serve, serve-source, federate):\n\
+                 observability (serve-source, federate):\n\
                  \x20 --metrics-file FILE      dump the mix-obs snapshot to FILE\n\
                  \x20                          (periodically for serve-source, once at\n\
                  \x20                          exit for one-shot commands)\n\
@@ -1120,13 +936,7 @@ fn main() -> ExitCode {
                     }
                 }),
             };
-            let mut service = WrapperService::new(wrapper).with_registry(registry.clone());
-            if args.memo > 0 {
-                // safe here: the served wrapper is a snapshot loaded at
-                // start (an XmlSource, possibly under a stacked view), so
-                // answers are stable for the daemon's lifetime
-                service = service.with_answer_memo(args.memo);
-            }
+            let service = WrapperService::new(wrapper).with_registry(registry.clone());
             let server = match Server::bind(addr, std::sync::Arc::new(service), config) {
                 Ok(s) => s.with_registry(&registry),
                 Err(e) => {
@@ -1171,21 +981,6 @@ fn main() -> ExitCode {
                     ExitCode::FAILURE
                 }
             }
-        }
-        "serve" => {
-            if !args.bench {
-                eprintln!(
-                    "mixctl: serve is a throughput driver; pass --bench \
-                     (a long-lived daemon mode is future work)"
-                );
-                return ExitCode::from(2);
-            }
-            let dtd = load_dtd(&args);
-            let q = load_query(&args);
-            if args.docs.is_empty() {
-                usage();
-            }
-            serve_bench(&args, &dtd, &q)
         }
         "tightness" => {
             let dtd = load_dtd(&args);

@@ -181,6 +181,17 @@ fn parse_errors_exit_4() {
     ]);
     assert_eq!(out.status.code(), Some(4), "bad DTD");
 
+    // no XML name holds `#`, so a DTD naming an element `a#b` is bad too
+    let hash_dtd = fixture("pe-hash.dtd", "{<r : a#b*> <a#b : PCDATA>}");
+    let out = mixctl(&[
+        "infer",
+        "--dtd",
+        hash_dtd.to_str().unwrap(),
+        "--query",
+        good_q.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(4), "'#' inside a DTD name");
+
     let out = mixctl(&[
         "classify",
         "--dtd",
@@ -632,6 +643,17 @@ fn federate_writes_a_final_metrics_snapshot() {
         snap.counters["relang_inclusion_memo_misses_total"] >= 1,
         "global memo merged in"
     );
+    // the inference-cache counters and the regex-pool gauges land in the
+    // same snapshot
+    assert!(snap.counters.contains_key("inference_cache_hits_total"));
+    assert!(
+        snap.gauges["relang_pool_nodes"] > 0,
+        "pool node gauge missing or zero"
+    );
+    assert!(
+        snap.gauges["relang_pool_bytes"] > 0,
+        "pool byte gauge missing or zero"
+    );
 }
 
 /// Spawns a `serve-source` daemon from the binary and parses its
@@ -807,61 +829,6 @@ fn federate_topology_survives_a_replica_kill_byte_identically() {
         "127.0.0.1:1",
     ]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-}
-
-/// `serve --bench` reports the canonical "obs" snapshot — including the
-/// regex-pool gauges — and no longer emits the deprecated top-level
-/// "cache"/"automata" alias blocks (dropped as announced in PR 4).
-#[test]
-fn serve_bench_json_carries_the_obs_snapshot() {
-    let dtd = fixture("sb.dtd", D1);
-    let doc = fixture("sb.xml", DOC);
-    let q = fixture(
-        "sb.xmas",
-        "publist = SELECT P WHERE <department> <name>CS</name> \
-           <professor | gradStudent> P:<publication><journal/></publication> </> </>",
-    );
-    let out = mixctl(&[
-        "serve",
-        "--bench",
-        "--dtd",
-        dtd.to_str().unwrap(),
-        "--query",
-        q.to_str().unwrap(),
-        "--doc",
-        doc.to_str().unwrap(),
-        "--batch",
-        "4",
-        "--threads",
-        "1",
-        "--latency-ms",
-        "0",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !text.contains("\"cache\":") && !text.contains("\"automata\":"),
-        "deprecated top-level alias blocks resurfaced:\n{text}"
-    );
-    let obs_start = text.find("\"obs\": ").expect("obs field present") + "\"obs\": ".len();
-    // the snapshot is the last field: it runs to the final closing brace
-    let obs_end = text.rfind('}').expect("closing brace");
-    let snap = mix::obs::Snapshot::from_json(text[obs_start..obs_end].trim()).expect("obs parses");
-    // the snapshot carries the inference-cache and automata-memo
-    // counters the dropped alias blocks used to repeat…
-    assert!(snap.counters.contains_key("inference_cache_hits_total"));
-    assert!(snap
-        .counters
-        .contains_key("relang_inclusion_memo_misses_total"));
-    // …and the regex-pool gauges land right next to them
-    assert!(
-        snap.gauges["relang_pool_nodes"] > 0,
-        "pool node gauge missing or zero"
-    );
-    assert!(
-        snap.gauges["relang_pool_bytes"] > 0,
-        "pool byte gauge missing or zero"
-    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Satellite tier for the pipelined wire protocol (DESIGN.md §13):
-//! many `Query` frames in flight per connection, matched by frame id.
+//! Satellite tier for the wire protocol (DESIGN.md §13): one exchange
+//! at a time per pooled connection, each reply checked by frame id.
 //!
 //! Each connection's thread answers its frames in order, but calls on
 //! different connections finish in whatever order their randomized
@@ -9,9 +9,8 @@
 //! 1. every `Answer` lands on the caller whose `frame_id` it carries —
 //!    an id mix-up would hand one caller another's (differently-tagged)
 //!    echo, which the asserts would catch immediately;
-//! 2. batch issue (`Pool::request_many`, and above it
-//!    `Mediator::answer_many`) returns results **in input order**
-//!    regardless of completion order.
+//! 2. `Mediator::answer_many` over remote sources returns results **in
+//!    input order** regardless of completion order.
 //!
 //! The hostile-peer properties at the bottom send random frames both
 //! ways: from a fake daemon to the client, and from a raw client to a
@@ -105,34 +104,6 @@ proptest! {
                 });
             }
         });
-        daemon.shutdown();
-    }
-
-    /// `Pool::request_many` issues the whole batch down one pooled
-    /// connection and returns replies in input order, not completion
-    /// order.
-    #[test]
-    fn request_many_is_order_preserving_under_random_delays(
-        delays in prop::collection::vec(0u64..20, 1..24),
-    ) {
-        let daemon = spawn_echo();
-        let pool = Pool::new(daemon.addr().to_string(), client_config(2));
-        let batch: Vec<Msg> = delays
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Msg::Query(format!("{d}|t{i}")))
-            .collect();
-        let replies = pool.request_many(batch);
-        prop_assert_eq!(replies.len(), delays.len());
-        for (i, reply) in replies.into_iter().enumerate() {
-            let reply = reply.expect("echo reply");
-            prop_assert_eq!(
-                reply,
-                Msg::Answer(format!("<echo>t{i}</echo>")),
-                "slot {} holds an out-of-order reply",
-                i
-            );
-        }
         daemon.shutdown();
     }
 }
@@ -332,7 +303,7 @@ fn payload_bytes(kind: u8, text: &str, random_text: &str, raw: &[u8], n: usize) 
 }
 
 /// How one exchange ended, at the grain the property checks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Outcome {
     Reply(Msg),
     Remote,
@@ -353,45 +324,28 @@ fn outcome(result: Result<Msg, &NetError>) -> Outcome {
     }
 }
 
-/// What the requests with `ids` should come to when a daemon answers
-/// them with `sent` and closes: a frame reader's verdict on the bytes,
-/// routed by frame id. A reply addressed to one request answers it, and
-/// the close then fails the others; a fault, a connection-scope frame or
-/// a stray id fails them all.
-fn expected(sent: &[u8], ids: &[u32]) -> Vec<Outcome> {
-    let all = |o: Outcome| ids.iter().map(|_| o.clone()).collect();
+/// What the request with frame id `id` should come to when a daemon
+/// answers it with `sent` and closes: a frame reader's verdict on the
+/// bytes. A reply on the request's id answers it; a fault, a
+/// connection-scope frame or a stray id fails it.
+fn expected(sent: &[u8], id: u32) -> Outcome {
     match Msg::read_from(&mut &sent[..]) {
-        Err(e) => all(outcome(Err(&e))),
-        Ok((0, Msg::Err { .. })) => all(Outcome::Remote),
-        Ok((id, reply)) => match ids.iter().position(|&sent_id| sent_id == id) {
-            None => all(Outcome::Protocol),
-            Some(j) => {
-                let answered = outcome(Ok(reply));
-                (0..ids.len())
-                    .map(|k| {
-                        if k == j {
-                            answered.clone()
-                        } else {
-                            Outcome::Io
-                        }
-                    })
-                    .collect()
-            }
-        },
+        Err(e) => outcome(Err(&e)),
+        Ok((0, Msg::Err { .. })) => Outcome::Remote,
+        Ok((replied, reply)) if replied == id => outcome(Ok(reply)),
+        Ok(_) => Outcome::Protocol,
     }
 }
 
-/// A fake daemon's thread: it returns the request ids it read and the
+/// A fake daemon's thread: it returns the request id it read and the
 /// bytes it sent.
-type FakeDaemon = JoinHandle<(Vec<u32>, Vec<u8>)>;
+type FakeDaemon = JoinHandle<(u32, Vec<u8>)>;
 
-/// A fake daemon: completes the `Hello`, reads `queries` requests, sends
-/// what `reply` makes of their ids and texts cut at `cut` bytes, and
-/// closes.
+/// A fake daemon: completes the `Hello`, reads one request, sends what
+/// `reply` makes of its id and text cut at `cut` bytes, and closes.
 fn hostile_daemon(
-    queries: usize,
     cut: usize,
-    reply: impl FnOnce(&[u32], &[String]) -> Vec<u8> + Send + 'static,
+    reply: impl FnOnce(u32, &str) -> Vec<u8> + Send + 'static,
 ) -> (String, FakeDaemon) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap().to_string();
@@ -399,17 +353,15 @@ fn hostile_daemon(
         let (mut s, _) = listener.accept().expect("the client dials");
         let (hello, _) = Msg::read_from(&mut s).expect("Hello");
         Msg::Hello.write_to(&mut s, hello).expect("Hello back");
-        let (ids, texts): (Vec<u32>, Vec<String>) = (0..queries)
-            .map(|_| match Msg::read_from(&mut s).expect("a query") {
-                (id, Msg::Query(text)) => (id, text),
-                (_, other) => panic!("expected a Query, got {other:?}"),
-            })
-            .unzip();
-        let mut sent = reply(&ids, &texts);
+        let (id, text) = match Msg::read_from(&mut s).expect("a query") {
+            (id, Msg::Query(text)) => (id, text),
+            (_, other) => panic!("expected a Query, got {other:?}"),
+        };
+        let mut sent = reply(id, &text);
         sent.truncate(cut);
         s.write_all(&sent).expect("the client is still reading");
         s.shutdown(Shutdown::Write).expect("close");
-        (ids, sent)
+        (id, sent)
     });
     (addr, fake)
 }
@@ -417,12 +369,11 @@ fn hostile_daemon(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever a daemon replies, `Pool::request` and `request_many`
-    /// return the reply its bytes spell (the echo, when they spell a
-    /// well-formed answer to the request) or a typed error, within the
-    /// deadline. A length past `MAX_PAYLOAD` is refused from the header:
-    /// no payload follows it, so a reader that allocated first would
-    /// report the close instead.
+    /// Whatever a daemon replies, `Pool::request` returns the reply its
+    /// bytes spell (the echo, when they spell a well-formed answer to the
+    /// request) or a typed error, within the deadline. A length past
+    /// `MAX_PAYLOAD` is refused from the header: no payload follows it,
+    /// so a reader that allocated first would report the close instead.
     #[test]
     fn hostile_daemon_replies_end_in_the_reply_they_spell_or_a_typed_error(
         version in prop_oneof![1 => Just(1u8), 6 => Just(2u8), 1 => 0u8..=255],
@@ -434,44 +385,33 @@ proptest! {
         random_text in "\\PC{0,12}",
         raw in prop::collection::vec(0u8..=255, 0..16),
         cut in prop_oneof![2 => Just(usize::MAX), 1 => 0usize..48],
-        batch in 1usize..6,
     ) {
-        for many in [false, true] {
-            let queries = if many { batch } else { 1 };
-            let (random_text, raw) = (random_text.clone(), raw.clone());
-            let (addr, fake) = hostile_daemon(queries, cut, move |ids, texts| {
-                let j = pick % ids.len();
-                let id = match aim {
-                    0 => ids[j],
-                    1 => 1_000 + pick as u32,
-                    _ => 0,
-                };
-                let payload = payload_bytes(kind, &texts[j], &random_text, &raw, pick);
-                frame_bytes(version, ty, id, announce, &payload)
-            });
-            let pool = Pool::new(
-                addr,
-                ClientConfig {
-                    pool_size: 1,
-                    io_timeout: HOSTILE_TIMEOUT,
-                    ..ClientConfig::default()
-                },
-            );
-            let msgs: Vec<Msg> = (0..queries).map(|i| Msg::Query(format!("q{i}"))).collect();
-            let started = Instant::now();
-            let results = if many {
-                pool.request_many(msgs)
-            } else {
-                vec![pool.request(msgs[0].clone())]
+        let (addr, fake) = hostile_daemon(cut, move |request, text| {
+            let id = match aim {
+                0 => request,
+                1 => 1_000 + pick as u32,
+                _ => 0,
             };
-            let waited = started.elapsed();
-            let (ids, sent) = fake.join().expect("the fake daemon ran");
-            let got: Vec<Outcome> = results.iter().map(|r| outcome(r.as_ref().cloned())).collect();
-            prop_assert!(waited < HOSTILE_TIMEOUT, "waited {:?} for {:?}", waited, got);
-            prop_assert_eq!(&got, &expected(&sent, &ids), "sent {:?} to {:?}", sent, ids);
-            if version == 2 && ty < 7 && announce == 3 && sent.len() >= 10 {
-                prop_assert!(got.iter().all(|o| *o == Outcome::Protocol), "{:?}", got);
-            }
+            let payload = payload_bytes(kind, text, &random_text, &raw, pick);
+            frame_bytes(version, ty, id, announce, &payload)
+        });
+        let pool = Pool::new(
+            addr,
+            ClientConfig {
+                pool_size: 1,
+                io_timeout: HOSTILE_TIMEOUT,
+                ..ClientConfig::default()
+            },
+        );
+        let started = Instant::now();
+        let result = pool.request(Msg::Query("q0".into()));
+        let waited = started.elapsed();
+        let (id, sent) = fake.join().expect("the fake daemon ran");
+        let got = outcome(result.as_ref().cloned());
+        prop_assert!(waited < HOSTILE_TIMEOUT, "waited {:?} for {:?}", waited, got);
+        prop_assert_eq!(&got, &expected(&sent, id), "sent {:?} to {:?}", sent, id);
+        if version == 2 && ty < 7 && announce == 3 && sent.len() >= 10 {
+            prop_assert_eq!(got, Outcome::Protocol);
         }
     }
 
@@ -524,9 +464,11 @@ proptest! {
                 ..client_config(2)
             },
         );
-        let replies = pool.request_many((0..3).map(|i| Msg::Query(format!("0|t{i}"))).collect());
-        for (i, reply) in replies.into_iter().enumerate() {
-            prop_assert_eq!(reply.expect("a correct answer"), Msg::Answer(format!("<echo>t{i}</echo>")));
+        for i in 0..3 {
+            prop_assert_eq!(
+                pool.request(Msg::Query(format!("0|t{i}"))).expect("a correct answer"),
+                Msg::Answer(format!("<echo>t{i}</echo>"))
+            );
         }
         prop_assert_eq!(
             pool.request(Msg::Query("0|last".into())).expect("a correct answer"),
